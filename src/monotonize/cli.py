@@ -111,7 +111,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", help="JSON config file (defaults apply if omitted)")
     p.add_argument("--table", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--out", required=True, help="report CSV to write")
-    p.add_argument("--threads", type=int, help="worker threads (default: all cores)")
+    p.add_argument("--threads", type=int, default=1, help="worker threads (default: 1)")
 
     return parser
 

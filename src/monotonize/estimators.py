@@ -404,33 +404,28 @@ def _fit_loclinear_mean(data: Dataset, spec: EstimatorSpec) -> FitResult:
     return FitResult(GriddedFunction([spec.eval_axis], est))
 
 
-def _loclinear_irls_stage(xi, inwin, ys, tau, kappa, a, b, tol, max_iter):
+def _loclinear_irls_stage(xi, inwin, yw, tau, kappa, a, b, tol, max_iter):
     """One damped IRLS pass over all nodes at once; updates a, b in place.
 
-    Nodes iterate independently, so rows that reach tol drop out of the work
-    set.  Returns (all_done, last_delta_per_node).
+    xi, inwin and yw are nodes x W window arrays (offset x - node, in-window
+    mask, response).  Nodes iterate independently, so rows that reach tol
+    drop out of the work set.  Returns (all_done, last_delta_per_node).
     """
     q = tau - 0.5
-    yrow = np.broadcast_to(ys, xi.shape)
 
-    def objective(rows, av, bv):
-        u = np.broadcast_to(ys, (rows.size, ys.size)) - (
-            av[:, None] + bv[:, None] * xi[rows]
-        )
-        return np.sum(
-            np.where(inwin[rows], _check_objective(u, tau, kappa), 0.0), axis=1
-        )
+    def objective(xi_r, inwin_r, yw_r, av, bv):
+        u = yw_r - (av[:, None] + bv[:, None] * xi_r)
+        return np.sum(np.where(inwin_r, _check_objective(u, tau, kappa), 0.0), axis=1)
 
-    obj = objective(np.arange(a.size), a, b)
+    obj = objective(xi, inwin, yw, a, b)
     done = np.zeros(a.shape, dtype=bool)
     last_delta = np.full(a.shape, np.inf)
     nu = np.ones(a.shape)
     for _ in range(max_iter):
         act = np.flatnonzero(~done)
-        xi_a, inwin_a = xi[act], inwin[act]
-        yrow_a = np.broadcast_to(ys, xi_a.shape)
+        xi_a, inwin_a, yw_a = xi[act], inwin[act], yw[act]
         aa, ba, obja, nua = a[act], b[act], obj[act], nu[act]
-        u = yrow_a - (aa[:, None] + ba[:, None] * xi_a)
+        u = yw_a - (aa[:, None] + ba[:, None] * xi_a)
         curvature, majorizer = _irls_weights(np.abs(u), kappa)
         w = np.where(inwin_a, curvature + nua[:, None] * majorizer, 0.0)
         rp = np.where(inwin_a, q + 0.5 * np.tanh(u / (2.0 * kappa)), 0.0)
@@ -443,7 +438,7 @@ def _loclinear_irls_stage(xi, inwin, ys, tau, kappa, a, b, tol, max_iter):
         with np.errstate(divide="ignore", invalid="ignore"):
             an = aa + (m11 * g0 - m01 * g1) / det
             bn = ba + (m00 * g1 - m01 * g0) / det
-        objn = objective(act, an, bn)
+        objn = objective(xi_a, inwin_a, yw_a, an, bn)
         slack = 1e-12 * np.maximum(1.0, np.abs(obja))
         # nan-safe comparisons: a non-finite candidate counts as a bad step
         damped = ~(objn <= obja + slack)
@@ -453,7 +448,7 @@ def _loclinear_irls_stage(xi, inwin, ys, tau, kappa, a, b, tol, max_iter):
                 break
             an = np.where(bad, 0.5 * (an + aa), an)
             bn = np.where(bad, 0.5 * (bn + ba), bn)
-            objn = objective(act, an, bn)
+            objn = objective(xi_a, inwin_a, yw_a, an, bn)
         rejected = ~(objn <= obja + slack)
         an = np.where(rejected, aa, an)
         bn = np.where(rejected, ba, bn)
@@ -476,29 +471,37 @@ def _loclinear_irls_stage(xi, inwin, ys, tau, kappa, a, b, tol, max_iter):
 
 
 def _fit_loclinear_quantile(data: Dataset, spec: EstimatorSpec) -> FitResult:
-    """All eval nodes iterate together: vectorized IRLS on (nodes x data) arrays."""
+    """All eval nodes iterate together: vectorized IRLS on (nodes x W) arrays.
+
+    x is sorted, so each node's window is a contiguous slice of the data; the
+    slices are gathered into rows of width W, the widest window, and the
+    padding past each window's end is masked out.  kappa comes from all of y.
+    """
     xs, ys = _sorted_data(data)
     nodes = spec.eval_axis.coords
     h = float(spec.bandwidth)
-    _loclinear_windows(xs, nodes, h)
+    lo, hi = _loclinear_windows(xs, nodes, h)
     tau = float(spec.loss.tau)
     kappa = _irls_kappa(ys)
-    xi = xs[None, :] - nodes[:, None]
-    inwin = np.abs(xi) <= h
+    offsets = np.arange(int(np.max(hi - lo)))
+    idx = np.minimum(lo[:, None] + offsets, xs.size - 1)
+    inwin = offsets < (hi - lo)[:, None]
+    xi = xs[idx] - nodes[:, None]
+    yw = ys[idx]
 
     # start from the mean-loss local line and anneal the smoothing scale
     a = _fit_loclinear_mean(data, spec).estimate.values.copy()
     b = np.zeros_like(a)
     for mult, tol, cap in IRLS_STAGES:
-        _loclinear_irls_stage(xi, inwin, ys, tau, kappa * mult, a, b, tol, cap)
+        _loclinear_irls_stage(xi, inwin, yw, tau, kappa * mult, a, b, tol, cap)
     converged, last_delta = _loclinear_irls_stage(
-        xi, inwin, ys, tau, kappa, a, b, IRLS_TOL, IRLS_MAX_ITER
+        xi, inwin, yw, tau, kappa, a, b, IRLS_TOL, IRLS_MAX_ITER
     )
     if not converged:
         stale = last_delta > IRLS_TOL * np.maximum(
             1.0, np.maximum(np.abs(a), np.abs(b))
         )
-        u = np.broadcast_to(ys, xi.shape) - (a[:, None] + b[:, None] * xi)
+        u = yw - (a[:, None] + b[:, None] * xi)
         rp = np.where(inwin, (tau - 0.5) + 0.5 * np.tanh(u / (2.0 * kappa)), 0.0)
         gnorm = float(np.max(np.hypot(rp.sum(axis=1), (rp * xi).sum(axis=1))))
         raise IrlsNoConvergenceError(

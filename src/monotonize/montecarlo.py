@@ -28,7 +28,6 @@ bitwise identical no matter how many worker threads computed it.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -147,14 +146,15 @@ def default_estimators(
 class McConfig:
     """Full description of one simulation experiment.
 
-    x_design defaults to n equidistant ages spanning AGE_RANGE; estimators
+    x_design defaults to n equidistant ages spanning AGE_RANGE, and n to
+    len(x_design) when a design is given, else BENCHMARK_N; estimators
     defaults to the benchmark's four methods evaluated on 100 equidistant nodes
     over the design range.
     """
 
     beta: tuple = BENCHMARK_BETA
     sigma: float = DEFAULT_SIGMA
-    n: int = BENCHMARK_N
+    n: int | None = None
     x_design: np.ndarray | None = None
     reps: int = 100
     seed: int = 0
@@ -173,21 +173,27 @@ class McConfig:
         object.__setattr__(self, "beta", beta)
         if not float(self.sigma) >= 0.0:
             raise OutOfRangeError(f"sigma must be non-negative, got {self.sigma!r}")
-        if int(self.n) < 1:
-            raise OutOfRangeError("n must be at least 1")
-        object.__setattr__(self, "n", int(self.n))
         if self.x_design is None:
-            x = np.linspace(AGE_RANGE[0], AGE_RANGE[1], self.n)
+            n = BENCHMARK_N if self.n is None else int(self.n)
+            if n < 1:
+                raise OutOfRangeError("n must be at least 1")
+            x = np.linspace(AGE_RANGE[0], AGE_RANGE[1], n)
         else:
             x = np.array(self.x_design, dtype=float)
-            if x.ndim != 1 or x.size != self.n:
+            if x.ndim != 1 or x.size < 1:
                 raise ShapeMismatchError(
-                    f"x_design must hold n={self.n} ages, got shape {x.shape}"
+                    f"x_design must be a non-empty 1-d array, got shape {x.shape}"
+                )
+            n = x.size if self.n is None else int(self.n)
+            if x.size != n:
+                raise ShapeMismatchError(
+                    f"x_design must hold n={n} ages, got shape {x.shape}"
                 )
             if np.any(x < AGE_RANGE[0]) or np.any(x > AGE_RANGE[1]):
                 raise OutOfRangeError(
                     f"design ages must lie within {AGE_RANGE}"
                 )
+        object.__setattr__(self, "n", n)
         x.setflags(write=False)
         object.__setattr__(self, "x_design", x)
         if int(self.reps) < 1:
@@ -301,8 +307,8 @@ def _require_no_worse(mono: float, orig: float, what: str, rep: int) -> None:
         )
 
 
-def _map_reps(worker, reps: int, threads) -> list:
-    threads = os.cpu_count() or 1 if threads is None else int(threads)
+def _map_reps(worker, reps: int, threads: int) -> list:
+    threads = int(threads)
     if threads < 1:
         raise OutOfRangeError("threads must be at least 1")
     if threads == 1 or reps == 1:
@@ -510,12 +516,14 @@ def _run_bands_table(cfg: McConfig, threads) -> McReport:
     )
 
 
-def run_experiment(cfg: McConfig, table: int = 1, threads=None) -> McReport:
+def run_experiment(cfg: McConfig, table: int = 1, threads: int = 1) -> McReport:
     """Run one experiment and reduce it to a report table.
 
     table selects the report: 1 for mean-fit errors, 2 for quantile-process
-    errors, 3 for confidence bands.  threads caps the worker threads (None:
-    all available cores); the report is identical for every thread count.
+    errors, 3 for confidence bands.  threads caps the worker threads (default
+    1: the fits are short numpy calls that hold the interpreter lock, so a
+    pool mostly adds contention); the report is identical for every thread
+    count.
     """
     table = int(table)
     if table not in (1, 2, 3):
@@ -550,13 +558,11 @@ def config_from_dict(d: dict) -> McConfig:
         kwargs["taus"] = np.linspace(lo, hi, count)
     elif taus is not None:
         kwargs["taus"] = np.asarray(taus, dtype=float)
-    n = int(d.get("n", BENCHMARK_N))
-    x = np.asarray(d["x_design"], dtype=float) if d.get("x_design") is not None else (
-        np.linspace(AGE_RANGE[0], AGE_RANGE[1], n)
-    )
     grid = int(d.get("grid", 100))
     if grid < 2:
         raise OutOfRangeError("grid must be at least 2")
+    cfg = McConfig(**kwargs)
+    x = cfg.x_design
     eval_axis = Axis(np.linspace(float(x.min()), float(x.max()), grid))
     ests = d.get("estimators")
     if ests is not None:
@@ -580,7 +586,7 @@ def config_from_dict(d: dict) -> McConfig:
             )
             if e:
                 raise OutOfRangeError(f"unknown estimator keys: {sorted(e)}")
-        kwargs["estimators"] = tuple(specs)
-    elif "grid" in d:
-        kwargs["estimators"] = default_estimators(eval_axis)
-    return McConfig(**kwargs)
+        return replace(cfg, estimators=tuple(specs))
+    if "grid" in d:
+        return replace(cfg, estimators=default_estimators(eval_axis))
+    return cfg

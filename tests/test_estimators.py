@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import linprog, minimize_scalar
 
+from monotonize import estimators
 from monotonize.errors import (
     EmptyInputError,
     EmptyWindowError,
+    IrlsNoConvergenceError,
     NonFiniteValueError,
     NonIncreasingAxisError,
     OutOfDomainError,
@@ -204,6 +206,102 @@ def test_loclinear_quantile_half_on_line_data():
     np.testing.assert_allclose(
         fit(data, spec).estimate.values, 1.0 + 2.0 * nodes, atol=1e-6
     )
+
+
+def _loclinear_quantile_designs():
+    """Small random designs: uniform, and one whose window widths vary 3x."""
+    rng = np.random.default_rng(23)
+    x_uniform = np.sort(rng.uniform(0.0, 1.0, 70))
+    # x = u^2 piles points up near 0, so windows there hold several times more
+    x_skewed = np.linspace(0.0, 1.0, 90) ** 2 + rng.uniform(0.0, 1e-3, 90)
+    for x in (x_uniform, x_skewed):
+        yield Dataset(x, np.sin(3.0 * x) + rng.normal(0.0, 0.3, x.size))
+
+
+def _window(x, node, h):
+    # the estimator's window rule: node - h <= x <= node + h
+    return (x >= node - h) & (x <= node + h)
+
+
+def _check_loss(u, tau):
+    return float(np.sum(u * (tau - (u < 0.0))))
+
+
+def _lp_window_optimum(xi, y, tau):
+    """Exact min over (a, b) of sum rho_tau(y - a - b xi), as an LP."""
+    m = y.size
+    eye = np.eye(m)
+    a_eq = np.hstack([np.ones((m, 1)), xi[:, None], eye, -eye])
+    cost = np.concatenate([[0.0, 0.0], np.full(m, tau), np.full(m, 1.0 - tau)])
+    bounds = [(None, None)] * 2 + [(0.0, None)] * (2 * m)
+    res = linprog(cost, A_eq=a_eq, b_eq=y, bounds=bounds, method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def test_loclinear_quantile_within_smoothing_bound_of_exact_lp(monkeypatch):
+    # rho <= rho_kappa <= rho + kappa log 2 pointwise, so a converged fit of
+    # the smoothed loss has exact window loss at most LP optimum + m kappa log 2
+    real_stage = estimators._loclinear_irls_stage
+    seen = {}
+
+    def spy(xi, inwin, yw, tau, kappa, a, b, tol, max_iter):
+        seen["xi"], seen["b"] = xi, b  # a and b are updated in place
+        return real_stage(xi, inwin, yw, tau, kappa, a, b, tol, max_iter)
+
+    monkeypatch.setattr(estimators, "_loclinear_irls_stage", spy)
+    h = 0.15
+    ax = _axis(9, 0.1, 0.9)
+    widths = []
+    for data in _loclinear_quantile_designs():
+        kappa = _irls_kappa(data.y)
+        counts = [int(np.count_nonzero(_window(data.x, c, h))) for c in ax.coords]
+        widths.append(max(counts) / min(counts))
+        for tau in (0.1, 0.5, 0.9):
+            spec = EstimatorSpec("loclinear", Loss("quantile", tau), ax, bandwidth=h)
+            a = fit(data, spec).estimate.values
+            b = seen["b"].copy()
+            # the work arrays are nodes x widest window, never nodes x n
+            assert seen["xi"].shape == (ax.coords.size, max(counts))
+            for j, node in enumerate(ax.coords):
+                win = _window(data.x, node, h)
+                xi, y = data.x[win] - node, data.y[win]
+                lp = _lp_window_optimum(xi, y, tau)
+                got = _check_loss(y - a[j] - b[j] * xi, tau)
+                bound = lp + y.size * kappa * math.log(2.0)
+                assert got >= lp - 1e-9 * max(1.0, lp)
+                assert got <= bound + 1e-9 * max(1.0, bound)
+    assert max(widths) >= 3.0
+
+
+def test_loclinear_quantile_ignores_data_outside_the_window():
+    # reversing y among the points outside node j's window keeps the multiset
+    # of y, hence kappa, fixed while changing everything node j must not see
+    rng = np.random.default_rng(29)
+    x = np.sort(rng.uniform(0.0, 1.0, 120))
+    data = Dataset(x, 3.0 * x + rng.normal(0.0, 0.3, 120))
+    h = 0.1
+    spec = EstimatorSpec("loclinear", Loss("quantile", 0.3), _axis(9, 0.1, 0.9), bandwidth=h)
+    base = fit(data, spec).estimate.values
+    for j in (2, 4, 6):
+        out = np.flatnonzero(~_window(x, spec.eval_axis.coords[j], h))
+        y = data.y.copy()
+        y[out] = y[out[::-1]]
+        moved = fit(Dataset(x, y), spec).estimate.values
+        tol = 10.0 * estimators.IRLS_TOL * max(1.0, abs(base[j]))
+        assert moved[j] == pytest.approx(base[j], abs=tol)
+        assert np.max(np.abs(np.delete(moved - base, j))) > 0.1
+
+
+def test_loclinear_quantile_reports_unconverged_nodes(monkeypatch):
+    monkeypatch.setattr(estimators, "IRLS_STAGES", ())
+    monkeypatch.setattr(estimators, "IRLS_MAX_ITER", 1)
+    rng = np.random.default_rng(31)
+    x = rng.uniform(0.0, 1.0, 80)
+    data = Dataset(x, x + rng.normal(0.0, 0.5, 80))
+    spec = EstimatorSpec("loclinear", Loss("quantile", 0.25), _axis(5, 0.2, 0.8), bandwidth=0.2)
+    with pytest.raises(IrlsNoConvergenceError, match="nodes unconverged after 1 iterations"):
+        fit(data, spec)
 
 
 def test_bspline_basis_partition_of_unity():

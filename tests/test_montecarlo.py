@@ -131,6 +131,33 @@ def test_config_defaults():
     assert cfg.lambda_grid == (0.5,)
 
 
+def _skewed_design(n=200):
+    # non-equidistant ages, dense near 2 and sparse near 20
+    return 2.0 + 18.0 * (np.arange(n) / (n - 1)) ** 2
+
+
+def test_config_takes_n_from_x_design():
+    x = _skewed_design()
+    cfg = McConfig(x_design=x, reps=2, estimators=_kernel_only())
+    assert cfg.n == 200
+    np.testing.assert_array_equal(cfg.x_design, x)
+    assert simulate_rep(cfg, 0).n == 200
+    assert McConfig(n=200, x_design=x).n == 200
+    with pytest.raises(ShapeMismatchError):
+        McConfig(n=199, x_design=x)
+
+
+def test_config_from_dict_takes_n_from_x_design():
+    x = _skewed_design()
+    cfg = config_from_dict({"x_design": x.tolist(), "reps": 2, "grid": 12})
+    assert cfg.n == 200
+    np.testing.assert_array_equal(cfg.x_design, x)
+    assert all(len(s.eval_axis) == 12 for s in cfg.estimators)
+    assert cfg.estimators[0].eval_axis.coords[-1] == x.max()
+    with pytest.raises(ShapeMismatchError):
+        config_from_dict({"x_design": x.tolist(), "n": 533})
+
+
 def test_simulate_rep_determinism():
     cfg = McConfig(n=40, reps=3, estimators=_kernel_only())
     a = simulate_rep(cfg, 0)
