@@ -26,7 +26,7 @@ from .errors import NumericalError, OutOfRangeError, ValidationError
 from .estimators import MEAN_LOSS, EstimatorSpec, Loss, bootstrap, fit, fit_quantile_process
 from .grid import INF, Axis, lp_length
 from .isotonic import monotonize
-from .montecarlo import config_from_dict, run_experiment
+from .montecarlo import config_from_dict, parse_tau_net, run_experiment
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,19 +131,6 @@ def _parse_orderings(text: str):
         ) from None
 
 
-def _parse_tau_net(text: str) -> np.ndarray:
-    try:
-        lo, hi, step = (float(t) for t in text.split(":"))
-    except ValueError:
-        raise OutOfRangeError(
-            f"cannot parse tau net {text!r}; expected 'lo:hi:step'"
-        ) from None
-    if step <= 0.0 or hi < lo:
-        raise OutOfRangeError(f"bad tau net {text!r}: need lo <= hi and step > 0")
-    count = int(round((hi - lo) / step)) + 1
-    return np.linspace(lo, hi, count)
-
-
 def _cmd_monotonize(args) -> int:
     f = csvio.read_grid_function(args.input)
     orderings = _parse_orderings(args.orderings)
@@ -225,7 +212,7 @@ def _cmd_estimate(args, parser) -> int:
             raise OutOfRangeError(
                 "--bootstrap applies to single-level fits, not --taus processes"
             )
-        proc = fit_quantile_process(data, spec, _parse_tau_net(args.taus))
+        proc = fit_quantile_process(data, spec, parse_tau_net(args.taus))
         csvio.write_grid_function(proc, args.out)
         print(f"wrote {args.out}")
         return 0

@@ -10,21 +10,25 @@ Quantile fits other than the box-kernel one minimize a smoothed check loss
 
     rho_{tau,kappa}(u) = tau * u + kappa * log(1 + exp(-u / kappa)),
 
-with kappa = 1e-3 times the interquartile range of y, by a damped IRLS loop:
-each iteration solves the weighted least-squares majorizer of the objective
-and halves the step until the objective does not increase, so the objective
-is non-increasing across iterations by construction.  Convergence is declared
-at coefficient change 1e-8 (relative), with a cap of 200 iterations.  The
+with kappa = 1e-3 times the interquartile range of y, by one damped IRLS core
+that runs a batch of independent fits at once: each fit has its own design
+rows, responses, in-fit mask and level tau.  Local linear batches its eval
+nodes (each a 2-column design on the node's window); a series method batches
+its quantile levels, all sharing one basis matrix.  Each iteration solves the
+weighted least-squares majorizer of every fit's objective and halves a fit's
+step until its objective does not increase, so each objective is
+non-increasing across iterations by construction.  A fit leaves the batch at
+coefficient change 1e-8 (relative), with a cap of 200 iterations.  The
 box-kernel quantile fit needs no iteration: with indicator weights the check
 loss is minimized exactly by an order statistic of the in-window responses.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -191,15 +195,27 @@ def _irls_kappa(y: np.ndarray) -> float:
     return 1e-9 * max(1.0, float(np.max(np.abs(y))))
 
 
-def _window_bounds(xs: np.ndarray, nodes: np.ndarray, h: float):
+def _windows(data: Dataset, spec: EstimatorSpec) -> tuple:
+    """Sorted (x, y) and each eval node's window [lo, hi) in them.
+
+    The window of a node holds the x with |x - node| <= bandwidth; a kernel
+    window needs one point, a local-linear window two distinct x.
+    """
+    order = np.argsort(data.x, kind="stable")
+    xs, ys = data.x[order], data.y[order]
+    nodes = spec.eval_axis.coords
+    h = float(spec.bandwidth)
     lo = np.searchsorted(xs, nodes - h, side="left")
     hi = np.searchsorted(xs, nodes + h, side="right")
-    return lo, hi
-
-
-def _sorted_data(data: Dataset):
-    order = np.argsort(data.x, kind="stable")
-    return data.x[order], data.y[order]
+    if spec.method == "kernel":
+        thin, what = hi - lo < 1, "no data"
+    else:
+        last, first = xs[np.minimum(hi - 1, xs.size - 1)], xs[np.minimum(lo, xs.size - 1)]
+        thin, what = (hi - lo < 2) | (last <= first), "fewer than 2 distinct x"
+    if np.any(thin):
+        node = float(nodes[int(np.argmax(thin))])
+        raise EmptyWindowError(f"{what} within bandwidth {h} of node {node}")
+    return xs, ys, lo, hi
 
 
 # --- basis construction -----------------------------------------------------
@@ -273,117 +289,112 @@ def _irls_weights(absu: np.ndarray, kappa: float) -> tuple:
 IRLS_STAGES = ((100.0, 1e-4, 60), (10.0, 1e-6, 60))
 
 
-def _series_irls_stage(design, y, tau, kappa, coef0, tol, max_iter):
-    """One damped IRLS pass; returns (coef, iterations, objectives, delta)."""
-    q = tau - 0.5
-    b = np.asarray(coef0, dtype=float)
-    obj = float(np.sum(_check_objective(y - design @ b, tau, kappa)))
-    trace = [obj]
-    delta = np.inf
-    nu = 1.0
+def _rows(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    # idx is sorted and unique, so at full size it selects every row; a
+    # leading axis of length 1 is shared by every fit of the batch
+    return arr if arr.shape[0] in (1, idx.size) else arr[idx]
+
+
+def _solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Batched solve; a singular system gives its fit a NaN step to reject."""
+    try:
+        return np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        step = np.full_like(rhs, np.nan)
+        for i in range(rhs.shape[0]):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                step[i] = np.linalg.solve(system[i], rhs[i])
+        return step
+
+
+def _irls_stage(design, y, inwin, tau, kappa, coef, tol, max_iter):
+    """One damped IRLS pass over P independent fits; updates coef in place.
+
+    design is P x W x k, y and inwin (the in-fit mask) are P x W, tau holds
+    one level per fit and coef is P x k; a leading axis of length 1 in
+    design, y or inwin is shared by all fits.  Each fit keeps its own
+    damping factor nu, halves its own step until its objective does not
+    increase, and drops out of the work set once its coefficient change
+    reaches tol.  Returns (done, last delta, objectives: iterations+1 x P).
+    """
+
+    def objective(idx, c):
+        u = _rows(y, idx) - (_rows(design, idx) @ c[:, :, None])[:, :, 0]
+        rho = _check_objective(u, tau[idx, None], kappa)
+        return np.sum(np.where(_rows(inwin, idx), rho, 0.0), axis=1)
+
+    p = coef.shape[0]
+    obj = objective(np.arange(p), coef)
+    trace = [obj.copy()]
+    done = np.zeros(p, dtype=bool)
+    last_delta = np.full(p, np.inf)
+    nu = np.ones(p)
     for _ in range(max_iter):
-        u = y - design @ b
+        act = np.flatnonzero(~done)
+        x, mask = _rows(design, act), _rows(inwin, act)
+        c, obja, nua = coef[act], obj[act], nu[act]
+        u = _rows(y, act) - (x @ c[:, :, None])[:, :, 0]
         curvature, majorizer = _irls_weights(np.abs(u), kappa)
-        w = curvature + nu * majorizer
-        rp = q + 0.5 * np.tanh(u / (2.0 * kappa))
-        system = design.T @ (w[:, None] * design)
-        try:
-            bn = b + np.linalg.solve(system, design.T @ rp)
-        except np.linalg.LinAlgError:
-            nu = min(1.0, max(nu, 1e-8) * 4.0)
-            trace.append(obj)
-            continue
-        objn = float(np.sum(_check_objective(y - design @ bn, tau, kappa)))
-        slack = 1e-12 * max(1.0, abs(obj))
+        w = np.where(mask, curvature + nua[:, None] * majorizer, 0.0)
+        rp = np.where(mask, (tau[act, None] - 0.5) + 0.5 * np.tanh(u / (2.0 * kappa)), 0.0)
+        xt = np.swapaxes(x, 1, 2)
+        cn = c + _solve(xt @ (w[:, :, None] * x), (xt @ rp[:, :, None])[:, :, 0])
+        objn = objective(act, cn)
+        slack = 1e-12 * np.maximum(1.0, np.abs(obja))
         # nan-safe comparisons: a non-finite candidate counts as a bad step
-        damped = not objn <= obj + slack
-        halvings = 0
-        while not objn <= obj + slack and halvings < 30:
-            bn = 0.5 * (bn + b)
-            objn = float(np.sum(_check_objective(y - design @ bn, tau, kappa)))
-            halvings += 1
-        if not objn <= obj + slack:
-            nu = min(1.0, max(nu, 1e-8) * 4.0)
-            trace.append(obj)
-            delta = np.inf
-            continue
-        delta = float(np.max(np.abs(bn - b)))
-        b, obj = bn, objn
-        trace.append(obj)
-        nu = min(1.0, nu * 4.0) if damped else max(0.25 * nu, 1e-14)
-        if delta <= tol * max(1.0, float(np.max(np.abs(b)))):
-            break
-    return b, len(trace) - 1, np.asarray(trace), delta
-
-
-def _series_irls(
-    design: np.ndarray,
-    y: np.ndarray,
-    tau: float,
-    kappa: float,
-    coef0: np.ndarray,
-) -> tuple:
-    """Damped IRLS on a fixed design; returns (coef, iterations, objectives)."""
-    b = np.asarray(coef0, dtype=float)
-    for mult, tol, cap in IRLS_STAGES:
-        b, _, _, _ = _series_irls_stage(design, y, tau, kappa * mult, b, tol, cap)
-    b, it, trace, delta = _series_irls_stage(
-        design, y, tau, kappa, b, IRLS_TOL, IRLS_MAX_ITER
-    )
-    if delta > IRLS_TOL * max(1.0, float(np.max(np.abs(b)))):
-        u = y - design @ b
-        grad = -design.T @ ((tau - 0.5) + 0.5 * np.tanh(u / (2.0 * kappa)))
-        raise IrlsNoConvergenceError(
-            f"IRLS stopped after {it} iterations without converging; "
-            f"last coefficient change {delta:.3e}, "
-            f"gradient norm {float(np.linalg.norm(grad)):.3e}"
+        damped = ~(objn <= obja + slack)
+        for _ in range(30):
+            bad = np.flatnonzero(~(objn <= obja + slack))
+            if bad.size == 0:
+                break
+            cn[bad] = 0.5 * (cn[bad] + c[bad])
+            objn[bad] = objective(act[bad], cn[bad])
+        rejected = ~(objn <= obja + slack)
+        cn[rejected] = c[rejected]
+        objn[rejected] = obja[rejected]
+        delta = np.where(rejected, np.inf, np.max(np.abs(cn - c), axis=1))
+        coef[act], obj[act], last_delta[act] = cn, objn, delta
+        nu[act] = np.where(
+            damped | rejected,
+            np.minimum(1.0, np.maximum(nua, 1e-8) * 4.0),
+            np.maximum(0.25 * nua, 1e-14),
         )
-    return b, it, trace
+        done[act] = delta <= tol * np.maximum(1.0, np.max(np.abs(cn), axis=1))
+        trace.append(obj.copy())
+        if np.all(done):
+            break
+    return done, last_delta, np.stack(trace)
 
 
-# --- kernel -----------------------------------------------------------------
+def _irls(design, y, inwin, tau, kappa, coef0) -> tuple:
+    """Annealed damped IRLS for a batch of fits (shapes as in _irls_stage).
 
-
-def _fit_kernel(data: Dataset, spec: EstimatorSpec) -> FitResult:
-    xs, ys = _sorted_data(data)
-    nodes = spec.eval_axis.coords
-    h = float(spec.bandwidth)
-    lo, hi = _window_bounds(xs, nodes, h)
-    m = hi - lo
-    if np.any(m < 1):
-        node = float(nodes[int(np.argmax(m < 1))])
-        raise EmptyWindowError(f"no data within bandwidth {h} of node {node}")
-    if spec.loss.kind == "mean":
-        cy = np.concatenate([[0.0], np.cumsum(ys)])
-        est = (cy[hi] - cy[lo]) / m
-    else:
-        tau = float(spec.loss.tau)
-        est = np.empty(nodes.size)
-        for i in range(nodes.size):
-            est[i] = sample_quantile(ys[lo[i] : hi[i]], tau)
-    return FitResult(GriddedFunction([spec.eval_axis], est))
+    Runs the IRLS_STAGES warm starts, then the final pass at kappa; returns
+    (coef, objectives of the final pass) or raises IrlsNoConvergenceError.
+    """
+    coef = np.array(coef0, dtype=float)
+    for mult, tol, cap in IRLS_STAGES:
+        _irls_stage(design, y, inwin, tau, kappa * mult, coef, tol, cap)
+    done, delta, trace = _irls_stage(
+        design, y, inwin, tau, kappa, coef, IRLS_TOL, IRLS_MAX_ITER
+    )
+    if not np.all(done):
+        u = y - (design @ coef[:, :, None])[:, :, 0]
+        rp = np.where(inwin, (tau[:, None] - 0.5) + 0.5 * np.tanh(u / (2.0 * kappa)), 0.0)
+        grad = (np.swapaxes(design, 1, 2) @ rp[:, :, None])[:, :, 0]
+        raise IrlsNoConvergenceError(
+            f"IRLS left {int(np.count_nonzero(~done))} fits unconverged after "
+            f"{IRLS_MAX_ITER} iterations; max coefficient change "
+            f"{float(delta[~done].max()):.3e}, gradient norm "
+            f"{float(np.linalg.norm(grad[~done], axis=1).max()):.3e}"
+        )
+    return coef, trace
 
 
 # --- local linear -----------------------------------------------------------
 
 
-def _loclinear_windows(xs, nodes, h):
-    lo, hi = _window_bounds(xs, nodes, h)
-    m = hi - lo
-    thin = (m < 2) | (xs[np.minimum(hi - 1, xs.size - 1)] <= xs[np.minimum(lo, xs.size - 1)])
-    if np.any(thin):
-        node = float(nodes[int(np.argmax(thin))])
-        raise EmptyWindowError(
-            f"fewer than 2 distinct x within bandwidth {h} of node {node}"
-        )
-    return lo, hi
-
-
-def _fit_loclinear_mean(data: Dataset, spec: EstimatorSpec) -> FitResult:
-    xs, ys = _sorted_data(data)
-    nodes = spec.eval_axis.coords
-    h = float(spec.bandwidth)
-    lo, hi = _loclinear_windows(xs, nodes, h)
+def _loclinear_mean(xs, ys, lo, hi, nodes) -> np.ndarray:
     zeros = np.zeros(1)
     c0 = np.concatenate([zeros, np.cumsum(np.ones_like(xs))])
     c1 = np.concatenate([zeros, np.cumsum(xs)])
@@ -400,139 +411,59 @@ def _fit_loclinear_mean(data: Dataset, spec: EstimatorSpec) -> FitResult:
     sxx = s2 - 2.0 * nodes * s1 + nodes * nodes * s0
     sxy = t1 - nodes * t0
     det = s0 * sxx - sx * sx
-    est = (sxx * t0 - sx * sxy) / det
-    return FitResult(GriddedFunction([spec.eval_axis], est))
-
-
-def _loclinear_irls_stage(xi, inwin, yw, tau, kappa, a, b, tol, max_iter):
-    """One damped IRLS pass over all nodes at once; updates a, b in place.
-
-    xi, inwin and yw are nodes x W window arrays (offset x - node, in-window
-    mask, response).  Nodes iterate independently, so rows that reach tol
-    drop out of the work set.  Returns (all_done, last_delta_per_node).
-    """
-    q = tau - 0.5
-
-    def objective(xi_r, inwin_r, yw_r, av, bv):
-        u = yw_r - (av[:, None] + bv[:, None] * xi_r)
-        return np.sum(np.where(inwin_r, _check_objective(u, tau, kappa), 0.0), axis=1)
-
-    obj = objective(xi, inwin, yw, a, b)
-    done = np.zeros(a.shape, dtype=bool)
-    last_delta = np.full(a.shape, np.inf)
-    nu = np.ones(a.shape)
-    for _ in range(max_iter):
-        act = np.flatnonzero(~done)
-        xi_a, inwin_a, yw_a = xi[act], inwin[act], yw[act]
-        aa, ba, obja, nua = a[act], b[act], obj[act], nu[act]
-        u = yw_a - (aa[:, None] + ba[:, None] * xi_a)
-        curvature, majorizer = _irls_weights(np.abs(u), kappa)
-        w = np.where(inwin_a, curvature + nua[:, None] * majorizer, 0.0)
-        rp = np.where(inwin_a, q + 0.5 * np.tanh(u / (2.0 * kappa)), 0.0)
-        m00 = w.sum(axis=1)
-        m01 = (w * xi_a).sum(axis=1)
-        m11 = (w * xi_a * xi_a).sum(axis=1)
-        g0 = rp.sum(axis=1)
-        g1 = (rp * xi_a).sum(axis=1)
-        det = m00 * m11 - m01 * m01
-        with np.errstate(divide="ignore", invalid="ignore"):
-            an = aa + (m11 * g0 - m01 * g1) / det
-            bn = ba + (m00 * g1 - m01 * g0) / det
-        objn = objective(xi_a, inwin_a, yw_a, an, bn)
-        slack = 1e-12 * np.maximum(1.0, np.abs(obja))
-        # nan-safe comparisons: a non-finite candidate counts as a bad step
-        damped = ~(objn <= obja + slack)
-        for _ in range(30):
-            bad = ~(objn <= obja + slack)
-            if not np.any(bad):
-                break
-            an = np.where(bad, 0.5 * (an + aa), an)
-            bn = np.where(bad, 0.5 * (bn + ba), bn)
-            objn = objective(xi_a, inwin_a, yw_a, an, bn)
-        rejected = ~(objn <= obja + slack)
-        an = np.where(rejected, aa, an)
-        bn = np.where(rejected, ba, bn)
-        objn = np.where(rejected, obja, objn)
-        delta = np.where(
-            rejected, np.inf, np.maximum(np.abs(an - aa), np.abs(bn - ba))
-        )
-        scale = np.maximum(1.0, np.maximum(np.abs(an), np.abs(bn)))
-        a[act], b[act], obj[act] = an, bn, objn
-        last_delta[act] = delta
-        nu[act] = np.where(
-            damped | rejected,
-            np.minimum(1.0, np.maximum(nua, 1e-8) * 4.0),
-            np.maximum(0.25 * nua, 1e-14),
-        )
-        done[act] = delta <= tol * scale
-        if np.all(done):
-            return True, last_delta
-    return False, last_delta
-
-
-def _fit_loclinear_quantile(data: Dataset, spec: EstimatorSpec) -> FitResult:
-    """All eval nodes iterate together: vectorized IRLS on (nodes x W) arrays.
-
-    x is sorted, so each node's window is a contiguous slice of the data; the
-    slices are gathered into rows of width W, the widest window, and the
-    padding past each window's end is masked out.  kappa comes from all of y.
-    """
-    xs, ys = _sorted_data(data)
-    nodes = spec.eval_axis.coords
-    h = float(spec.bandwidth)
-    lo, hi = _loclinear_windows(xs, nodes, h)
-    tau = float(spec.loss.tau)
-    kappa = _irls_kappa(ys)
-    offsets = np.arange(int(np.max(hi - lo)))
-    idx = np.minimum(lo[:, None] + offsets, xs.size - 1)
-    inwin = offsets < (hi - lo)[:, None]
-    xi = xs[idx] - nodes[:, None]
-    yw = ys[idx]
-
-    # start from the mean-loss local line and anneal the smoothing scale
-    a = _fit_loclinear_mean(data, spec).estimate.values.copy()
-    b = np.zeros_like(a)
-    for mult, tol, cap in IRLS_STAGES:
-        _loclinear_irls_stage(xi, inwin, yw, tau, kappa * mult, a, b, tol, cap)
-    converged, last_delta = _loclinear_irls_stage(
-        xi, inwin, yw, tau, kappa, a, b, IRLS_TOL, IRLS_MAX_ITER
-    )
-    if not converged:
-        stale = last_delta > IRLS_TOL * np.maximum(
-            1.0, np.maximum(np.abs(a), np.abs(b))
-        )
-        u = yw - (a[:, None] + b[:, None] * xi)
-        rp = np.where(inwin, (tau - 0.5) + 0.5 * np.tanh(u / (2.0 * kappa)), 0.0)
-        gnorm = float(np.max(np.hypot(rp.sum(axis=1), (rp * xi).sum(axis=1))))
-        raise IrlsNoConvergenceError(
-            f"IRLS left {int(np.count_nonzero(stale))} nodes unconverged after "
-            f"{IRLS_MAX_ITER} iterations; max coefficient change "
-            f"{float(last_delta[stale].max()):.3e}, gradient norm {gnorm:.3e}"
-        )
-    return FitResult(GriddedFunction([spec.eval_axis], a))
+    return (sxx * t0 - sx * sxy) / det
 
 
 # --- series -----------------------------------------------------------------
 
 
-def _series_coefficients(design: np.ndarray, y: np.ndarray, loss: Loss) -> np.ndarray:
+def _series_lstsq(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:
         raise RankDeficientDesignError(
             f"series design has rank {rank} < {design.shape[1]} columns"
         )
-    if loss.kind == "mean":
-        return coef
-    kappa = _irls_kappa(y)
-    coef, _, _ = _series_irls(design, y, float(loss.tau), kappa, coef)
     return coef
 
 
-def _fit_series(data: Dataset, spec: EstimatorSpec) -> FitResult:
+# --- quantile fits ----------------------------------------------------------
+
+
+def _fit_quantiles(data: Dataset, spec: EstimatorSpec, taus: np.ndarray) -> tuple:
+    """Check-loss fits at every level of taus: (taus x nodes, coefficients).
+
+    The box kernel takes window order statistics.  Local linear runs one IRLS
+    batch over the nodes per level; a batch over levels x nodes would hold
+    levels times the work arrays.  A series method runs one batch over the
+    levels, sharing the design and the mean-loss start.  Coefficients
+    (levels x k) are returned for the series methods only.
+    """
+    if spec.method == "kernel":
+        _, ys, lo, hi = _windows(data, spec)
+        est = [[sample_quantile(ys[a:b], t) for a, b in zip(lo, hi)] for t in taus]
+        return np.array(est), None
+    kappa = _irls_kappa(data.y)
+    if spec.method == "loclinear":
+        xs, ys, lo, hi = _windows(data, spec)
+        nodes = spec.eval_axis.coords
+        # each window is a contiguous slice of the sorted data: gather the
+        # slices into rows as wide as the widest window and mask the padding
+        offsets = np.arange(int(np.max(hi - lo)))
+        idx = np.minimum(lo[:, None] + offsets, xs.size - 1)
+        xi = xs[idx] - nodes[:, None]
+        design = np.stack([np.ones_like(xi), xi], axis=-1)
+        inwin = offsets < (hi - lo)[:, None]
+        start = np.column_stack([_loclinear_mean(xs, ys, lo, hi, nodes), np.zeros(nodes.size)])
+        est = [
+            _irls(design, ys[idx], inwin, np.full(nodes.size, t), kappa, start)[0][:, 0]
+            for t in taus
+        ]
+        return np.array(est), None
     design = _basis_matrix(spec, data.x)
-    coef = _series_coefficients(design, data.y, spec.loss)
-    est = _basis_matrix(spec, spec.eval_axis.coords) @ coef
-    return FitResult(GriddedFunction([spec.eval_axis], est), coef)
+    start = np.tile(_series_lstsq(design, data.y), (taus.size, 1))
+    inwin = np.ones((1, data.n), dtype=bool)
+    coef, _ = _irls(design[None], data.y[None], inwin, taus, kappa, start)
+    return coef @ _basis_matrix(spec, spec.eval_axis.coords).T, coef
 
 
 # --- public entry points ----------------------------------------------------
@@ -540,17 +471,29 @@ def _fit_series(data: Dataset, spec: EstimatorSpec) -> FitResult:
 
 def fit(data: Dataset, spec: EstimatorSpec) -> FitResult:
     """Fit one estimator and evaluate it on the spec's grid."""
+    if spec.loss.kind == "quantile":
+        est, coef = _fit_quantiles(data, spec, np.array([float(spec.loss.tau)]))
+        return FitResult(
+            GriddedFunction([spec.eval_axis], est[0]), None if coef is None else coef[0]
+        )
+    coef = None
     if spec.method == "kernel":
-        return _fit_kernel(data, spec)
-    if spec.method == "loclinear":
-        if spec.loss.kind == "mean":
-            return _fit_loclinear_mean(data, spec)
-        return _fit_loclinear_quantile(data, spec)
-    return _fit_series(data, spec)
+        _, ys, lo, hi = _windows(data, spec)
+        cy = np.concatenate([[0.0], np.cumsum(ys)])
+        est = (cy[hi] - cy[lo]) / (hi - lo)
+    elif spec.method == "loclinear":
+        est = _loclinear_mean(*_windows(data, spec), spec.eval_axis.coords)
+    else:
+        coef = _series_lstsq(_basis_matrix(spec, data.x), data.y)
+        est = _basis_matrix(spec, spec.eval_axis.coords) @ coef
+    return FitResult(GriddedFunction([spec.eval_axis], est), coef)
 
 
 def fit_quantile_process(data: Dataset, spec: EstimatorSpec, taus) -> GriddedFunction:
-    """Stack per-tau quantile fits into a 2-d function (axis 1: tau, axis 2: x)."""
+    """Stack per-tau quantile fits into a 2-d function (axis 1: tau, axis 2: x).
+
+    The spec's own loss is ignored; row j matches fit() at level taus[j].
+    """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if taus.size == 0:
         raise EmptyInputError("taus must not be empty")
@@ -558,11 +501,8 @@ def fit_quantile_process(data: Dataset, spec: EstimatorSpec, taus) -> GriddedFun
         raise NonIncreasingAxisError("taus must be strictly increasing")
     if not (np.all(taus > 0.0) and np.all(taus < 1.0)):
         raise OutOfRangeError("every tau must lie in (0, 1)")
-    rows = [
-        fit(data, replace(spec, loss=Loss("quantile", float(t)))).estimate.values
-        for t in taus
-    ]
-    return GriddedFunction([Axis(taus), spec.eval_axis], np.stack(rows))
+    est, _ = _fit_quantiles(data, spec, taus)
+    return GriddedFunction([Axis(taus), spec.eval_axis], est)
 
 
 def bootstrap(data: Dataset, spec: EstimatorSpec, b_draws: int, seed: int):

@@ -47,7 +47,10 @@ def value_tol(*arrays: np.ndarray) -> float:
     """Absolute comparison tolerance for values drawn from ``arrays``."""
     lo = min(float(np.min(a)) for a in arrays)
     hi = max(float(np.max(a)) for a in arrays)
-    return VALUE_RTOL * max(1.0, hi - lo)
+    # halving before subtracting keeps the diameter finite near the float
+    # limit; scaling by powers of two is exact, so below that range this is
+    # VALUE_RTOL * max(1, hi - lo) bit for bit
+    return 2.0 * VALUE_RTOL * max(0.5, 0.5 * hi - 0.5 * lo)
 
 
 class Axis:

@@ -95,6 +95,40 @@ def desk_tau_net() -> np.ndarray:
     return np.linspace(0.05, 0.95, 19)
 
 
+def parse_tau_net(net) -> np.ndarray:
+    """The levels lo, lo + step, ..., hi of a 'lo:hi:step' text or a dict.
+
+    A dict holds exactly the keys lo, hi and step.  The net needs
+    0 < lo <= hi < 1 and 0 < step < 1, and step must divide hi - lo.
+    """
+    if isinstance(net, str):
+        fields = net.split(":")
+    elif isinstance(net, dict) and set(net) == {"lo", "hi", "step"}:
+        fields = [net["lo"], net["hi"], net["step"]]
+    else:
+        fields = []
+    try:
+        lo, hi, step = (float(f) for f in fields)
+    except (TypeError, ValueError):
+        raise OutOfRangeError(
+            f"cannot parse tau net {net!r}; expected 'lo:hi:step' or "
+            "{'lo': ..., 'hi': ..., 'step': ...}"
+        ) from None
+    if not (0.0 < lo <= hi < 1.0 and 0.0 < step < 1.0):
+        raise OutOfRangeError(f"bad tau net {net!r}: need 0 < lo <= hi < 1 and 0 < step < 1")
+    count = round((hi - lo) / step)
+    if abs(count * step - (hi - lo)) > 1e-9 * (hi - lo):
+        raise OutOfRangeError(f"bad tau net {net!r}: step does not divide hi - lo")
+    return np.linspace(lo, hi, count + 1)
+
+
+def _integer(name: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise OutOfRangeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def design_vector(x):
     """Regressor vector z(x); vectorized, returns shape x.shape + (5,)."""
     x = np.asarray(x, dtype=float)
@@ -174,7 +208,7 @@ class McConfig:
         if not float(self.sigma) >= 0.0:
             raise OutOfRangeError(f"sigma must be non-negative, got {self.sigma!r}")
         if self.x_design is None:
-            n = BENCHMARK_N if self.n is None else int(self.n)
+            n = BENCHMARK_N if self.n is None else _integer("n", self.n)
             if n < 1:
                 raise OutOfRangeError("n must be at least 1")
             x = np.linspace(AGE_RANGE[0], AGE_RANGE[1], n)
@@ -184,7 +218,7 @@ class McConfig:
                 raise ShapeMismatchError(
                     f"x_design must be a non-empty 1-d array, got shape {x.shape}"
                 )
-            n = x.size if self.n is None else int(self.n)
+            n = x.size if self.n is None else _integer("n", self.n)
             if x.size != n:
                 raise ShapeMismatchError(
                     f"x_design must hold n={n} ages, got shape {x.shape}"
@@ -196,10 +230,11 @@ class McConfig:
         object.__setattr__(self, "n", n)
         x.setflags(write=False)
         object.__setattr__(self, "x_design", x)
-        if int(self.reps) < 1:
+        reps = _integer("reps", self.reps)
+        if reps < 1:
             raise OutOfRangeError("reps must be at least 1")
-        object.__setattr__(self, "reps", int(self.reps))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         if not self.estimators:
             eval_axis = Axis(np.linspace(float(x.min()), float(x.max()), 100))
             object.__setattr__(self, "estimators", default_estimators(eval_axis))
@@ -219,9 +254,10 @@ class McConfig:
         object.__setattr__(self, "taus", taus)
         if not 0.0 < float(self.alpha) < 1.0:
             raise OutOfRangeError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if int(self.bootstrap_B) < 2:
+        b_draws = _integer("bootstrap_B", self.bootstrap_B)
+        if b_draws < 2:
             raise OutOfRangeError("bootstrap_B must be at least 2")
-        object.__setattr__(self, "bootstrap_B", int(self.bootstrap_B))
+        object.__setattr__(self, "bootstrap_B", b_draws)
         lams = tuple(float(l) for l in self.lambda_grid)
         if not lams:
             raise OutOfRangeError("lambda_grid must not be empty")
@@ -540,8 +576,9 @@ def config_from_dict(d: dict) -> McConfig:
     seed, taus, alpha, bootstrap_B, lambda_grid.  Two conveniences: "grid"
     sets the number of evaluation nodes (default 100) for the default or
     dict-specified estimators, and "taus" accepts either an explicit list or
-    {"lo", "hi", "step"}.  Each entry of "estimators" is a dict with "method"
-    plus the method's settings (bandwidth, knots, n_terms, fourier_linear).
+    {"lo", "hi", "step"} (see parse_tau_net).  Each entry of "estimators" is
+    a dict with "method" plus the method's settings (bandwidth, knots,
+    n_terms, fourier_linear).
     """
     known = {
         "beta", "sigma", "n", "x_design", "reps", "seed", "estimators",
@@ -553,12 +590,10 @@ def config_from_dict(d: dict) -> McConfig:
     kwargs = {k: d[k] for k in known & set(d) if k not in ("estimators", "taus", "grid")}
     taus = d.get("taus")
     if isinstance(taus, dict):
-        lo, hi, step = float(taus["lo"]), float(taus["hi"]), float(taus["step"])
-        count = int(round((hi - lo) / step)) + 1
-        kwargs["taus"] = np.linspace(lo, hi, count)
+        kwargs["taus"] = parse_tau_net(taus)
     elif taus is not None:
         kwargs["taus"] = np.asarray(taus, dtype=float)
-    grid = int(d.get("grid", 100))
+    grid = _integer("grid", d.get("grid", 100))
     if grid < 2:
         raise OutOfRangeError("grid must be at least 2")
     cfg = McConfig(**kwargs)

@@ -206,3 +206,8 @@ def test_covers_is_tolerance_padded():
     assert not covers(band, outside)
     with pytest.raises(GridMismatchError):
         covers(band, make_grid_function([[0.0, 2.0]], [0.5, 0.5]))
+
+
+def test_band_rejects_crossing_endpoints_near_the_float_limit():
+    with pytest.raises(CrossingBandError):
+        _band(UNIT, [1e308, 0.0], [-1e308, 1.0])

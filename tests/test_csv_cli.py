@@ -442,3 +442,36 @@ def test_cli_simulate_rejects_bad_config(tmp_path, capsys):
          "--out", str(tmp_path / "r.csv")]
     )
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"taus": {"lo": 0.1, "hi": 0.9, "step": 0}},
+        {"taus": {"lo": 0.1, "step": 0.1}},
+        {"taus": {"lo": 0.1, "hi": 0.9, "step": 0.3}},
+        {"reps": "abc"},
+    ],
+)
+def test_cli_simulate_bad_config_value_is_one_invalid_input_line(tmp_path, capsys, config):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    rc = main(
+        ["simulate", "--config", str(cfg_path), "--table", "2",
+         "--out", str(tmp_path / "r.csv")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("monotonize: invalid input: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("net", ["0.1:0.9:0", "0.1:0.9", "0.1:0.9:0.3"])
+def test_cli_estimate_bad_tau_net_is_one_invalid_input_line(tmp_path, capsys, net):
+    data = _dataset_csv(tmp_path)
+    rc = main(
+        ["estimate", "--data", data, "--method", "kernel", "--bandwidth", "0.35",
+         "--loss", "quantile", "--taus", net, "--out", str(tmp_path / "f.csv")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("monotonize: invalid input: ") and err.count("\n") == 1

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -25,8 +26,8 @@ from monotonize.estimators import (
     EstimatorSpec,
     Loss,
     _check_objective,
+    _irls,
     _irls_kappa,
-    _series_irls,
     basis_eval,
     bootstrap,
     fit,
@@ -227,29 +228,36 @@ def _check_loss(u, tau):
     return float(np.sum(u * (tau - (u < 0.0))))
 
 
-def _lp_window_optimum(xi, y, tau):
-    """Exact min over (a, b) of sum rho_tau(y - a - b xi), as an LP."""
-    m = y.size
+def _lp_optimum(design, y, tau):
+    """Exact min over coef of sum rho_tau(y - design @ coef), as an LP."""
+    m, k = design.shape
     eye = np.eye(m)
-    a_eq = np.hstack([np.ones((m, 1)), xi[:, None], eye, -eye])
-    cost = np.concatenate([[0.0, 0.0], np.full(m, tau), np.full(m, 1.0 - tau)])
-    bounds = [(None, None)] * 2 + [(0.0, None)] * (2 * m)
+    a_eq = np.hstack([design, eye, -eye])
+    cost = np.concatenate([np.zeros(k), np.full(m, tau), np.full(m, 1.0 - tau)])
+    bounds = [(None, None)] * k + [(0.0, None)] * (2 * m)
     res = linprog(cost, A_eq=a_eq, b_eq=y, bounds=bounds, method="highs")
     assert res.status == 0
     return res.fun
 
 
+def _spy_on_irls(monkeypatch):
+    """Record the arguments and results of every IRLS batch a fit runs."""
+    real_irls = estimators._irls
+    calls = []
+
+    def spy(design, y, inwin, tau, kappa, coef0):
+        coef, trace = real_irls(design, y, inwin, tau, kappa, coef0)
+        calls.append({"design": design, "tau": tau, "coef": coef, "trace": trace})
+        return coef, trace
+
+    monkeypatch.setattr(estimators, "_irls", spy)
+    return calls
+
+
 def test_loclinear_quantile_within_smoothing_bound_of_exact_lp(monkeypatch):
     # rho <= rho_kappa <= rho + kappa log 2 pointwise, so a converged fit of
     # the smoothed loss has exact window loss at most LP optimum + m kappa log 2
-    real_stage = estimators._loclinear_irls_stage
-    seen = {}
-
-    def spy(xi, inwin, yw, tau, kappa, a, b, tol, max_iter):
-        seen["xi"], seen["b"] = xi, b  # a and b are updated in place
-        return real_stage(xi, inwin, yw, tau, kappa, a, b, tol, max_iter)
-
-    monkeypatch.setattr(estimators, "_loclinear_irls_stage", spy)
+    calls = _spy_on_irls(monkeypatch)
     h = 0.15
     ax = _axis(9, 0.1, 0.9)
     widths = []
@@ -260,13 +268,13 @@ def test_loclinear_quantile_within_smoothing_bound_of_exact_lp(monkeypatch):
         for tau in (0.1, 0.5, 0.9):
             spec = EstimatorSpec("loclinear", Loss("quantile", tau), ax, bandwidth=h)
             a = fit(data, spec).estimate.values
-            b = seen["b"].copy()
+            b = calls[-1]["coef"][:, 1]
             # the work arrays are nodes x widest window, never nodes x n
-            assert seen["xi"].shape == (ax.coords.size, max(counts))
+            assert calls[-1]["design"].shape == (ax.coords.size, max(counts), 2)
             for j, node in enumerate(ax.coords):
                 win = _window(data.x, node, h)
                 xi, y = data.x[win] - node, data.y[win]
-                lp = _lp_window_optimum(xi, y, tau)
+                lp = _lp_optimum(np.column_stack([np.ones_like(xi), xi]), y, tau)
                 got = _check_loss(y - a[j] - b[j] * xi, tau)
                 bound = lp + y.size * kappa * math.log(2.0)
                 assert got >= lp - 1e-9 * max(1.0, lp)
@@ -300,7 +308,7 @@ def test_loclinear_quantile_reports_unconverged_nodes(monkeypatch):
     x = rng.uniform(0.0, 1.0, 80)
     data = Dataset(x, x + rng.normal(0.0, 0.5, 80))
     spec = EstimatorSpec("loclinear", Loss("quantile", 0.25), _axis(5, 0.2, 0.8), bandwidth=0.2)
-    with pytest.raises(IrlsNoConvergenceError, match="nodes unconverged after 1 iterations"):
+    with pytest.raises(IrlsNoConvergenceError, match="fits unconverged after 1 iterations"):
         fit(data, spec)
 
 
@@ -379,11 +387,44 @@ def test_series_rank_deficiency_detected():
         fit(Dataset(x, rng.normal(size=5)), spec)
 
 
+def test_series_quantile_within_smoothing_bound_of_exact_lp():
+    # the series analogue of the local-linear oracle, over all n points:
+    # exact loss of the fit <= LP optimum + n kappa log 2.  A single-level fit
+    # must also reproduce its row of the batched quantile process.
+    rng = np.random.default_rng(61)
+    x = rng.uniform(0.0, 1.0, 60)
+    data = Dataset(x, np.sin(3.0 * x) + rng.normal(0.0, 0.3, x.size))
+    kappa = _irls_kappa(data.y)
+    taus = (0.1, 0.5, 0.9)
+    for spec in (
+        EstimatorSpec("bspline", MEAN_LOSS, _axis(), knots=(0.3, 0.6)),
+        EstimatorSpec("fourier", MEAN_LOSS, _axis(), n_terms=2),
+    ):
+        design = np.stack([basis_eval(spec, float(v)) for v in x])
+        process = fit_quantile_process(data, spec, taus).values
+        for j, tau in enumerate(taus):
+            res = fit(data, replace(spec, loss=Loss("quantile", tau)))
+            np.testing.assert_allclose(res.estimate.values, process[j], rtol=1e-12, atol=0.0)
+            lp = _lp_optimum(design, data.y, tau)
+            got = _check_loss(data.y - design @ res.coefficients, tau)
+            bound = lp + data.n * kappa * math.log(2.0)
+            assert got >= lp - 1e-9 * max(1.0, lp)
+            assert got <= bound + 1e-9 * max(1.0, bound)
+
+
 def test_irls_kappa_scaling_and_fallback():
     y = np.array([0.0, 1.0, 2.0, 3.0])
     assert _irls_kappa(y) == pytest.approx(1e-3 * 1.5)
     assert _irls_kappa(np.full(10, 7.0)) == pytest.approx(7e-9)
     assert _irls_kappa(np.zeros(10)) == pytest.approx(1e-9)
+
+
+def _shared_design_irls(design, y, taus, coef0):
+    """One IRLS batch over the levels taus, every fit on the same design."""
+    taus = np.asarray(taus, dtype=float)
+    inwin = np.ones((1, y.size), dtype=bool)
+    start = np.tile(coef0, (taus.size, 1))
+    return _irls(design[None], y[None], inwin, taus, _irls_kappa(y), start)
 
 
 def test_intercept_only_median_within_tolerance():
@@ -392,8 +433,8 @@ def test_intercept_only_median_within_tolerance():
     rng = np.random.default_rng(43)
     y = rng.permutation(np.linspace(0.0, 3.0, 25) + rng.uniform(0, 0.01, 25))
     design = np.ones((y.size, 1))
-    coef, _, _ = _series_irls(design, y, 0.5, _irls_kappa(y), np.array([y.mean()]))
-    assert coef[0] == pytest.approx(np.median(y), abs=1e-6)
+    coef, _ = _shared_design_irls(design, y, [0.5], np.array([y.mean()]))
+    assert coef[0, 0] == pytest.approx(np.median(y), abs=1e-6)
 
 
 def test_series_irls_matches_scalar_minimizer():
@@ -403,8 +444,9 @@ def test_series_irls_matches_scalar_minimizer():
     y = rng.normal(size=41)
     kappa = _irls_kappa(y)
     design = np.ones((y.size, 1))
-    for tau in (0.1, 0.5, 0.9):
-        coef, _, _ = _series_irls(design, y, tau, kappa, np.array([y.mean()]))
+    taus = (0.1, 0.5, 0.9)
+    coef, _ = _shared_design_irls(design, y, taus, np.array([y.mean()]))
+    for j, tau in enumerate(taus):
 
         def scalar_obj(c):
             return float(np.sum(_check_objective(y - c, tau, kappa)))
@@ -413,20 +455,47 @@ def test_series_irls_matches_scalar_minimizer():
             scalar_obj, bounds=(y.min() - 1.0, y.max() + 1.0), method="bounded",
             options={"xatol": 1e-10},
         )
-        assert coef[0] == pytest.approx(ref.x, abs=1e-6)
+        assert coef[j, 0] == pytest.approx(ref.x, abs=1e-6)
 
 
-def test_irls_objective_never_increases():
+def test_irls_singular_fit_does_not_stop_its_batch():
+    # an all-zero design makes one fit's normal equations singular: its steps
+    # are rejected while the other fit of the batch still converges
+    rng = np.random.default_rng(71)
+    y = rng.normal(size=(1, 31))
+    design = np.ones((2, 31, 1))
+    design[1] = 0.0
+    coef = np.zeros((2, 1))
+    inwin = np.ones((1, 31), dtype=bool)
+    done, delta, trace = estimators._irls_stage(
+        design, y, inwin, np.array([0.5, 0.5]), _irls_kappa(y[0]), coef, 1e-8, 200
+    )
+    assert done.tolist() == [True, False]
+    assert delta[1] == np.inf and coef[1, 0] == 0.0
+    assert trace[-1, 0] < trace[0, 0] and np.all(trace[:, 1] == trace[0, 1])
+    with pytest.raises(IrlsNoConvergenceError, match="1 fits unconverged"):
+        _irls(design, y, inwin, np.array([0.5, 0.5]), _irls_kappa(y[0]), coef)
+
+
+def test_irls_objective_never_increases(monkeypatch):
     rng = np.random.default_rng(53)
     x = rng.uniform(0, 1, 120)
     y = np.sin(2 * np.pi * x) + rng.normal(0, 0.5, 120)
     spec = EstimatorSpec("fourier", MEAN_LOSS, _axis(), n_terms=3)
     design = np.stack([basis_eval(spec, float(v)) for v in x])
     coef0 = np.linalg.lstsq(design, y, rcond=None)[0]
-    for tau in (0.05, 0.5, 0.95):
-        _, _, trace = _series_irls(design, y, tau, _irls_kappa(y), coef0)
+    taus = (0.05, 0.5, 0.95)
+    traces = [_shared_design_irls(design, y, taus, coef0)[1]]
+    # local linear: one batch of 9 node fits per level
+    calls = _spy_on_irls(monkeypatch)
+    spec = EstimatorSpec("loclinear", MEAN_LOSS, _axis(9, 0.1, 0.9), bandwidth=0.15)
+    fit_quantile_process(Dataset(x, y), spec, taus)
+    traces += [c["trace"] for c in calls]
+    assert [t.shape[1] for t in traces] == [3, 9, 9, 9]
+    for trace in traces:
+        assert trace.shape[0] > 1
         slack = 1e-12 * np.maximum(1.0, np.abs(trace[:-1]))
-        assert np.all(np.diff(trace) <= slack)
+        assert np.all(np.diff(trace, axis=0) <= slack)
 
 
 def test_quantile_fits_converge_across_methods_and_levels():

@@ -19,6 +19,7 @@ from monotonize.grid import (
     lp_distance,
     lp_length,
     make_grid_function,
+    VALUE_RTOL,
     value_tol,
 )
 
@@ -163,3 +164,15 @@ def test_is_monotone_tolerates_float_noise():
 def test_value_tol_scales_with_span():
     assert value_tol(np.array([0.0, 1.0])) == pytest.approx(1e-12)
     assert value_tol(np.array([0.0, 1e6])) == pytest.approx(1e-6)
+
+
+def test_value_tol_stays_finite_near_the_float_limit():
+    # hi - lo overflows to inf here, which used to make every comparison pass
+    assert value_tol(np.array([-1e308, 1e308])) == pytest.approx(2e-12 * 1e308)
+    with np.errstate(over="ignore"):
+        assert not is_monotone(make_grid_function([[0.0, 1.0, 2.0]], [1e308, -1e308, 0.0]))
+    # at ordinary magnitudes the tolerance keeps its bits
+    rng = np.random.default_rng(67)
+    for lo, hi in rng.normal(0.0, 1e3, (200, 2)):
+        expect = VALUE_RTOL * max(1.0, max(lo, hi) - min(lo, hi))
+        assert value_tol(np.array([lo, hi])) == expect

@@ -21,6 +21,7 @@ from monotonize.montecarlo import (
     design_vector,
     desk_tau_net,
     full_tau_net,
+    parse_tau_net,
     run_experiment,
     simulate_rep,
     true_cef,
@@ -334,3 +335,36 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"estimators": [{"method": "kernel", "bandwidth": 1, "h": 2}]})
     with pytest.raises(OutOfRangeError):
         config_from_dict({"grid": 1})
+
+
+def test_parse_tau_net_text_and_dict_agree():
+    np.testing.assert_array_equal(parse_tau_net("0.05:0.95:0.05"), desk_tau_net())
+    np.testing.assert_array_equal(
+        parse_tau_net({"lo": 0.05, "hi": 0.95, "step": 0.05}), desk_tau_net()
+    )
+    np.testing.assert_array_equal(parse_tau_net("0.5:0.5:0.1"), [0.5])
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        "0.1:0.9:0", {"lo": 0.1, "hi": 0.9, "step": 0},
+        "0.1:0.9", {"lo": 0.1, "step": 0.1},
+        "0.1:0.9:0.3", {"lo": 0.1, "hi": 0.9, "step": 0.3},
+        "0.1:0.9:2", "0.9:0.1:0.1", "0.1:0.9:inf", "0:0.5:0.1", "a:b:c",
+        {"lo": 0.1, "hi": 0.9, "step": 0.1, "count": 9}, {"lo": 0.1, "hi": None, "step": 0.1},
+    ],
+)
+def test_parse_tau_net_rejects_bad_nets(net):
+    with pytest.raises(OutOfRangeError):
+        parse_tau_net(net)
+    if isinstance(net, dict):
+        with pytest.raises(OutOfRangeError):
+            config_from_dict({"taus": net})
+
+
+@pytest.mark.parametrize("key", ["n", "reps", "seed", "bootstrap_B", "grid"])
+def test_config_integer_fields_reject_non_integers(key):
+    for bad in ("abc", [3], 1e999):
+        with pytest.raises(OutOfRangeError, match=key):
+            config_from_dict({key: bad})
