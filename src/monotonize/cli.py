@@ -18,13 +18,19 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import csvio
 from .bands import BandRecipe, assemble_band, critical_value_max_t, monotonize_band
 from .errors import NumericalError, OutOfRangeError, ValidationError
-from .estimators import MEAN_LOSS, EstimatorSpec, Loss, bootstrap, fit, fit_quantile_process
-from .grid import INF, Axis, lp_length
+from .estimators import (
+    MEAN_LOSS,
+    EstimatorSpec,
+    Loss,
+    bootstrap,
+    fit,
+    fit_quantile_process,
+    span_axis,
+)
+from .grid import INF, lp_length
 from .isotonic import monotonize
 from .montecarlo import config_from_dict, parse_tau_net, run_experiment
 
@@ -184,8 +190,7 @@ def _cmd_estimate(args, parser) -> int:
     data = csvio.read_dataset(args.data)
     if args.grid < 2:
         parser.error("estimate: --grid must be at least 2")
-    lo, hi = float(data.x.min()), float(data.x.max())
-    eval_axis = Axis(np.linspace(lo, hi, args.grid))
+    eval_axis = span_axis(data.x, args.grid)
     if args.loss == "quantile":
         if args.tau is None and not args.taus:
             parser.error("estimate: --loss quantile needs --tau or --taus")

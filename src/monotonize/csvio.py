@@ -90,14 +90,24 @@ def _grid_from_columns(coords: np.ndarray, values: np.ndarray, path) -> GriddedF
     return GriddedFunction(axes, flat.reshape(shape))
 
 
-def write_grid_function(f: GriddedFunction, path) -> None:
-    d = f.values.ndim
+def _write_grid_rows(path, header: list, blocks) -> None:
+    """Write the header line, then one line per grid node of each block.
+
+    A block is (lead, axes, value arrays): each of its lines holds the text
+    lead, the node's coordinates and then the node's entry of every array.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_coord_header(d) + ["value"]) + "\n")
-        mesh = np.meshgrid(*(a.coords for a in f.axes), indexing="ij")
-        flat = [m.reshape(-1) for m in mesh] + [f.values.reshape(-1)]
-        for row in zip(*flat):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(header) + "\n")
+        for lead, axes, arrays in blocks:
+            mesh = np.meshgrid(*(a.coords for a in axes), indexing="ij")
+            flat = [m.reshape(-1) for m in mesh] + [a.reshape(-1) for a in arrays]
+            for row in zip(*flat):
+                fh.write(lead + ",".join(_fmt(v) for v in row) + "\n")
+
+
+def write_grid_function(f: GriddedFunction, path) -> None:
+    header = _coord_header(f.ndim) + ["value"]
+    _write_grid_rows(path, header, [("", f.axes, [f.values])])
 
 
 def read_grid_function(path) -> GriddedFunction:
@@ -109,14 +119,9 @@ def read_grid_function(path) -> GriddedFunction:
 
 
 def write_band(band: Band, path) -> None:
-    d = band.lower.values.ndim
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_coord_header(d) + ["lower", "upper"]) + "\n")
-        mesh = np.meshgrid(*(a.coords for a in band.axes), indexing="ij")
-        flat = [m.reshape(-1) for m in mesh]
-        flat += [band.lower.values.reshape(-1), band.upper.values.reshape(-1)]
-        for row in zip(*flat):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    header = _coord_header(band.lower.ndim) + ["lower", "upper"]
+    arrays = [band.lower.values, band.upper.values]
+    _write_grid_rows(path, header, [("", band.axes, arrays)])
 
 
 def read_band(path) -> Band:
@@ -150,14 +155,9 @@ def write_draws(draws, path) -> None:
     draws = list(draws)
     if not draws:
         raise CsvFormatError("no draws to write")
-    d = draws[0].values.ndim
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(["draw"] + _coord_header(d) + ["value"]) + "\n")
-        for b, f in enumerate(draws):
-            mesh = np.meshgrid(*(a.coords for a in f.axes), indexing="ij")
-            flat = [m.reshape(-1) for m in mesh] + [f.values.reshape(-1)]
-            for row in zip(*flat):
-                fh.write(",".join([str(b)] + [_fmt(v) for v in row]) + "\n")
+    header = ["draw"] + _coord_header(draws[0].ndim) + ["value"]
+    blocks = ((f"{b},", f.axes, [f.values]) for b, f in enumerate(draws))
+    _write_grid_rows(path, header, blocks)
 
 
 def read_draws(path) -> list:

@@ -195,6 +195,16 @@ def _irls_kappa(y: np.ndarray) -> float:
     return 1e-9 * max(1.0, float(np.max(np.abs(y))))
 
 
+def span_axis(x, nodes: int) -> Axis:
+    """nodes equidistant evaluation points from min(x) to max(x)."""
+    lo, hi = float(np.min(x)), float(np.max(x))
+    if not hi > lo:
+        raise OutOfRangeError(
+            f"an evaluation grid needs at least two distinct x values; every x is {lo!r}"
+        )
+    return Axis(np.linspace(lo, hi, nodes))
+
+
 def _windows(data: Dataset, spec: EstimatorSpec) -> tuple:
     """Sorted (x, y) and each eval node's window [lo, hi) in them.
 

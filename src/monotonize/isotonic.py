@@ -8,9 +8,10 @@ pooling.  isotonic_maxmin_oracle evaluates the classical max-min
 characterization of the same projection in O(n^2) per index; it shares no
 code with pava and serves as its independent cross-check.
 
-The multivariate operators mirror the rearrangement module: fibers along one
-axis at a time, innermost axis of the ordering first, and an averaging
-variant over a set of orderings.
+The multivariate isotonization runs pava as the row operator of the
+axis-by-axis engine in the rearrange module: along one axis, along the axes
+of an ordering, and averaged over a set of orderings.  monotonize is the one
+entry point to rearrangement, isotonization and their blend.
 """
 
 from __future__ import annotations
@@ -23,19 +24,13 @@ from .errors import (
     EmptyInputError,
     IndexOutOfRangeError,
     LambdaOutOfRangeError,
-    NonEquidistantAxisError,
     NonFiniteValueError,
     NonPositiveWeightError,
     OutOfRangeError,
     ShapeMismatchError,
 )
 from .grid import GriddedFunction, check_same_grid
-from .rearrange import (
-    check_axis_number,
-    rearrange_average,
-    resolve_orderings,
-    validate_ordering,
-)
+from .rearrange import _average, _axis_pass, _compose, _headroom, rearrange_average
 
 
 def _check_seq(values, weights):
@@ -66,23 +61,24 @@ def pava(values, weights=None) -> np.ndarray:
     weighted mean of the input.
     """
     v, w = _check_seq(values, weights)
-    n = v.size
-    mean = np.empty(n)
-    wsum = np.empty(n)
-    count = np.empty(n, dtype=np.intp)
-    top = -1
-    for i in range(n):
-        top += 1
-        mean[top] = v[i]
-        wsum[top] = w[i]
-        count[top] = 1
-        while top > 0 and mean[top - 1] > mean[top]:
-            total = wsum[top - 1] + wsum[top]
-            mean[top - 1] = (mean[top - 1] * wsum[top - 1] + mean[top] * wsum[top]) / total
-            wsum[top - 1] = total
-            count[top - 1] += count[top]
-            top -= 1
-    return np.repeat(mean[: top + 1], count[: top + 1])
+    # pooled sums reach max|v| * sum(w): scale both by exact powers of two
+    # (no change at normal magnitudes) and scale the block means back
+    w = np.ldexp(w, -_headroom(float(w.max()), w.size))
+    shift = _headroom(float(np.abs(v).max()), float(w.sum()))
+    # the stack holds Python floats: the same double arithmetic as numpy
+    # scalars, without their per-element boxing
+    mean, wsum, count = [], [], []
+    for x, wx in zip(np.ldexp(v, -shift).tolist(), w.tolist()):
+        mean.append(x)
+        wsum.append(wx)
+        count.append(1)
+        while len(mean) > 1 and mean[-2] > mean[-1]:
+            m, wm, c = mean.pop(), wsum.pop(), count.pop()
+            total = wsum[-1] + wm
+            mean[-1] = (mean[-1] * wsum[-1] + m * wm) / total
+            wsum[-1] = total
+            count[-1] += c
+    return np.ldexp(np.repeat(mean, count), shift)
 
 
 def isotonic_maxmin_oracle(values, index: int, weights=None) -> float:
@@ -110,44 +106,18 @@ def isotonic_maxmin_oracle(values, index: int, weights=None) -> float:
 
 
 def isotonize_axis(f: GriddedFunction, axis: int) -> GriddedFunction:
-    """Apply pava to every 1-d fiber of f along one axis (numbered from 1).
-
-    Requires equal spacing along the axis so all fiber entries carry equal
-    weight, matching the measure used by the L^p functionals.
-    """
-    axis = check_axis_number(f, axis)
-    if not f.axes[axis - 1].equidistant:
-        raise NonEquidistantAxisError(
-            f"axis {axis} is not equidistant; fiber weights would be unequal"
-        )
-    moved = np.moveaxis(f.values, axis - 1, -1)
-    flat = np.ascontiguousarray(moved).reshape(-1, f.shape[axis - 1])
-    out = np.empty_like(flat)
-    for r in range(flat.shape[0]):
-        out[r] = pava(flat[r])
-    return f.with_values(np.moveaxis(out.reshape(moved.shape), -1, axis - 1))
+    """Apply pava to every 1-d fiber of f along one axis (numbered from 1)."""
+    return _axis_pass(f, axis, lambda rows: np.array([pava(r) for r in rows]))
 
 
 def isotonize_pi(f: GriddedFunction, pi: Sequence[int]) -> GriddedFunction:
-    """Sequential isotonization along the ordering pi, innermost axis first.
-
-    Mirrors the composition convention of rearrange_pi: axis pi_d first,
-    ending with pi_1.
-    """
-    perm = validate_ordering(pi, f.ndim)
-    out = f
-    for j in reversed(perm):
-        out = isotonize_axis(out, j)
-    return out
+    """Sequential isotonization along the ordering pi, axis pi_d first."""
+    return _compose(f, pi, isotonize_axis)
 
 
 def isotonize_average(f: GriddedFunction, orderings=None) -> GriddedFunction:
     """Average of the pi-isotonizations over an ordering set."""
-    pis = resolve_orderings(f, orderings)
-    acc = np.zeros_like(f.values)
-    for pi in pis:
-        acc = acc + isotonize_pi(f, pi).values
-    return f.with_values(acc / len(pis))
+    return _average(f, orderings, isotonize_pi)
 
 
 def blend(a: GriddedFunction, b: GriddedFunction, lam: float) -> GriddedFunction:
@@ -168,25 +138,15 @@ def monotonize(
     """One entry point for the three monotonization operators.
 
     method is one of "rearrange", "isotonize" or "blend"; blend mixes the
-    averaged rearrangement (weight lam) with the averaged isotonization.
+    averaged rearrangement (weight lam) with the averaged isotonization, and
+    at lam = 1 or 0 computes only the one it keeps.
     """
+    if method == "blend" and float(lam) in (0.0, 1.0):
+        method = "rearrange" if float(lam) == 1.0 else "isotonize"
     if method == "rearrange":
         return rearrange_average(f, orderings)
     if method == "isotonize":
         return isotonize_average(f, orderings)
     if method == "blend":
-        lam = float(lam)
-        if not 0.0 <= lam <= 1.0:
-            raise LambdaOutOfRangeError(f"lambda must lie in [0, 1], got {lam!r}")
-        if lam == 1.0:
-            return rearrange_average(f, orderings)
-        if lam == 0.0:
-            return isotonize_average(f, orderings)
-        return blend(
-            rearrange_average(f, orderings),
-            isotonize_average(f, orderings),
-            lam,
-        )
-    raise OutOfRangeError(
-        f"method must be rearrange, isotonize or blend, got {method!r}"
-    )
+        return blend(rearrange_average(f, orderings), isotonize_average(f, orderings), lam)
+    raise OutOfRangeError(f"method must be rearrange, isotonize or blend, got {method!r}")

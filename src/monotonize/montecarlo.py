@@ -41,7 +41,6 @@ from .bands import (
     BandRecipe,
     assemble_band,
     covers,
-    monotonize_band,
     order_statistic_quantile,
 )
 from .errors import (
@@ -58,6 +57,7 @@ from .estimators import (
     bootstrap,
     fit,
     fit_quantile_process,
+    span_axis,
 )
 from .grid import INF, Axis, GriddedFunction, lp_distance, lp_length
 from .isotonic import blend, isotonize_average
@@ -82,6 +82,7 @@ IMPROVE_ATOL = 1e-14
 _STREAM_DATA = 1
 _STREAM_BOOT = 2
 
+_PI_1D = ((1,),)
 _PI_2D = ((1, 2), (2, 1))
 
 
@@ -127,6 +128,23 @@ def _integer(name: str, value) -> int:
         return int(value)
     except (TypeError, ValueError, OverflowError):
         raise OutOfRangeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real(name: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise OutOfRangeError(f"{name} must be a number, got {value!r}") from None
+
+
+def _reals(name: str, value) -> np.ndarray:
+    try:
+        out = np.array(value, dtype=float)
+        if out.ndim:
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise OutOfRangeError(f"{name} must be a list of numbers, got {value!r}")
 
 
 def design_vector(x):
@@ -199,21 +217,24 @@ class McConfig:
     lambda_grid: tuple = (0.5,)
 
     def __post_init__(self):
-        beta = tuple(float(b) for b in self.beta)
-        if len(beta) != 5:
-            raise ShapeMismatchError(f"beta needs 5 entries, got {len(beta)}")
+        beta = _reals("beta", self.beta)
+        if beta.shape != (5,):
+            raise ShapeMismatchError(f"beta needs 5 entries, got shape {beta.shape}")
+        beta = tuple(float(b) for b in beta)
         if not all(math.isfinite(b) for b in beta):
             raise NonFiniteValueError("beta must be finite")
         object.__setattr__(self, "beta", beta)
-        if not float(self.sigma) >= 0.0:
+        sigma = _real("sigma", self.sigma)
+        if not sigma >= 0.0:
             raise OutOfRangeError(f"sigma must be non-negative, got {self.sigma!r}")
+        object.__setattr__(self, "sigma", sigma)
         if self.x_design is None:
             n = BENCHMARK_N if self.n is None else _integer("n", self.n)
             if n < 1:
                 raise OutOfRangeError("n must be at least 1")
             x = np.linspace(AGE_RANGE[0], AGE_RANGE[1], n)
         else:
-            x = np.array(self.x_design, dtype=float)
+            x = _reals("x_design", self.x_design)
             if x.ndim != 1 or x.size < 1:
                 raise ShapeMismatchError(
                     f"x_design must be a non-empty 1-d array, got shape {x.shape}"
@@ -236,14 +257,13 @@ class McConfig:
         object.__setattr__(self, "reps", reps)
         object.__setattr__(self, "seed", _integer("seed", self.seed))
         if not self.estimators:
-            eval_axis = Axis(np.linspace(float(x.min()), float(x.max()), 100))
-            object.__setattr__(self, "estimators", default_estimators(eval_axis))
+            object.__setattr__(self, "estimators", default_estimators(span_axis(x, 100)))
         else:
             for s in self.estimators:
                 if not isinstance(s, EstimatorSpec):
                     raise OutOfRangeError("estimators must be EstimatorSpec instances")
             object.__setattr__(self, "estimators", tuple(self.estimators))
-        taus = np.array(self.taus, dtype=float)
+        taus = _reals("taus", self.taus)
         if taus.ndim != 1 or taus.size == 0:
             raise ShapeMismatchError("taus must be a non-empty 1-d sequence")
         if np.any(np.diff(taus) <= 0.0):
@@ -252,15 +272,18 @@ class McConfig:
             raise OutOfRangeError("every tau must lie in (0, 1)")
         taus.setflags(write=False)
         object.__setattr__(self, "taus", taus)
-        if not 0.0 < float(self.alpha) < 1.0:
+        alpha = _real("alpha", self.alpha)
+        if not 0.0 < alpha < 1.0:
             raise OutOfRangeError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        object.__setattr__(self, "alpha", alpha)
         b_draws = _integer("bootstrap_B", self.bootstrap_B)
         if b_draws < 2:
             raise OutOfRangeError("bootstrap_B must be at least 2")
         object.__setattr__(self, "bootstrap_B", b_draws)
-        lams = tuple(float(l) for l in self.lambda_grid)
-        if not lams:
-            raise OutOfRangeError("lambda_grid must not be empty")
+        lams = _reals("lambda_grid", self.lambda_grid)
+        if lams.ndim != 1 or not lams.size:
+            raise OutOfRangeError("lambda_grid must be a non-empty list of numbers")
+        lams = tuple(float(l) for l in lams)
         if any(not 0.0 <= l <= 1.0 for l in lams):
             raise OutOfRangeError("every lambda must lie in [0, 1]")
         object.__setattr__(self, "lambda_grid", lams)
@@ -354,12 +377,12 @@ def _map_reps(worker, reps: int, threads: int) -> list:
 
 
 def _monotone_variants(f: GriddedFunction, orderings, lambda_grid) -> list:
+    """The report's variant family: rearranged, isotonized, then each blend."""
     rearranged = rearrange_average(f, orderings)
     isotonized = isotonize_average(f, orderings)
-    out = [rearranged, isotonized]
-    for lam in lambda_grid:
-        out.append(blend(rearranged, isotonized, lam))
-    return out
+    return [rearranged, isotonized] + [
+        blend(rearranged, isotonized, lam) for lam in lambda_grid
+    ]
 
 
 def _error_rows(cfg: McConfig, errors: np.ndarray) -> tuple:
@@ -389,7 +412,7 @@ def _run_errors_table(cfg: McConfig, table: int, threads) -> McReport:
             GriddedFunction([s.eval_axis], true_cef(s.eval_axis.coords, cfg.beta))
             for s in specs
         ]
-        orderings = ((1,),)
+        orderings = _PI_1D
     else:
         specs = list(cfg.estimators)
         truths = [
@@ -494,9 +517,10 @@ def _run_bands_table(cfg: McConfig, threads) -> McReport:
         for r in range(cfg.reps):
             fhat, stderr = fits[r][ei]
             band = assemble_band(BandRecipe(fhat, stderr, critical, cfg.alpha))
-            variants = [monotonize_band(band, "rearrange"), monotonize_band(band, "isotonize")]
-            for lam in cfg.lambda_grid:
-                variants.append(monotonize_band(band, "blend", lam=lam))
+            # each end-point through the same operator, as bands.monotonize_band does
+            lowers = _monotone_variants(band.lower, _PI_1D, cfg.lambda_grid)
+            uppers = _monotone_variants(band.upper, _PI_1D, cfg.lambda_grid)
+            variants = [Band(lower, upper) for lower, upper in zip(lowers, uppers)]
             coverage[r, ei, 0] = covers(band, truth)
             for pi, p in enumerate(REPORT_PS):
                 lengths[r, ei, 0, pi] = lp_length(band, p)
@@ -592,13 +616,12 @@ def config_from_dict(d: dict) -> McConfig:
     if isinstance(taus, dict):
         kwargs["taus"] = parse_tau_net(taus)
     elif taus is not None:
-        kwargs["taus"] = np.asarray(taus, dtype=float)
+        kwargs["taus"] = taus
     grid = _integer("grid", d.get("grid", 100))
     if grid < 2:
         raise OutOfRangeError("grid must be at least 2")
     cfg = McConfig(**kwargs)
-    x = cfg.x_design
-    eval_axis = Axis(np.linspace(float(x.min()), float(x.max()), grid))
+    eval_axis = span_axis(cfg.x_design, grid)
     ests = d.get("estimators")
     if ests is not None:
         specs = []

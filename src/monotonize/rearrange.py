@@ -1,4 +1,4 @@
-"""Monotone rearrangement of gridded functions.
+"""Monotone rearrangement of gridded functions, and the axis-by-axis engine.
 
 The increasing rearrangement of a function sampled on an equal-measure grid
 is obtained by sorting its values: the sorted sequence is the quantile
@@ -7,11 +7,14 @@ levels.  rearrange_quantile_oracle evaluates that quantile-function
 definition literally and independently of any sorting, and exists so tests
 can cross-check the fast path against the definition.
 
-Multivariate rearrangement applies the one-dimensional operator along one
-axis at a time.  The result depends on the order in which axes are visited,
-so the multivariate operators take an explicit ordering (a permutation of the
-axis numbers 1..d); averaging the rearrangements over a set of orderings
-restores symmetry and never does worse than the average of its members.
+One engine builds both multivariate repairs, this module's rearrangement
+and the isotonic module's isotonization, from a 1-d row operator (sorting or
+pava): _axis_pass applies it to every fiber along one axis, _compose along
+the axes of an ordering pi = (pi_1, ..., pi_d), innermost axis pi_d first,
+and _average averages the pi-operators over a set of orderings.  Averaging
+restores the symmetry one ordering lacks and never does worse than the mean
+of its members.  Sums that could overflow near the float limit are taken
+after an exact power-of-two scaling (_headroom).
 
 Axis numbering follows the wire format: axes are named 1..d with axis 1
 varying slowest, matching the x1,...,xd columns of the CSV formats.
@@ -19,6 +22,7 @@ varying slowest, matching the x1,...,xd columns of the CSV formats.
 
 from __future__ import annotations
 
+import math
 from itertools import permutations
 from typing import Sequence
 
@@ -75,15 +79,6 @@ def rearrange_quantile_oracle(values, x: float) -> float:
     return float(v.max())  # unreachable: the largest level always qualifies
 
 
-def check_axis_number(f: GriddedFunction, axis: int) -> int:
-    axis = int(axis)
-    if not 1 <= axis <= f.ndim:
-        raise AxisOutOfRangeError(
-            f"axis {axis} is not one of 1..{f.ndim}"
-        )
-    return axis
-
-
 def validate_ordering(pi: Sequence[int], ndim: int) -> tuple:
     """Check that pi is a permutation of 1..ndim and return it as a tuple."""
     perm = tuple(int(j) for j in pi)
@@ -124,31 +119,62 @@ def resolve_orderings(f: GriddedFunction, orderings=None) -> tuple:
     return out
 
 
-def rearrange_axis(f: GriddedFunction, axis: int) -> GriddedFunction:
-    """Rearrange every 1-d fiber of f along one axis (numbered from 1).
+def _headroom(top: float, total: float) -> int:
+    """Exponent s that keeps sums of values up to top, with weights adding up
+    to total, finite after scaling by 2^-s.
 
-    Requires equal spacing along that axis so each fiber sits on an
-    equal-measure grid and sorting equals the rearrangement exactly.
+    s is 0 below about 2^1000, and np.ldexp scaling is exact, so no bit
+    changes at normal magnitudes.
     """
-    axis = check_axis_number(f, axis)
+    return max(0, math.frexp(top)[1] + math.frexp(total)[1] - 1023)
+
+
+def _axis_pass(f: GriddedFunction, axis: int, rows) -> GriddedFunction:
+    """Apply a row operator to every 1-d fiber of f along one axis.
+
+    rows maps a 2-d array of fibers, one per row, to one of the same shape.
+    The axis (numbered from 1) must be equidistant, so every node of a fiber
+    carries the same measure, as in the L^p functionals.
+    """
+    axis = int(axis)
+    if not 1 <= axis <= f.ndim:
+        raise AxisOutOfRangeError(f"axis {axis} is not one of 1..{f.ndim}")
     if not f.axes[axis - 1].equidistant:
         raise NonEquidistantAxisError(
-            f"axis {axis} is not equidistant; rearrangement is undefined on it"
+            f"axis {axis} is not equidistant; its nodes would carry unequal measure"
         )
-    return f.with_values(np.sort(f.values, axis=axis - 1, kind="stable"))
+    # swapaxes, unlike moveaxis, is a C-level view, which matters on small grids
+    swapped = f.values.swapaxes(axis - 1, -1)
+    out = rows(np.ascontiguousarray(swapped).reshape(-1, swapped.shape[-1]))
+    return f.with_values(out.reshape(swapped.shape).swapaxes(-1, axis - 1))
+
+
+def _compose(f: GriddedFunction, pi: Sequence[int], axis_op) -> GriddedFunction:
+    """Apply axis_op along the ordering pi: axis pi_d first, ending with pi_1."""
+    out = f
+    for j in reversed(validate_ordering(pi, f.ndim)):
+        out = axis_op(out, j)
+    return out
+
+
+def _average(f: GriddedFunction, orderings, pi_op) -> GriddedFunction:
+    """Average of pi_op(f, pi) over an ordering set, summed in set order."""
+    pis = resolve_orderings(f, orderings)
+    shift = _headroom(float(np.abs(f.values).max()), len(pis))
+    acc = np.zeros_like(f.values)
+    for pi in pis:
+        acc = acc + np.ldexp(pi_op(f, pi).values, -shift)
+    return f.with_values(np.ldexp(acc / len(pis), shift))
+
+
+def rearrange_axis(f: GriddedFunction, axis: int) -> GriddedFunction:
+    """Rearrange every 1-d fiber of f along one axis (numbered from 1)."""
+    return _axis_pass(f, axis, lambda rows: np.sort(rows, axis=-1, kind="stable"))
 
 
 def rearrange_pi(f: GriddedFunction, pi: Sequence[int]) -> GriddedFunction:
-    """Rearrangement along the ordering pi = (pi_1, ..., pi_d).
-
-    The innermost operator acts first: axis pi_d, then pi_{d-1}, ending with
-    pi_1.
-    """
-    perm = validate_ordering(pi, f.ndim)
-    out = f
-    for j in reversed(perm):
-        out = rearrange_axis(out, j)
-    return out
+    """Rearrangement along the ordering pi = (pi_1, ..., pi_d), axis pi_d first."""
+    return _compose(f, pi, rearrange_axis)
 
 
 def rearrange_average(f: GriddedFunction, orderings=None) -> GriddedFunction:
@@ -158,11 +184,7 @@ def rearrange_average(f: GriddedFunction, orderings=None) -> GriddedFunction:
     monotone in every axis and its error never exceeds the mean error of the
     individual rearrangements.
     """
-    pis = resolve_orderings(f, orderings)
-    acc = np.zeros_like(f.values)
-    for pi in pis:
-        acc = acc + rearrange_pi(f, pi).values
-    return f.with_values(acc / len(pis))
+    return _average(f, orderings, rearrange_pi)
 
 
 def eta_p(k_interval, epsilon: float, p: float, resolution: int = 21) -> float:

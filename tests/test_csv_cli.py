@@ -451,6 +451,13 @@ def test_cli_simulate_rejects_bad_config(tmp_path, capsys):
         {"taus": {"lo": 0.1, "step": 0.1}},
         {"taus": {"lo": 0.1, "hi": 0.9, "step": 0.3}},
         {"reps": "abc"},
+        {"sigma": "abc"},
+        {"alpha": "x"},
+        {"beta": [71.25, 8.13, "x", 1.78, -6.43]},
+        {"taus": ["a"]},
+        {"x_design": ["a"]},
+        {"lambda_grid": ["x"]},
+        {"lambda_grid": 0.5},
     ],
 )
 def test_cli_simulate_bad_config_value_is_one_invalid_input_line(tmp_path, capsys, config):
@@ -475,3 +482,19 @@ def test_cli_estimate_bad_tau_net_is_one_invalid_input_line(tmp_path, capsys, ne
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("monotonize: invalid input: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("x", [[0.5], [0.5, 0.5, 0.5]])
+def test_cli_estimate_needs_two_distinct_x(tmp_path, capsys, x):
+    data = tmp_path / "data.csv"
+    csvio.write_dataset(Dataset(x, np.arange(len(x), dtype=float)), data)
+    rc = main(
+        ["estimate", "--data", str(data), "--method", "kernel", "--bandwidth", "0.3",
+         "--out", str(tmp_path / "f.csv")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "monotonize: invalid input: an evaluation grid needs at least two "
+        "distinct x values; every x is 0.5\n"
+    )

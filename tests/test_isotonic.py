@@ -235,3 +235,43 @@ def test_monotonize_dispatch():
         monotonize(f, "sort")
     with pytest.raises(LambdaOutOfRangeError):
         monotonize(f, "blend", lam=2.0)
+
+
+# --- magnitudes near the float limit ------------------------------------------
+
+NEAR_MAX = [[1.7e308, 1.6e308], [1.5e308, 1.0e308]]
+
+
+def test_pava_pools_near_the_float_limit():
+    mean = 1.7e308 / 2 + 1.6e308 / 2  # the exact mean, rounded once
+    np.testing.assert_array_equal(pava([1.7e308, 1.6e308]), [mean, mean])
+    # the weighted products overflow too when the weights are huge
+    np.testing.assert_allclose(
+        pava([1.7e308, 1.6e308], weights=[1e308, 1e308]), [mean, mean], rtol=1e-15
+    )
+    np.testing.assert_array_equal(pava([3.0, 1.0], weights=[1e308, 1e308]), [2.0, 2.0])
+
+
+def test_pava_scaling_changes_no_bits_at_normal_magnitudes():
+    rng = np.random.default_rng(61)
+    for _ in range(50):
+        n = int(rng.integers(1, 40))
+        v = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300)
+        w = rng.uniform(0.1, 3.0, n) * 10.0 ** rng.integers(-5, 5)
+        out = pava(v, w)
+        # the unscaled pooling, written out
+        blocks = []
+        for x, wx in zip(v, w):
+            blocks.append([x, wx, 1])
+            while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
+                (m1, w1, c1), (m2, w2, c2) = blocks[-2], blocks.pop()
+                blocks[-1] = [(m1 * w1 + m2 * w2) / (w1 + w2), w1 + w2, c1 + c2]
+        expect = np.repeat([b[0] for b in blocks], [b[2] for b in blocks])
+        np.testing.assert_array_equal(out, expect)
+
+
+def test_isotonize_average_near_the_float_limit():
+    f = make_grid_function([UNIT, UNIT], NEAR_MAX)
+    out = isotonize_average(f)
+    np.testing.assert_allclose(out.values, np.full((2, 2), 1.45e308), rtol=1e-15)
+    assert is_monotone(out)

@@ -368,3 +368,20 @@ def test_config_integer_fields_reject_non_integers(key):
     for bad in ("abc", [3], 1e999):
         with pytest.raises(OutOfRangeError, match=key):
             config_from_dict({key: bad})
+
+
+def test_config_rejects_non_numeric_fields_and_a_one_age_design():
+    for kwargs in (
+        {"sigma": "abc"},
+        {"alpha": "x"},
+        {"beta": 5.0},
+        {"taus": ["a"]},
+        {"x_design": ["a"]},
+        {"lambda_grid": 0.5},
+    ):
+        with pytest.raises(OutOfRangeError, match=f"{next(iter(kwargs))} must be"):
+            McConfig(reps=2, **kwargs)
+    with pytest.raises(OutOfRangeError, match="at least two distinct x values"):
+        McConfig(n=1)
+    with pytest.raises(OutOfRangeError, match="at least two distinct x values"):
+        config_from_dict({"x_design": [5.0, 5.0], "grid": 12})

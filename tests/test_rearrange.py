@@ -227,3 +227,14 @@ def test_strict_gain_lower_bound_on_crossing_fixture():
     gain_bound = delta * eta_p(UNIT, eps, 2)
     assert gain_bound == pytest.approx(0.125, abs=1e-9)
     assert rear_pow <= orig_pow - gain_bound + 1e-12
+
+
+def test_rearrange_average_near_the_float_limit():
+    # the two orderings' sum overflows unless the average is taken scaled
+    f = make_grid_function([UNIT, UNIT], [[1.7e308, 1.6e308], [1.5e308, 1.0e308]])
+    out = rearrange_average(f)
+    np.testing.assert_array_equal(out.values, [[1.0e308, 1.5e308], [1.6e308, 1.7e308]])
+    for pi in all_orderings(2):
+        np.testing.assert_array_equal(
+            rearrange_average(f, orderings=[pi]).values, rearrange_pi(f, pi).values
+        )
