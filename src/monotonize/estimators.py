@@ -31,7 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .errors import (
     EmptyInputError,
@@ -231,6 +230,30 @@ def _windows(data: Dataset, spec: EstimatorSpec) -> tuple:
 # --- basis construction -----------------------------------------------------
 
 
+def _bspline_design(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Cubic B-spline design rows at x in [t[3], t[-4]] on the knots t.
+
+    The Cox-de Boor triangle (de Boor 1978), run for all points at once with
+    the operations of scipy's BSpline.design_matrix, so the bits agree with
+    it.  Point i lies in the knot interval ell_i, closed on the right at the
+    end, and only the four columns ell_i - 3 .. ell_i of its row are non-zero.
+    """
+    ell = 3 + np.searchsorted(t[4:-4], x, side="right")
+    knots = t[ell + np.arange(-2, 4)[:, None]]  # rows t[ell - 2] .. t[ell + 3]
+    h = np.ones((1, x.size))
+    for j in range(1, 4):
+        xb, xa = knots[3 : 3 + j], knots[3 - j : 3]
+        gap = xb - xa
+        # each weight is 0 where its two knots coincide
+        w = h / np.where(gap > 0.0, gap, np.inf)
+        h = np.zeros((j + 1, x.size))
+        h[:j] = w * (xb - x)
+        h[1:] += w * (x - xa)
+    out = np.zeros((x.size, t.size - 4))
+    out.ravel()[np.arange(x.size) * (t.size - 4) + ell - 3 + np.arange(4)[:, None]] = h
+    return out
+
+
 def _basis_matrix(spec: EstimatorSpec, x: np.ndarray) -> np.ndarray:
     """Design rows of the series basis at the points x."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -245,7 +268,7 @@ def _basis_matrix(spec: EstimatorSpec, x: np.ndarray) -> np.ndarray:
     xc = np.clip(x, lo, hi)
     if spec.method == "bspline":
         t = np.concatenate([np.full(4, lo), np.asarray(spec.knots), np.full(4, hi)])
-        return BSpline.design_matrix(xc, t, 3).toarray()
+        return _bspline_design(xc, t)
     if spec.method == "fourier":
         xs = (xc - lo) / span
         cols = [np.ones_like(xs)]

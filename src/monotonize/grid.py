@@ -169,6 +169,16 @@ def check_same_grid(f: GriddedFunction, g: GriddedFunction) -> None:
         raise GridMismatchError("functions do not live on the same grid")
 
 
+def _headroom(top: float, total: float) -> int:
+    """Exponent s that keeps sums of values up to top, with weights adding up
+    to total, finite after scaling by 2^-s.
+
+    s is 0 below about 2^1000, and np.ldexp scaling is exact, so no bit
+    changes at normal magnitudes.
+    """
+    return max(0, math.frexp(top)[1] + math.frexp(total)[1] - 1023)
+
+
 def check_p(p: float) -> float:
     """Validate an L^p index: a real >= 1, or INF."""
     p = float(p)
@@ -185,14 +195,35 @@ def lp_distance(f: GriddedFunction, g: GriddedFunction, p: float) -> float:
     """
     check_same_grid(f, g)
     p = check_p(p)
-    diff = np.abs(f.values - g.values)
+    # near the float limit, f and g are scaled by 2^-shift before subtracting
+    # and |f-g| by 2^-power before its p-th power; both exponents are 0 unless
+    # a difference or a power would overflow, so no bit changes below that
+    with np.errstate(over="ignore"):
+        diff = np.abs(f.values - g.values)
+    top, shift = float(diff.max()), 0
+    if top == math.inf:
+        bound = max(float(np.abs(f.values).max()), float(np.abs(g.values).max()))
+        shift = _headroom(bound, 2.0)
+        diff = np.abs(np.ldexp(f.values, -shift) - np.ldexp(g.values, -shift))
+        top = float(diff.max())
     if math.isinf(p):
-        return float(diff.max())
-    acc = diff**p
+        return _unscale(top, shift)
+    power = max(0, math.frexp(top)[1] - math.floor(1023.0 / p))
+    acc = (np.ldexp(diff, -power) if power else diff) ** p
     for ax in f.axes:
-        # contract the leading axis against its node weights
-        acc = np.tensordot(ax.node_weights(), acc, axes=(0, 0))
-    return float(acc) ** (1.0 / p)
+        # contract the leading axis against its node weights: the dot that
+        # np.tensordot(w, acc, axes=(0, 0)) makes, without its overhead
+        w = ax.node_weights()
+        acc = np.dot(w.reshape(1, -1), acc.reshape(w.size, -1)).reshape(acc.shape[1:])
+    return _unscale(float(acc) ** (1.0 / p), shift + power)
+
+
+def _unscale(x: float, exponent: int) -> float:
+    """x * 2^exponent, and inf for a result beyond the float range."""
+    try:
+        return math.ldexp(x, exponent)
+    except OverflowError:
+        return math.inf
 
 
 def lp_length(band, p: float) -> float:

@@ -4,9 +4,7 @@ pava computes the weighted least-squares projection of a sequence onto the
 cone of weakly increasing sequences by pooling adjacent violators.  The
 projection flattens decreasing stretches into weighted block means; it is the
 identity on weakly increasing input because only strict decreases trigger
-pooling.  isotonic_maxmin_oracle evaluates the classical max-min
-characterization of the same projection in O(n^2) per index; it shares no
-code with pava and serves as its independent cross-check.
+pooling.
 
 The multivariate isotonization runs pava as the row operator of the
 axis-by-axis engine in the rearrange module: along one axis, along the axes
@@ -22,15 +20,14 @@ import numpy as np
 
 from .errors import (
     EmptyInputError,
-    IndexOutOfRangeError,
     LambdaOutOfRangeError,
     NonFiniteValueError,
     NonPositiveWeightError,
     OutOfRangeError,
     ShapeMismatchError,
 )
-from .grid import GriddedFunction, check_same_grid
-from .rearrange import _average, _axis_pass, _compose, _headroom, rearrange_average
+from .grid import GriddedFunction, _headroom, check_same_grid
+from .rearrange import _average, _axis_pass, _compose, rearrange_average
 
 
 def _check_seq(values, weights):
@@ -79,30 +76,6 @@ def pava(values, weights=None) -> np.ndarray:
             wsum[-1] = total
             count[-1] += c
     return np.ldexp(np.repeat(mean, count), shift)
-
-
-def isotonic_maxmin_oracle(values, index: int, weights=None) -> float:
-    """Max-min characterization of the isotonic projection at one position.
-
-    Returns max over j <= index of the min over k >= index of the weighted
-    mean of values[j..k] (0-based, inclusive).  Independent oracle for pava.
-    """
-    v, w = _check_seq(values, weights)
-    n = v.size
-    index = int(index)
-    if not 0 <= index < n:
-        raise IndexOutOfRangeError(f"index {index} outside 0..{n - 1}")
-    best = -np.inf
-    for j in range(index + 1):
-        num = float(np.dot(v[j : index + 1], w[j : index + 1]))
-        den = float(np.sum(w[j : index + 1]))
-        worst = num / den
-        for k in range(index + 1, n):
-            num += v[k] * w[k]
-            den += w[k]
-            worst = min(worst, num / den)
-        best = max(best, worst)
-    return best
 
 
 def isotonize_axis(f: GriddedFunction, axis: int) -> GriddedFunction:

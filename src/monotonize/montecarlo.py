@@ -33,7 +33,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .bands import (
     DEGENERATE_STDERR,
@@ -167,7 +166,11 @@ def true_cqf(u, x, beta=BENCHMARK_BETA, sigma=DEFAULT_SIGMA):
     u = np.asarray(u, dtype=float)
     if not (np.all(u > 0.0) and np.all(u < 1.0)):
         raise OutOfRangeError("quantile levels must lie in (0, 1)")
-    out = true_cef(x, beta) + float(sigma) * norm.ppf(u)
+    # imported here so that only this function loads scipy; ndtri is
+    # scipy.stats.norm.ppf bit for bit
+    from scipy.special import ndtri
+
+    out = true_cef(x, beta) + float(sigma) * ndtri(u)
     return float(out) if np.isscalar(x) and u.ndim == 0 else out
 
 

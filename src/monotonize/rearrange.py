@@ -3,9 +3,7 @@
 The increasing rearrangement of a function sampled on an equal-measure grid
 is obtained by sorting its values: the sorted sequence is the quantile
 function of the value distribution, read at the grid's own probability
-levels.  rearrange_quantile_oracle evaluates that quantile-function
-definition literally and independently of any sorting, and exists so tests
-can cross-check the fast path against the definition.
+levels.
 
 One engine builds both multivariate repairs, this module's rearrangement
 and the isotonic module's isotonization, from a 1-d row operator (sorting or
@@ -14,7 +12,7 @@ the axes of an ordering pi = (pi_1, ..., pi_d), innermost axis pi_d first,
 and _average averages the pi-operators over a set of orderings.  Averaging
 restores the symmetry one ordering lacks and never does worse than the mean
 of its members.  Sums that could overflow near the float limit are taken
-after an exact power-of-two scaling (_headroom).
+after an exact power-of-two scaling (grid._headroom).
 
 Axis numbering follows the wire format: axes are named 1..d with axis 1
 varying slowest, matching the x1,...,xd columns of the CSV formats.
@@ -22,7 +20,6 @@ varying slowest, matching the x1,...,xd columns of the CSV formats.
 
 from __future__ import annotations
 
-import math
 from itertools import permutations
 from typing import Sequence
 
@@ -38,7 +35,7 @@ from .errors import (
     NonFiniteValueError,
     OutOfRangeError,
 )
-from .grid import GriddedFunction, check_p
+from .grid import GriddedFunction, _headroom, check_p
 
 #: Largest dimension for which the default ordering set (all d! orderings)
 #: is generated implicitly; beyond it the caller must pass orderings.
@@ -58,25 +55,6 @@ def rearrange_1d(values, direction: str = "increasing") -> np.ndarray:
     elif direction != "increasing":
         raise OutOfRangeError(f"direction must be increasing or decreasing, got {direction!r}")
     return out
-
-
-def rearrange_quantile_oracle(values, x: float) -> float:
-    """Evaluate the rearrangement at x in (0, 1] straight from its definition.
-
-    Returns the smallest value y such that the fraction of entries <= y is at
-    least x.  Slow by construction; the sorting path must agree with this at
-    every grid level x = (i+1)/n.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise EmptyInputError("the oracle needs a non-empty 1-d sequence")
-    if not (0.0 < x <= 1.0):
-        raise OutOfRangeError(f"x must lie in (0, 1], got {x!r}")
-    n = v.size
-    for y in np.unique(v):  # unique() returns candidate levels sorted
-        if np.count_nonzero(v <= y) / n >= x:
-            return float(y)
-    return float(v.max())  # unreachable: the largest level always qualifies
 
 
 def validate_ordering(pi: Sequence[int], ndim: int) -> tuple:
@@ -117,16 +95,6 @@ def resolve_orderings(f: GriddedFunction, orderings=None) -> tuple:
     if len(set(out)) != len(out):
         raise InvalidOrderingError("the ordering set contains duplicates")
     return out
-
-
-def _headroom(top: float, total: float) -> int:
-    """Exponent s that keeps sums of values up to top, with weights adding up
-    to total, finite after scaling by 2^-s.
-
-    s is 0 below about 2^1000, and np.ldexp scaling is exact, so no bit
-    changes at normal magnitudes.
-    """
-    return max(0, math.frexp(top)[1] + math.frexp(total)[1] - 1023)
 
 
 def _axis_pass(f: GriddedFunction, axis: int, rows) -> GriddedFunction:

@@ -30,7 +30,7 @@ from monotonize.grid import (
     lp_length,
     make_grid_function,
 )
-from monotonize.isotonic import isotonic_maxmin_oracle, pava
+from monotonize.isotonic import pava
 from monotonize.montecarlo import (
     BENCHMARK_BETA,
     McConfig,
@@ -44,8 +44,9 @@ from monotonize.rearrange import (
     rearrange_1d,
     rearrange_average,
     rearrange_pi,
-    rearrange_quantile_oracle,
 )
+
+from oracles import isotonic_maxmin_oracle, rearrange_quantile_oracle
 
 RTOL = 1e-10
 ATOL = 1e-14

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.interpolate import BSpline
 from scipy.optimize import linprog, minimize_scalar
 
 from monotonize import estimators
@@ -25,6 +26,8 @@ from monotonize.estimators import (
     Dataset,
     EstimatorSpec,
     Loss,
+    _basis_matrix,
+    _bspline_design,
     _check_objective,
     _irls,
     _irls_kappa,
@@ -35,6 +38,7 @@ from monotonize.estimators import (
     sample_quantile,
 )
 from monotonize.grid import Axis
+from monotonize.montecarlo import AGE_RANGE, DEFAULT_KNOTS
 
 
 def _axis(n=11, lo=0.0, hi=1.0):
@@ -319,6 +323,23 @@ def test_bspline_basis_partition_of_unity():
         v = basis_eval(spec, float(x))
         assert v.sum() == pytest.approx(1.0, abs=1e-12)
         assert v.size == 4 + 2
+
+
+@pytest.mark.parametrize(
+    "lo, hi, knots",
+    [(*AGE_RANGE, DEFAULT_KNOTS), (-1.5, 2.25, (-1.0, -0.2, 0.1, 0.7, 1.9))],
+)
+def test_bspline_design_equals_scipy_bit_for_bit(lo, hi, knots):
+    spec = EstimatorSpec("bspline", MEAN_LOSS, Axis(np.linspace(lo, hi, 50)), knots=knots)
+    t = np.concatenate([np.full(4, lo), knots, np.full(4, hi)])
+    rng = np.random.default_rng(29)
+    # random points, every knot and both end points
+    x = np.concatenate([rng.uniform(lo, hi, 533), t, [lo, hi]])
+    want = BSpline.design_matrix(x, t, 3).toarray()
+    got = _bspline_design(x, t)
+    assert np.array_equal(got, want)
+    assert np.array_equal(_basis_matrix(spec, x), want)
+    np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-14)
 
 
 def test_fourier_basis_values_and_length():

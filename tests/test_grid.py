@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -176,3 +177,41 @@ def test_value_tol_stays_finite_near_the_float_limit():
     for lo, hi in rng.normal(0.0, 1e3, (200, 2)):
         expect = VALUE_RTOL * max(1.0, max(lo, hi) - min(lo, hi))
         assert value_tol(np.array([lo, hi])) == expect
+
+
+def test_lp_distance_stays_finite_near_the_float_limit():
+    unit = [[0.0, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning from numpy
+        # values 1e200 apart: their squares overflow unless scaled
+        f = make_grid_function(unit, [1e200, -1e200])
+        g = make_grid_function(unit, [0.0, 0.0])
+        assert lp_distance(f, g, 2) == pytest.approx(1e200, rel=1e-15)
+        # f - g overflows at one node, but the mean of |f - g|^p is finite
+        f = make_grid_function(unit, [1.7e308, 0.0])
+        g = make_grid_function(unit, [-1.7e308, 0.0])
+        assert lp_distance(f, g, 1) == pytest.approx(1.7e308, rel=1e-15)
+        f = make_grid_function(unit, [1e308, 0.0])
+        g = make_grid_function(unit, [-1e308, 0.0])
+        assert lp_distance(f, g, 2) == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15)
+        # here every |f - g| is 3.4e308, beyond the float range: the L^1 and
+        # L^inf distances are too, and they read inf
+        f = make_grid_function(unit, [1.7e308, -1.7e308])
+        g = make_grid_function(unit, [-1.7e308, 1.7e308])
+        assert lp_distance(f, g, 1) == math.inf
+        assert lp_distance(f, g, INF) == math.inf
+
+
+def test_lp_distance_keeps_its_bits_at_ordinary_magnitudes():
+    rng = np.random.default_rng(71)
+    axes = [np.linspace(0.0, 1.0, 7), [0.0, 1.0, 3.0]]
+    for scale in (1e-3, 1.0, 1e3, 1e150):
+        f = make_grid_function(axes, rng.normal(0.0, scale, (7, 3)))
+        g = make_grid_function(axes, rng.normal(0.0, scale, (7, 3)))
+        diff = np.abs(f.values - g.values)
+        for p in (1.0, 1.5, 2.0):
+            acc = diff**p
+            for ax in f.axes:
+                acc = np.tensordot(ax.node_weights(), acc, axes=(0, 0))
+            assert lp_distance(f, g, p) == float(acc) ** (1.0 / p)
+        assert lp_distance(f, g, INF) == float(diff.max())

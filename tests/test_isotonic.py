@@ -16,7 +16,6 @@ from monotonize.errors import (
 from monotonize.grid import INF, is_monotone, lp_distance, make_grid_function
 from monotonize.isotonic import (
     blend,
-    isotonic_maxmin_oracle,
     isotonize_average,
     isotonize_axis,
     isotonize_pi,
@@ -24,6 +23,8 @@ from monotonize.isotonic import (
     pava,
 )
 from monotonize.rearrange import rearrange_average
+
+from oracles import isotonic_maxmin_oracle
 
 UNIT = [0.0, 1.0]
 

@@ -70,6 +70,12 @@ def test_true_cef_values_and_slopes():
     assert np.all(np.diff(true_cef(ages)) > 0)
 
 
+def test_true_cqf_equals_norm_ppf_bit_for_bit():
+    u = full_tau_net()[:, None]
+    x = np.linspace(AGE_RANGE[0], AGE_RANGE[1], 100)
+    assert np.array_equal(true_cqf(u, x), true_cef(x) + 4.0 * norm.ppf(u))
+
+
 def test_true_cqf_values_and_monotonicity():
     assert true_cqf(0.5, 7.0) == pytest.approx(true_cef(7.0), abs=1e-12)
     spread = true_cqf(0.95, 7.0) - true_cqf(0.05, 7.0)

@@ -2,8 +2,8 @@
 
 Grids have d = 1..3 axes of 1..4 nodes (singleton axes included), and values
 mix a coarse integer lattice, so ties are frequent, with continuous draws.
-The shape properties also run at magnitudes near the float limit; the L^p
-properties stay at moderate magnitudes, where lp_distance is finite.
+The shape properties and the L^p error property also run at magnitudes up
+to 2^1023, near the float limit.
 """
 
 import math
@@ -106,6 +106,23 @@ def test_no_operator_increases_lp_error_to_a_monotone_target(data):
         for name, op in _operators(pi).items():
             after = lp_distance(op(noisy), target, p)
             assert after <= before * (1.0 + 1e-10) + 1e-12, (name, p)
+
+
+@PROPERTY
+@given(st.data())
+def test_no_operator_increases_lp_error_near_the_float_limit(data):
+    f, pi = data.draw(grids())
+    target = data.draw(monotone_like(f))
+    # |target + f| <= 3 * 8 + 8 = 2^5, so the noisy values reach up to 2^1023
+    scale = 2.0**1018
+    noisy = target.with_values((target.values + f.values) * scale)
+    target = target.with_values(target.values * scale)
+    for p in PS:
+        before = lp_distance(noisy, target, p)
+        assert math.isfinite(before), p
+        for name, op in _operators(pi).items():
+            after = lp_distance(op(noisy), target, p)
+            assert after <= before * (1.0 + 1e-10) + 1e-12 * scale, (name, p)
 
 
 @PROPERTY

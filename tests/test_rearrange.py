@@ -19,8 +19,9 @@ from monotonize.rearrange import (
     rearrange_average,
     rearrange_axis,
     rearrange_pi,
-    rearrange_quantile_oracle,
 )
+
+from oracles import rearrange_quantile_oracle
 
 UNIT = [0.0, 1.0]
 
