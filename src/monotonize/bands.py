@@ -15,7 +15,6 @@ get shorter in every L^p length.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,6 +28,7 @@ from .errors import (
     OutOfRangeError,
     TooFewDrawsError,
 )
+from .estimators import sample_quantile
 from .grid import GriddedFunction, check_same_grid, value_tol
 from .isotonic import monotonize
 
@@ -96,20 +96,16 @@ def assemble_band(recipe: BandRecipe) -> Band:
 def order_statistic_quantile(values, alpha: float) -> float:
     """Conservative empirical upper quantile of a sample.
 
-    Returns the k-th smallest entry with k = ceil((1 - alpha) * B), the fixed
-    rule used for every critical value in the package.  alpha = 0 gives the
-    sample maximum.  A small slack guards the ceiling against floating-point
-    products landing a hair above an integer.
+    The sample_quantile at level 1 - alpha: the k-th smallest entry with
+    k = ceil((1 - alpha) * B), the fixed rule used for every critical value
+    in the package.  alpha = 0 gives the sample maximum.
     """
-    arr = np.sort(np.asarray(values, dtype=float))
-    b = arr.size
-    if b == 0:
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
         raise TooFewDrawsError("no values to take a quantile of")
     if not 0.0 <= float(alpha) < 1.0:
         raise OutOfRangeError(f"alpha must lie in [0, 1), got {alpha!r}")
-    k = math.ceil((1.0 - float(alpha)) * b - 1e-9)
-    k = min(max(k, 1), b)
-    return float(arr[k - 1])
+    return sample_quantile(arr, 1.0 - float(alpha))
 
 
 def critical_value_max_t(

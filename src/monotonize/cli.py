@@ -117,7 +117,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", help="JSON config file (defaults apply if omitted)")
     p.add_argument("--table", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--out", required=True, help="report CSV to write")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (default: 1)")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility; replications always run serially",
+    )
 
     return parser
 
@@ -256,7 +261,9 @@ def _cmd_simulate(args) -> int:
     else:
         raw = {}
     cfg = config_from_dict(raw)
-    report = run_experiment(cfg, table=args.table, threads=args.threads)
+    if args.threads < 1:
+        raise OutOfRangeError("threads must be at least 1")
+    report = run_experiment(cfg, table=args.table)
     report.write_csv(args.out)
     print(f"wrote table {args.table} report ({len(report.rows)} rows) to {args.out}")
     return 0

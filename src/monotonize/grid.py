@@ -145,9 +145,6 @@ class GriddedFunction:
     def same_grid(self, other: "GriddedFunction") -> bool:
         return self.axes == other.axes
 
-    def value_range(self) -> tuple:
-        return float(self.values.min()), float(self.values.max())
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GriddedFunction)
@@ -197,7 +194,9 @@ def lp_distance(f: GriddedFunction, g: GriddedFunction, p: float) -> float:
     p = check_p(p)
     # near the float limit, f and g are scaled by 2^-shift before subtracting
     # and |f-g| by 2^-power before its p-th power; both exponents are 0 unless
-    # a difference or a power would overflow, so no bit changes below that
+    # a difference or a power would overflow, and |f-g| is divided by its
+    # largest entry only where that entry's p-th power would underflow, so no
+    # bit changes while that power is a normal float
     with np.errstate(over="ignore"):
         diff = np.abs(f.values - g.values)
     top, shift = float(diff.max()), 0
@@ -209,13 +208,18 @@ def lp_distance(f: GriddedFunction, g: GriddedFunction, p: float) -> float:
     if math.isinf(p):
         return _unscale(top, shift)
     power = max(0, math.frexp(top)[1] - math.floor(1023.0 / p))
+    unit = 1.0
+    if top > 0.0 and (math.frexp(top)[1] - power - 1) * p < -1022:
+        # the largest term |f-g|^p would fall below the normal range: divide
+        # every difference by the largest, which makes that term exactly 1
+        diff, unit, power = diff / top, top, 0
     acc = (np.ldexp(diff, -power) if power else diff) ** p
     for ax in f.axes:
         # contract the leading axis against its node weights: the dot that
         # np.tensordot(w, acc, axes=(0, 0)) makes, without its overhead
         w = ax.node_weights()
         acc = np.dot(w.reshape(1, -1), acc.reshape(w.size, -1)).reshape(acc.shape[1:])
-    return _unscale(float(acc) ** (1.0 / p), shift + power)
+    return _unscale(float(acc) ** (1.0 / p) * unit, shift + power)
 
 
 def _unscale(x: float, exponent: int) -> float:

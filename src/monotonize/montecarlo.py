@@ -20,15 +20,14 @@ a violation beyond floating-point tolerance aborts the run, because the
 operators guarantee improvement path by path, not just on average.
 
 Determinism: replication r draws from an RNG stream derived from (seed, r)
-and bootstrap streams are derived from (seed, r, estimator); results are
-reduced in replication order, so a report depends only on the config and is
-bitwise identical no matter how many worker threads computed it.
+and bootstrap streams are derived from (seed, r, estimator); replications
+run serially and are reduced in replication order, so a report depends only
+on the config.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -369,16 +368,6 @@ def _require_no_worse(mono: float, orig: float, what: str, rep: int) -> None:
         )
 
 
-def _map_reps(worker, reps: int, threads: int) -> list:
-    threads = int(threads)
-    if threads < 1:
-        raise OutOfRangeError("threads must be at least 1")
-    if threads == 1 or reps == 1:
-        return [worker(r) for r in range(reps)]
-    with ThreadPoolExecutor(max_workers=min(threads, reps)) as pool:
-        return list(pool.map(worker, range(reps)))
-
-
 def _monotone_variants(f: GriddedFunction, orderings, lambda_grid) -> list:
     """The report's variant family: rearranged, isotonized, then each blend."""
     rearranged = rearrange_average(f, orderings)
@@ -407,7 +396,7 @@ def _error_rows(cfg: McConfig, errors: np.ndarray) -> tuple:
     return columns, rows
 
 
-def _run_errors_table(cfg: McConfig, table: int, threads) -> McReport:
+def _run_errors_table(cfg: McConfig, table: int) -> McReport:
     lambda_grid = cfg.lambda_grid
     if table == 1:
         specs = [replace(s, loss=MEAN_LOSS) for s in cfg.estimators]
@@ -427,11 +416,11 @@ def _run_errors_table(cfg: McConfig, table: int, threads) -> McReport:
         ]
         orderings = _PI_2D
 
-    n_var = 1 + 2 + len(lambda_grid)
-
-    def worker(r: int) -> np.ndarray:
+    labels = _variant_labels(lambda_grid)
+    errors = np.empty((cfg.reps, len(specs), 1 + len(labels), len(REPORT_PS)))
+    for r in range(cfg.reps):
         data = simulate_rep(cfg, r)
-        out = np.empty((len(specs), n_var, len(REPORT_PS)))
+        out = errors[r]
         for ei, (spec, truth) in enumerate(zip(specs, truths)):
             if table == 1:
                 fhat = fit(data, spec).estimate
@@ -441,7 +430,6 @@ def _run_errors_table(cfg: McConfig, table: int, threads) -> McReport:
             for vi, g in enumerate([fhat] + variants):
                 for pi, p in enumerate(REPORT_PS):
                     out[ei, vi, pi] = lp_distance(g, truth, p)
-            labels = _variant_labels(lambda_grid)
             for vi, lab in enumerate(labels):
                 for pi, p in enumerate(REPORT_PS):
                     _require_no_worse(
@@ -466,32 +454,28 @@ def _run_errors_table(cfg: McConfig, table: int, threads) -> McReport:
                         f"single-ordering L^{_format_p(p)} errors",
                         r,
                     )
-        return out
 
-    errors = np.stack(_map_reps(worker, cfg.reps, threads))
     columns, rows = _error_rows(cfg, errors)
     return McReport(table, columns, rows, per_rep={"errors": errors})
 
 
-def _run_bands_table(cfg: McConfig, threads) -> McReport:
+def _run_bands_table(cfg: McConfig) -> McReport:
     specs = [replace(s, loss=MEAN_LOSS) for s in cfg.estimators]
     truths = [
         GriddedFunction([s.eval_axis], true_cef(s.eval_axis.coords, cfg.beta))
         for s in specs
     ]
 
-    def worker(r: int) -> list:
+    fits = []
+    for r in range(cfg.reps):
         data = simulate_rep(cfg, r)
-        out = []
+        fits.append([])
         for ei, spec in enumerate(specs):
             fhat = fit(data, spec).estimate
             stderr, _ = bootstrap(
                 data, spec, cfg.bootstrap_B, _bootstrap_seed(cfg, r, ei)
             )
-            out.append((fhat, stderr))
-        return out
-
-    fits = _map_reps(worker, cfg.reps, threads)
+            fits[r].append((fhat, stderr))
 
     labels = _variant_labels(cfg.lambda_grid)
     n_var = len(labels)
@@ -579,21 +563,19 @@ def _run_bands_table(cfg: McConfig, threads) -> McReport:
     )
 
 
-def run_experiment(cfg: McConfig, table: int = 1, threads: int = 1) -> McReport:
+def run_experiment(cfg: McConfig, table: int = 1) -> McReport:
     """Run one experiment and reduce it to a report table.
 
     table selects the report: 1 for mean-fit errors, 2 for quantile-process
-    errors, 3 for confidence bands.  threads caps the worker threads (default
-    1: the fits are short numpy calls that hold the interpreter lock, so a
-    pool mostly adds contention); the report is identical for every thread
-    count.
+    errors, 3 for confidence bands.  The replications run serially, in
+    replication order.
     """
     table = int(table)
     if table not in (1, 2, 3):
         raise OutOfRangeError(f"table must be 1, 2 or 3, got {table}")
     if table in (1, 2):
-        return _run_errors_table(cfg, table, threads)
-    return _run_bands_table(cfg, threads)
+        return _run_errors_table(cfg, table)
+    return _run_bands_table(cfg)
 
 
 def config_from_dict(d: dict) -> McConfig:

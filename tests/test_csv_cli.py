@@ -427,6 +427,15 @@ def test_cli_simulate_deterministic_across_threads(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_cli_simulate_threads_below_one_is_one_invalid_input_line(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    rc = main(["simulate", "--table", "1", "--out", str(out), "--threads", "0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "monotonize: invalid input: threads must be at least 1\n"
+    assert not out.exists()
+
+
 def test_cli_simulate_rejects_bad_config(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text("{not json", encoding="utf-8")

@@ -38,7 +38,7 @@ from monotonize.estimators import (
     sample_quantile,
 )
 from monotonize.grid import Axis
-from monotonize.montecarlo import AGE_RANGE, DEFAULT_KNOTS
+from monotonize.montecarlo import AGE_RANGE, DEFAULT_KNOTS, McConfig, desk_tau_net, simulate_rep
 
 
 def _axis(n=11, lo=0.0, hi=1.0):
@@ -496,6 +496,17 @@ def test_irls_singular_fit_does_not_stop_its_batch():
     assert trace[-1, 0] < trace[0, 0] and np.all(trace[:, 1] == trace[0, 1])
     with pytest.raises(IrlsNoConvergenceError, match="1 fits unconverged"):
         _irls(design, y, inwin, np.array([0.5, 0.5]), _irls_kappa(y[0]), coef)
+
+
+def test_quantile_process_accepts_a_fit_stalled_at_its_optimum():
+    # one local-linear fit of this replication stops moving by about 8e-6 per
+    # iteration while its gradient norm is 5e-14: a stationary point of a
+    # convex objective, so the fit has converged
+    cfg = McConfig(reps=2, seed=1010019)
+    spec = next(s for s in cfg.estimators if s.method == "loclinear")
+    taus = desk_tau_net()
+    est = fit_quantile_process(simulate_rep(cfg, 0), spec, taus)
+    assert est.shape == (taus.size, spec.eval_axis.coords.size)
 
 
 def test_irls_objective_never_increases(monkeypatch):

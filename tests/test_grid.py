@@ -202,6 +202,17 @@ def test_lp_distance_stays_finite_near_the_float_limit():
         assert lp_distance(f, g, INF) == math.inf
 
 
+def test_lp_distance_does_not_underflow():
+    unit = [[0.0, 1.0]]
+    zero = make_grid_function(unit, [0.0, 0.0])
+    # the largest |f - g|^p falls below the normal range in every case but
+    # the first, where the closed form a * 0.5^(1/p) is computed directly
+    for a, ps in ((1e-300, (1.0, 2.0, 3.0)), (3.0, (2.0, 1100.0, 5000.0))):
+        f = make_grid_function(unit, [a, 0.0])
+        for p in ps:
+            assert lp_distance(f, zero, p) == pytest.approx(a * 0.5 ** (1.0 / p), rel=1e-15)
+
+
 def test_lp_distance_keeps_its_bits_at_ordinary_magnitudes():
     rng = np.random.default_rng(71)
     axes = [np.linspace(0.0, 1.0, 7), [0.0, 1.0, 3.0]]

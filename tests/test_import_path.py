@@ -1,9 +1,10 @@
-"""scipy stays off the runtime import path.
+"""scipy and concurrent.futures stay off the runtime import path.
 
 The repairs, estimate and band commands import numpy only; true_cqf, which
-table 2 of simulate needs, is the one place that loads scipy.special.  Each
-check runs in a fresh interpreter, since this test process has imported
-scipy for its oracles.
+table 2 of simulate needs, is the one place that loads scipy.special.
+simulate runs its replications serially and loads no concurrent.futures.
+Each check runs in a fresh interpreter, since this test process has
+imported scipy for its oracles.
 """
 
 import json
@@ -17,9 +18,10 @@ import monotonize
 SRC = str(Path(monotonize.__file__).resolve().parents[1])
 
 
-def _scipy_modules_after(code: str, cwd: Path) -> set:
-    """Run code in a new interpreter; the scipy modules it left loaded."""
-    code += "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+def _modules_after(code: str, cwd: Path, prefix: str = "scipy") -> set:
+    """Run code in a new interpreter; the modules under prefix it left loaded."""
+    listing = f"sorted(m for m in sys.modules if m.startswith({prefix!r}))"
+    code += f"\nimport json, sys\nprint(json.dumps({listing}))\n"
     path = [SRC, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     done = subprocess.run(
@@ -40,7 +42,7 @@ for loss in (["--loss", "mean"], ["--loss", "quantile", "--tau", "0.3"]):
     assert main(["estimate", "--data", "d.csv", "--method", "bspline", "--knots", "8,14",
                  "--grid", "9", "--out", "e.csv", *loss]) == 0
 """
-    assert _scipy_modules_after(code, tmp_path) == set()
+    assert _modules_after(code, tmp_path) == set()
 
 
 def test_simulate_table_2_loads_scipy_special_only(tmp_path):
@@ -51,6 +53,17 @@ def test_simulate_table_2_loads_scipy_special_only(tmp_path):
 from monotonize.cli import main
 assert main(["simulate", "--config", "c.json", "--table", "2", "--out", "t.csv"]) == 0
 """
-    loaded = _scipy_modules_after(code, tmp_path)
+    loaded = _modules_after(code, tmp_path)
     assert "scipy.special" in loaded
     assert not any(m.startswith(("scipy.stats", "scipy.interpolate")) for m in loaded)
+
+
+def test_import_and_simulate_table_1_load_no_concurrent_futures(tmp_path):
+    config = {"reps": 3, "grid": 8, "estimators": [{"method": "kernel", "bandwidth": 3.0}]}
+    (tmp_path / "c.json").write_text(json.dumps(config), encoding="utf-8")
+    code = """
+import monotonize
+from monotonize.cli import main
+assert main(["simulate", "--config", "c.json", "--table", "1", "--out", "t.csv"]) == 0
+"""
+    assert _modules_after(code, tmp_path, "concurrent") == set()

@@ -193,8 +193,6 @@ def test_run_experiment_validation():
     cfg = McConfig(n=30, reps=1, estimators=_kernel_only())
     with pytest.raises(OutOfRangeError):
         run_experiment(cfg, table=4)
-    with pytest.raises(OutOfRangeError):
-        run_experiment(cfg, table=1, threads=0)
 
 
 def test_errors_table_shape_and_ratios():
@@ -207,7 +205,7 @@ def test_errors_table_shape_and_ratios():
             EstimatorSpec("fourier", MEAN_LOSS, _small_axis(), n_terms=2),
         ),
     )
-    report = run_experiment(cfg, table=1, threads=1)
+    report = run_experiment(cfg, table=1)
     assert report.table == 1
     assert len(report.rows) == 2 * 3
     assert report.columns[:3] == ["method", "p", "error_original"]
@@ -221,13 +219,6 @@ def test_errors_table_shape_and_ratios():
     assert np.all(errors[:, :, 1:, :] <= orig * (1 + 1e-10) + 1e-14)
 
 
-def test_errors_table_is_thread_invariant():
-    cfg = McConfig(n=60, reps=4, seed=7, estimators=_kernel_only())
-    t1 = run_experiment(cfg, table=1, threads=1).to_csv_text()
-    t3 = run_experiment(cfg, table=1, threads=3).to_csv_text()
-    assert t1 == t3
-
-
 def test_errors_table_degenerate_noise_reports_unit_ratios():
     # zero noise and a constant truth make every fit exact: original errors
     # are 0 and the 0/0 ratios are reported as 1
@@ -238,7 +229,7 @@ def test_errors_table_degenerate_noise_reports_unit_ratios():
         reps=2,
         estimators=_kernel_only(),
     )
-    report = run_experiment(cfg, table=1, threads=1)
+    report = run_experiment(cfg, table=1)
     for row in report.rows:
         assert row["error_original"] == 0.0
         assert row["ratio_rearranged"] == 1.0
@@ -253,7 +244,7 @@ def test_quantile_table_runs_and_improves():
         taus=np.linspace(0.2, 0.8, 5),
         estimators=_kernel_only(grid=12, bandwidth=2.0),
     )
-    report = run_experiment(cfg, table=2, threads=1)
+    report = run_experiment(cfg, table=2)
     assert report.table == 2
     errors = report.per_rep["errors"]
     assert errors.shape == (2, 1, 4, 3)
@@ -271,7 +262,7 @@ def test_bands_table_reports_coverage_and_lengths():
         bootstrap_B=16,
         estimators=_kernel_only(grid=15),
     )
-    report = run_experiment(cfg, table=3, threads=1)
+    report = run_experiment(cfg, table=3)
     assert report.table == 3
     assert len(report.rows) == 3
     for row in report.rows:
@@ -285,18 +276,9 @@ def test_bands_table_reports_coverage_and_lengths():
     assert np.all(lengths[:, :, 1:, :] <= lengths[:, :, :1, :] * (1 + 1e-10) + 1e-14)
 
 
-def test_bands_table_is_thread_invariant():
-    cfg = McConfig(
-        n=60, reps=4, seed=8, bootstrap_B=12, estimators=_kernel_only(grid=10)
-    )
-    t1 = run_experiment(cfg, table=3, threads=1).to_csv_text()
-    t2 = run_experiment(cfg, table=3, threads=2).to_csv_text()
-    assert t1 == t2
-
-
 def test_report_csv_text_format():
     cfg = McConfig(n=50, reps=2, seed=6, estimators=_kernel_only())
-    text = run_experiment(cfg, table=1, threads=1).to_csv_text()
+    text = run_experiment(cfg, table=1).to_csv_text()
     lines = text.splitlines()
     assert lines[0].startswith("method,p,error_original,ratio_")
     assert len(lines) == 1 + 3

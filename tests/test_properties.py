@@ -112,17 +112,18 @@ def test_no_operator_increases_lp_error_to_a_monotone_target(data):
 @given(st.data())
 def test_no_operator_increases_lp_error_near_the_float_limit(data):
     f, pi = data.draw(grids())
-    target = data.draw(monotone_like(f))
-    # |target + f| <= 3 * 8 + 8 = 2^5, so the noisy values reach up to 2^1023
-    scale = 2.0**1018
-    noisy = target.with_values((target.values + f.values) * scale)
-    target = target.with_values(target.values * scale)
-    for p in PS:
-        before = lp_distance(noisy, target, p)
-        assert math.isfinite(before), p
-        for name, op in _operators(pi).items():
-            after = lp_distance(op(noisy), target, p)
-            assert after <= before * (1.0 + 1e-10) + 1e-12 * scale, (name, p)
+    base = data.draw(monotone_like(f))
+    # |base + f| <= 3 * 8 + 8 = 2^5, so the noisy values reach up to 2^1023;
+    # at 2^-1000 the p-th powers of the errors fall below the normal range
+    for scale in (2.0**1018, 2.0**-1000):
+        noisy = base.with_values((base.values + f.values) * scale)
+        target = base.with_values(base.values * scale)
+        for p in PS:
+            before = lp_distance(noisy, target, p)
+            assert math.isfinite(before), p
+            for name, op in _operators(pi).items():
+                after = lp_distance(op(noisy), target, p)
+                assert after <= before * (1.0 + 1e-10) + 1e-12 * scale, (name, p, scale)
 
 
 @PROPERTY
