@@ -256,6 +256,8 @@ def _cmd_simulate(args) -> int:
                 raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise OutOfRangeError(f"{args.config}: invalid JSON ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise OutOfRangeError(csvio._not_utf8(args.config, exc)) from None
         if not isinstance(raw, dict):
             raise OutOfRangeError(f"{args.config}: config must be a JSON object")
     else:

@@ -9,12 +9,18 @@ All formats are plain CSV with a mandatory header row:
 
 Grid rows may arrive in any order but must cover the full cartesian product
 of the coordinate values exactly once.  Floats are written with repr, so a
-write/read round trip reproduces every value bit for bit.
+write/read round trip reproduces every value bit for bit.  Writers emit grid
+nodes in C order, axis 1 varying slowest, and draws in index order.  Both
+directions work on whole columns; a reader walks the rows one by one only to
+name the line of a malformed one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import math
+from itertools import chain, product, repeat
 
 import numpy as np
 
@@ -24,32 +30,42 @@ from .estimators import Dataset
 from .grid import Axis, GriddedFunction
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _not_utf8(path, exc: UnicodeDecodeError) -> str:
+    return f"{path}: not UTF-8 text ({exc.reason}: byte 0x{exc.object[exc.start]:02x})"
 
 
 def _read_rows(path, what: str) -> tuple:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            records = list(reader)
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(_not_utf8(path, exc)) from None
+    except csv.Error as exc:  # such as a field beyond csv.field_size_limit()
+        raise CsvFormatError(f"{path}:{reader.line_num}: {exc}") from None
+    if header is None:
+        raise CsvFormatError(f"{path}: empty file, expected a {what} header")
+    rows = list(filter(None, records))  # a blank line reads as an empty record
+    if set(map(len, rows)) <= {len(header)}:
+        with contextlib.suppress(ValueError):
+            flat = np.fromiter(map(float, chain.from_iterable(rows)), dtype=float)
+            values = flat.reshape(len(rows), len(header)) if rows else flat
+            return [h.strip() for h in header], values
+    raise _bad_record(path, len(header), records)
+
+
+def _bad_record(path, width: int, records) -> CsvFormatError:
+    """The error for the first record that is not width numbers."""
+    for lineno, row in enumerate(records, start=2):
+        if row and len(row) != width:
+            return CsvFormatError(
+                f"{path}:{lineno}: expected {width} fields, got {len(row)}"
+            )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file, expected a {what} header") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}:{lineno}: non-numeric field in {row!r}"
-                ) from None
-    return [h.strip() for h in header], np.asarray(rows, dtype=float)
+            list(map(float, row))
+        except ValueError:
+            return CsvFormatError(f"{path}:{lineno}: non-numeric field in {row!r}")
 
 
 def _coord_header(d: int) -> list:
@@ -67,47 +83,57 @@ def _check_header(header, value_cols, path) -> int:
     return d
 
 
+def _node_index(coords: np.ndarray) -> tuple:
+    """The axes that per-row coordinates span, and each row's C-order node."""
+    axes = [Axis(np.unique(col)) for col in coords.T]
+    shape = tuple(len(a) for a in axes)
+    idx = np.zeros(coords.shape[0], dtype=np.intp)
+    for j, axis in enumerate(axes):
+        idx = idx * shape[j] + np.searchsorted(axis.coords, coords[:, j])
+    return axes, shape, idx
+
+
 def _grid_from_columns(coords: np.ndarray, values: np.ndarray, path) -> GriddedFunction:
     """Assemble a grid function from per-row coordinates and values."""
-    d = coords.shape[1]
-    axes = [Axis(np.unique(coords[:, j])) for j in range(d)]
-    shape = tuple(len(a) for a in axes)
-    expected = int(np.prod(shape))
+    axes, shape, idx = _node_index(coords)
+    expected = math.prod(shape)
     if coords.shape[0] != expected:
         raise CsvFormatError(
             f"{path}: {coords.shape[0]} rows do not tile the "
             f"{'x'.join(str(s) for s in shape)} grid of their coordinates"
         )
-    flat = np.zeros(shape, dtype=float).reshape(-1)
-    idx = np.zeros(coords.shape[0], dtype=np.intp)
-    for j, axis in enumerate(axes):
-        pos = np.searchsorted(axis.coords, coords[:, j])
-        idx = idx * shape[j] + pos
     # row count matches the grid size, so any duplicate leaves a hole
     if np.unique(idx).size != expected:
         raise CsvFormatError(f"{path}: duplicate grid nodes")
+    flat = np.zeros(expected, dtype=float)
     flat[idx] = values
     return GriddedFunction(axes, flat.reshape(shape))
+
+
+def _lines(columns) -> str:
+    """One line per row of equally long string columns, each ending in \\n."""
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
 def _write_grid_rows(path, header: list, blocks) -> None:
     """Write the header line, then one line per grid node of each block.
 
-    A block is (lead, axes, value arrays): each of its lines holds the text
-    lead, the node's coordinates and then the node's entry of every array.
+    A block is (lead, axes, value arrays): each of its lines holds the lead
+    fields, the node's coordinates and then the node's entry of every array.
+    Nodes follow C order, axis 1 varying slowest, as in itertools.product.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for lead, axes, arrays in blocks:
-            mesh = np.meshgrid(*(a.coords for a in axes), indexing="ij")
-            flat = [m.reshape(-1) for m in mesh] + [a.reshape(-1) for a in arrays]
-            for row in zip(*flat):
-                fh.write(lead + ",".join(_fmt(v) for v in row) + "\n")
+            coords = product(*(list(map(repr, a.coords.tolist())) for a in axes))
+            columns = [repeat(x) for x in lead] + [map(",".join, coords)]
+            columns += [map(repr, a.reshape(-1).tolist()) for a in arrays]
+            fh.write(_lines(columns))
 
 
 def write_grid_function(f: GriddedFunction, path) -> None:
     header = _coord_header(f.ndim) + ["value"]
-    _write_grid_rows(path, header, [("", f.axes, [f.values])])
+    _write_grid_rows(path, header, [((), f.axes, [f.values])])
 
 
 def read_grid_function(path) -> GriddedFunction:
@@ -121,7 +147,7 @@ def read_grid_function(path) -> GriddedFunction:
 def write_band(band: Band, path) -> None:
     header = _coord_header(band.lower.ndim) + ["lower", "upper"]
     arrays = [band.lower.values, band.upper.values]
-    _write_grid_rows(path, header, [("", band.axes, arrays)])
+    _write_grid_rows(path, header, [((), band.axes, arrays)])
 
 
 def read_band(path) -> Band:
@@ -137,8 +163,7 @@ def read_band(path) -> Band:
 def write_dataset(data: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,y\n")
-        for xv, yv in zip(data.x, data.y):
-            fh.write(f"{_fmt(xv)},{_fmt(yv)}\n")
+        fh.write(_lines([map(repr, data.x.tolist()), map(repr, data.y.tolist())]))
 
 
 def read_dataset(path) -> Dataset:
@@ -156,7 +181,7 @@ def write_draws(draws, path) -> None:
     if not draws:
         raise CsvFormatError("no draws to write")
     header = ["draw"] + _coord_header(draws[0].ndim) + ["value"]
-    blocks = ((f"{b},", f.axes, [f.values]) for b, f in enumerate(draws))
+    blocks = (((str(b),), f.axes, [f.values]) for b, f in enumerate(draws))
     _write_grid_rows(path, header, blocks)
 
 
@@ -172,14 +197,29 @@ def read_draws(path) -> list:
     ids = rows[:, 0]
     if np.any(ids != np.floor(ids)) or np.any(ids < 0):
         raise CsvFormatError(f"{path}: draw indices must be non-negative integers")
-    ids = ids.astype(int)
-    uniq = np.unique(ids)
-    if not np.array_equal(uniq, np.arange(uniq.size)):
-        raise CsvFormatError(f"{path}: draw indices must run 0..B-1 without gaps")
-    out = []
-    for b in uniq:
-        block = rows[ids == b]
-        out.append(_grid_from_columns(block[:, 1 : 1 + d], block[:, 1 + d], path))
+    gaps = CsvFormatError(f"{path}: draw indices must run 0..B-1 without gaps")
+    # B draws take at least B rows, so an index at or past the row count
+    # (inf included) leaves a gap; rejecting it first keeps it out of the cast
+    if np.any(ids >= ids.size):
+        raise gaps
+    ids = ids.astype(np.intp)
+    counts = np.bincount(ids)
+    if not counts.all():
+        raise gaps
+    coords, values = rows[:, 1 : 1 + d], rows[:, 1 + d]
+    if np.all(np.isfinite(coords)):
+        # one index pass: if the rows hold every node of the grid they span
+        # once per draw, that grid is each draw's own
+        axes, shape, idx = _node_index(coords)
+        size = math.prod(shape)
+        key = ids * size + idx
+        if ids.size == counts.size * size and np.unique(key).size == ids.size:
+            flat = np.zeros(ids.size, dtype=float)
+            flat[key] = values
+            return [GriddedFunction(axes, v) for v in flat.reshape(-1, *shape)]
+    # otherwise assemble draw by draw, which names the first offending draw
+    blocks = (rows[ids == b] for b in range(counts.size))
+    out = [_grid_from_columns(b[:, 1 : 1 + d], b[:, 1 + d], path) for b in blocks]
     first = out[0]
     for f in out[1:]:
         if not first.same_grid(f):

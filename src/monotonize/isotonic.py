@@ -8,12 +8,15 @@ pooling.
 
 The multivariate isotonization runs pava as the row operator of the
 axis-by-axis engine in the rearrange module: along one axis, along the axes
-of an ordering, and averaged over a set of orderings.  monotonize is the one
-entry point to rearrangement, isotonization and their blend.
+of an ordering, and averaged over a set of orderings.  One _pava_rows call
+repairs every fiber of an axis pass, and pava is its one-row case.
+monotonize is the one entry point to rearrangement, isotonization and their
+blend.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -58,29 +61,56 @@ def pava(values, weights=None) -> np.ndarray:
     weighted mean of the input.
     """
     v, w = _check_seq(values, weights)
-    # pooled sums reach max|v| * sum(w): scale both by exact powers of two
-    # (no change at normal magnitudes) and scale the block means back
-    w = np.ldexp(w, -_headroom(float(w.max()), w.size))
-    shift = _headroom(float(np.abs(v).max()), float(w.sum()))
-    # the stack holds Python floats: the same double arithmetic as numpy
+    return _pava_rows(v[None, :], None if weights is None else w)[0]
+
+
+def _pava_rows(v: np.ndarray, w=None) -> np.ndarray:
+    """pava on every row of a 2-d array, with weights w shared by all rows.
+
+    w = None means unit weights.  Each row gets the bits that a pava call on
+    it alone gives.
+    """
+    if not np.all(np.isfinite(v)):
+        raise NonFiniteValueError("values must be finite")
+    n = v.shape[-1]
+    if w is None:
+        wl, wtotal = [1.0] * n, float(n)
+    else:
+        # pooled sums reach max|v| * sum(w): scale both by exact powers of
+        # two (no change at normal magnitudes) and scale the block means back
+        w = np.ldexp(w, -_headroom(float(w.max()), n))
+        wl, wtotal = w.tolist(), float(w.sum())
+    shift = None
+    if _headroom(float(np.abs(v).max()), wtotal):
+        # some row needs scaling: each row gets _headroom(max|row|, wtotal)
+        top = np.frexp(np.abs(v).max(axis=1))[1]
+        shift = np.maximum(0, top + math.frexp(wtotal)[1] - 1023)[:, None]
+        v = np.ldexp(v, -shift)
+    # the stacks hold Python floats: the same double arithmetic as numpy
     # scalars, without their per-element boxing
-    mean, wsum, count = [], [], []
-    for x, wx in zip(np.ldexp(v, -shift).tolist(), w.tolist()):
-        mean.append(x)
-        wsum.append(wx)
-        count.append(1)
-        while len(mean) > 1 and mean[-2] > mean[-1]:
-            m, wm, c = mean.pop(), wsum.pop(), count.pop()
-            total = wsum[-1] + wm
-            mean[-1] = (mean[-1] * wsum[-1] + m * wm) / total
-            wsum[-1] = total
-            count[-1] += c
-    return np.ldexp(np.repeat(mean, count), shift)
+    means, counts = [], []
+    for row in v.tolist():
+        mean, wsum, count = [], [], []
+        for x, wx in zip(row, wl):
+            c = 1
+            while mean and mean[-1] > x:
+                m, wm = mean.pop(), wsum.pop()
+                total = wm + wx
+                x = (m * wm + x * wx) / total
+                wx = total
+                c += count.pop()
+            mean.append(x)
+            wsum.append(wx)
+            count.append(c)
+        means += mean
+        counts += count
+    out = np.repeat(means, counts).reshape(v.shape)
+    return out if shift is None else np.ldexp(out, shift)
 
 
 def isotonize_axis(f: GriddedFunction, axis: int) -> GriddedFunction:
     """Apply pava to every 1-d fiber of f along one axis (numbered from 1)."""
-    return _axis_pass(f, axis, lambda rows: np.array([pava(r) for r in rows]))
+    return _axis_pass(f, axis, _pava_rows)
 
 
 def isotonize_pi(f: GriddedFunction, pi: Sequence[int]) -> GriddedFunction:

@@ -1,16 +1,33 @@
-"""Slow, literal oracles for the 1-d repairs.
+"""Slow, literal oracles for the 1-d repairs, and row-by-row references.
 
-Each evaluates a textbook characterization of the repaired value at one
-position and shares no arithmetic with the fast path it checks:
+Each oracle evaluates a textbook characterization of the repaired value at
+one position and shares no arithmetic with the fast path it checks:
 rearrange_quantile_oracle the quantile-function definition of the increasing
 rearrangement (sorting), isotonic_maxmin_oracle the max-min formula of the
 isotonic projection (pava).
+
+The references are one-row-at-a-time forms of package code that works on
+whole arrays: pava_reference repairs one fiber per call,
+read_rows_reference and write_rows_reference parse and format one CSV line
+at a time, and read_draws_reference assembles one draw at a time.  The
+batched code must match them bit for bit and byte for byte.
 """
+
+import csv
 
 import numpy as np
 
-from monotonize.errors import EmptyInputError, IndexOutOfRangeError, OutOfRangeError
+from monotonize.csvio import _check_header, _grid_from_columns, _read_rows
+from monotonize.errors import (
+    CsvFormatError,
+    EmptyInputError,
+    GridMismatchError,
+    IndexOutOfRangeError,
+    OutOfRangeError,
+)
+from monotonize.grid import _headroom
 from monotonize.isotonic import _check_seq
+from monotonize.rearrange import _average, _axis_pass, _compose
 
 
 def rearrange_quantile_oracle(values, x: float) -> float:
@@ -54,3 +71,100 @@ def isotonic_maxmin_oracle(values, index: int, weights=None) -> float:
             worst = min(worst, num / den)
         best = max(best, worst)
     return best
+
+
+def pava_reference(values, weights=None) -> np.ndarray:
+    """pava on one sequence, pushing each value before pooling it."""
+    v, w = _check_seq(values, weights)
+    w = np.ldexp(w, -_headroom(float(w.max()), w.size))
+    shift = _headroom(float(np.abs(v).max()), float(w.sum()))
+    mean, wsum, count = [], [], []
+    for x, wx in zip(np.ldexp(v, -shift).tolist(), w.tolist()):
+        mean.append(x)
+        wsum.append(wx)
+        count.append(1)
+        while len(mean) > 1 and mean[-2] > mean[-1]:
+            m, wm, c = mean.pop(), wsum.pop(), count.pop()
+            total = wsum[-1] + wm
+            mean[-1] = (mean[-1] * wsum[-1] + m * wm) / total
+            wsum[-1] = total
+            count[-1] += c
+    return np.ldexp(np.repeat(mean, count), shift)
+
+
+def isotonize_axis_reference(f, axis):
+    """isotonize_axis with one pava_reference call per fiber."""
+    return _axis_pass(f, axis, lambda rows: np.array([pava_reference(r) for r in rows]))
+
+
+def isotonize_average_reference(f, orderings=None):
+    """isotonize_average built on isotonize_axis_reference."""
+    return _average(f, orderings, lambda g, pi: _compose(g, pi, isotonize_axis_reference))
+
+
+def read_rows_reference(path, what: str) -> tuple:
+    """Header fields and a rows x fields array, one line parsed at a time."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CsvFormatError(f"{path}: empty file, expected a {what} header") from None
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise CsvFormatError(
+                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                )
+            try:
+                rows.append([float(c) for c in row])
+            except ValueError:
+                raise CsvFormatError(
+                    f"{path}:{lineno}: non-numeric field in {row!r}"
+                ) from None
+    return [h.strip() for h in header], np.asarray(rows, dtype=float)
+
+
+def write_rows_reference(path, header: list, blocks) -> None:
+    """The header line, then one formatted line per grid node of each block.
+
+    A block is (lead, axes, value arrays), lead the text that starts each of
+    its lines; nodes run in meshgrid "ij" order.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for lead, axes, arrays in blocks:
+            mesh = np.meshgrid(*(a.coords for a in axes), indexing="ij")
+            flat = [m.reshape(-1) for m in mesh] + [a.reshape(-1) for a in arrays]
+            for row in zip(*flat):
+                fh.write(lead + ",".join(repr(float(v)) for v in row) + "\n")
+
+
+def read_draws_reference(path) -> list:
+    """read_draws assembling and checking one draw at a time, in index order."""
+    header, rows = _read_rows(path, "draws")
+    if len(header) < 3 or header[0] != "draw":
+        raise CsvFormatError(
+            f"{path}: bad header {','.join(header)!r}, expected 'draw,x1,...,value'"
+        )
+    d = _check_header(header[1:], ["value"], path)
+    if rows.size == 0:
+        raise CsvFormatError(f"{path}: no data rows")
+    ids = rows[:, 0]
+    if np.any(ids != np.floor(ids)) or np.any(ids < 0):
+        raise CsvFormatError(f"{path}: draw indices must be non-negative integers")
+    ids = ids.astype(int)
+    uniq = np.unique(ids)
+    if not np.array_equal(uniq, np.arange(uniq.size)):
+        raise CsvFormatError(f"{path}: draw indices must run 0..B-1 without gaps")
+    out = []
+    for b in uniq:
+        block = rows[ids == b]
+        out.append(_grid_from_columns(block[:, 1 : 1 + d], block[:, 1 + d], path))
+    first = out[0]
+    for f in out[1:]:
+        if not first.same_grid(f):
+            raise GridMismatchError(f"{path}: draws disagree on their grid")
+    return out

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from monotonize.bands import Band
 from monotonize.estimators import Dataset
 from monotonize.grid import make_grid_function
 from monotonize.isotonic import pava
+
+from oracles import read_draws_reference
 
 
 def _write(path, text):
@@ -151,6 +154,51 @@ def test_draws_index_gaps_rejected(tmp_path):
     path = _write(tmp_path / "e2.csv", head + "0.5,0.0,1.0\n")
     with pytest.raises(CsvFormatError, match="non-negative integers"):
         csvio.read_draws(path)
+
+
+def test_huge_draw_index_is_one_error_without_a_numpy_warning(tmp_path):
+    head = "draw,x1,value\n"
+    for index in ("1e300", "inf", "2"):
+        path = _write(tmp_path / "e.csv", head + f"0,0.0,1.0\n{index},0.0,1.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CsvFormatError, match="without gaps"):
+                csvio.read_draws(path)
+
+
+def test_draws_report_the_first_broken_draw_as_before(tmp_path):
+    # draw 0 lacks a node and draw 1 has a non-finite coordinate: as when
+    # draws were assembled one by one, draw 0 is the one reported
+    text = "draw,x1,value\n0,0.0,1.0\n1,0.0,1.0\n1,nan,2.0\n0,1.0,1.0\n0,1.0,3.0\n"
+    path = _write(tmp_path / "e.csv", text)
+    with pytest.raises(CsvFormatError, match="do not tile") as new:
+        csvio.read_draws(path)
+    with pytest.raises(CsvFormatError) as ref:
+        read_draws_reference(path)
+    assert str(new.value) == str(ref.value)
+
+
+def test_non_utf8_csv_is_one_invalid_input_line(tmp_path, capsys):
+    path = tmp_path / "utf16.csv"
+    path.write_bytes("x1,value\n0.0,1.0\n".encode("utf-16"))
+    assert path.read_bytes()[:2] == b"\xff\xfe"
+    with pytest.raises(CsvFormatError, match="not UTF-8"):
+        csvio.read_grid_function(str(path))
+    rc = main(["rearrange", "--input", str(path), "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("monotonize: invalid input: ") and err.count("\n") == 1
+    assert "not UTF-8" in err
+
+
+def test_oversized_csv_field_is_one_invalid_input_line(tmp_path, capsys):
+    path = _write(tmp_path / "big.csv", "x1,value\n0.0,1.0\n1.0," + "1" * 200_000 + "\n")
+    with pytest.raises(CsvFormatError, match="big.csv:3: field larger than field limit"):
+        csvio.read_grid_function(path)
+    rc = main(["rearrange", "--input", path, "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("monotonize: invalid input: ") and err.count("\n") == 1
 
 
 def test_draws_grid_mismatch_rejected(tmp_path):
@@ -451,6 +499,19 @@ def test_cli_simulate_rejects_bad_config(tmp_path, capsys):
          "--out", str(tmp_path / "r.csv")]
     )
     assert rc == 1
+
+
+def test_cli_simulate_non_utf8_config_is_one_invalid_input_line(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes(json.dumps({"reps": 2}).encode("utf-16"))
+    rc = main(
+        ["simulate", "--config", str(cfg_path), "--table", "1",
+         "--out", str(tmp_path / "r.csv")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("monotonize: invalid input: ") and err.count("\n") == 1
+    assert "not UTF-8" in err
 
 
 @pytest.mark.parametrize(
