@@ -45,7 +45,11 @@ class Band:
     def __init__(self, lower: GriddedFunction, upper: GriddedFunction):
         check_same_grid(lower, upper)
         tol = value_tol(lower.values, upper.values)
-        if np.any(lower.values > upper.values + tol):
+        # an end-point plus tol may pass the float maximum; the inf it rounds
+        # to then decides as the exact sum would
+        with np.errstate(over="ignore"):
+            crossing = np.any(lower.values > upper.values + tol)
+        if crossing:
             raise CrossingBandError("lower end-point exceeds upper end-point")
         self.lower = lower
         self.upper = upper
@@ -164,7 +168,9 @@ def covers(band: Band, f: GriddedFunction) -> bool:
     """True when f lies inside the band at every node (tolerance-padded)."""
     check_same_grid(band.lower, f)
     tol = value_tol(band.lower.values, band.upper.values, f.values)
-    return bool(
-        np.all(band.lower.values - tol <= f.values)
-        and np.all(f.values <= band.upper.values + tol)
-    )
+    # an overflow past the float maximum decides as in Band.__init__
+    with np.errstate(over="ignore"):
+        return bool(
+            np.all(band.lower.values - tol <= f.values)
+            and np.all(f.values <= band.upper.values + tol)
+        )

@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import csvio
-from .bands import BandRecipe, assemble_band, critical_value_max_t, monotonize_band
+from .bands import Band, BandRecipe, assemble_band, critical_value_max_t, monotonize_band
 from .errors import NumericalError, OutOfRangeError, ValidationError
 from .estimators import (
     MEAN_LOSS,
@@ -162,8 +162,6 @@ def _cmd_band(args, parser) -> int:
     if args.input:
         band = csvio.read_band(args.input)
     elif args.lower and args.upper:
-        from .bands import Band
-
         band = Band(
             csvio.read_grid_function(args.lower), csvio.read_grid_function(args.upper)
         )

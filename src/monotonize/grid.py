@@ -66,13 +66,13 @@ class Axis:
             )
         if not np.all(np.isfinite(c)):
             raise NonFiniteValueError("axis coordinates must be finite")
-        if not np.all(np.diff(c) > 0.0):
+        if not np.all(c[1:] > c[:-1]):
             raise NonIncreasingAxisError(
                 "axis coordinates must be strictly increasing"
             )
         c.setflags(write=False)
         self.coords = c
-        gaps = np.diff(c)
+        gaps = np.diff(_scaled(c))
         self._equidistant = bool(
             gaps.size == 0
             or np.all(np.abs(gaps - gaps.mean()) <= EQUIDISTANT_RTOL * gaps.mean())
@@ -96,7 +96,7 @@ class Axis:
         n = len(self)
         if self._equidistant:
             return np.full(n, 1.0 / n)
-        c = self.coords
+        c = _scaled(self.coords)
         w = np.empty(n)
         w[0] = (c[1] - c[0]) / 2.0
         w[-1] = (c[-1] - c[-2]) / 2.0
@@ -174,6 +174,13 @@ def _headroom(top: float, total: float) -> int:
     changes at normal magnitudes.
     """
     return max(0, math.frexp(top)[1] + math.frexp(total)[1] - 1023)
+
+
+def _scaled(coords: np.ndarray) -> np.ndarray:
+    """Increasing coordinates scaled by 2^-s so that every gap and the span
+    stay finite; s is 0 below about 2^1021, so no bit changes there."""
+    shift = _headroom(max(-coords[0], coords[-1]), 2.0)
+    return np.ldexp(coords, -shift) if shift else coords
 
 
 def check_p(p: float) -> float:

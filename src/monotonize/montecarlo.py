@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -173,26 +172,18 @@ def true_cqf(u, x, beta=BENCHMARK_BETA, sigma=DEFAULT_SIGMA):
     return float(out) if np.isscalar(x) and u.ndim == 0 else out
 
 
-def default_estimators(
-    eval_axis: Axis,
-    bandwidth: float = 1.0,
-    knots: Sequence[float] = DEFAULT_KNOTS,
-    n_terms: int = 4,
-    fourier_linear: bool = False,
-) -> tuple:
+def default_estimators(eval_axis: Axis) -> tuple:
     """The benchmark's four estimators on a common evaluation grid.
 
-    The Fourier entry defaults to the purely periodic basis (no linear
-    carrier), matching the benchmark configuration; pass fourier_linear=True
-    for the augmented basis.
+    Kernel and local linear with bandwidth 1, cubic B-splines on
+    DEFAULT_KNOTS, and four Fourier terms on the purely periodic basis (no
+    linear carrier), as in the benchmark configuration.
     """
     return (
-        EstimatorSpec("kernel", MEAN_LOSS, eval_axis, bandwidth=bandwidth),
-        EstimatorSpec("loclinear", MEAN_LOSS, eval_axis, bandwidth=bandwidth),
-        EstimatorSpec("bspline", MEAN_LOSS, eval_axis, knots=tuple(knots)),
-        EstimatorSpec(
-            "fourier", MEAN_LOSS, eval_axis, n_terms=n_terms, fourier_linear=fourier_linear
-        ),
+        EstimatorSpec("kernel", MEAN_LOSS, eval_axis, bandwidth=1.0),
+        EstimatorSpec("loclinear", MEAN_LOSS, eval_axis, bandwidth=1.0),
+        EstimatorSpec("bspline", MEAN_LOSS, eval_axis, knots=DEFAULT_KNOTS),
+        EstimatorSpec("fourier", MEAN_LOSS, eval_axis, n_terms=4, fourier_linear=False),
     )
 
 
@@ -350,11 +341,6 @@ def _bootstrap_seed(cfg: McConfig, rep_index: int, est_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _safe_ratio(num: float, den: float) -> float:
-    """Monotonized-to-original ratio; an exactly zero denominator reports 1."""
-    return 1.0 if den == 0.0 else num / den
-
-
 def _variant_labels(lambda_grid) -> list:
     return ["rearranged", "isotonized"] + [
         "blend_" + _format_cell(lam) for lam in lambda_grid
@@ -364,7 +350,7 @@ def _variant_labels(lambda_grid) -> list:
 def _require_no_worse(mono: float, orig: float, what: str, rep: int) -> None:
     if mono > orig * (1.0 + IMPROVE_RTOL) + IMPROVE_ATOL:
         raise ImprovementViolationError(
-            f"replication {rep}: {what} came out {mono!r} > original {orig!r}"
+            f"replication {rep}: {what} came out {float(mono)!r} > original {float(orig)!r}"
         )
 
 
@@ -377,33 +363,52 @@ def _monotone_variants(f: GriddedFunction, orderings, lambda_grid) -> list:
     ]
 
 
-def _error_rows(cfg: McConfig, errors: np.ndarray) -> tuple:
-    """Reduce a (reps, est, variant, p) error array to report rows."""
-    labels = _variant_labels(cfg.lambda_grid)
-    columns = ["method", "p", "error_original"] + ["ratio_" + l for l in labels]
-    avg = errors.mean(axis=0)
-    rows = []
-    for ei, spec in enumerate(cfg.estimators):
+def _measure(out, original, variants, labels, measure, what: str, rep: int) -> None:
+    """Fill the (1 + variants) x p slice out with measure(g, p) for g in
+    [original] + variants, and require each variant no worse than the
+    original.  what names a failure, with {label} and {p} to fill in."""
+    for vi, g in enumerate([original] + variants):
         for pi, p in enumerate(REPORT_PS):
-            row = {
-                "method": spec.method,
-                "p": _format_p(p),
-                "error_original": avg[ei, 0, pi],
-            }
-            for vi, lab in enumerate(labels):
-                row["ratio_" + lab] = _safe_ratio(avg[ei, 1 + vi, pi], avg[ei, 0, pi])
-            rows.append(row)
-    return columns, rows
+            out[vi, pi] = measure(g, p)
+            if vi:
+                what_failed = what.format(label=labels[vi - 1], p=_format_p(p))
+                _require_no_worse(out[vi, pi], out[0, pi], what_failed, rep)
+
+
+def _rows(specs, cells) -> list:
+    """One report row per (method, p); cells(ei, pi) gives the rest of the
+    row, so that the keys of a row, in order, are the report's columns."""
+    return [
+        {"method": spec.method, "p": _format_p(p), **cells(ei, pi)}
+        for ei, spec in enumerate(specs)
+        for pi, p in enumerate(REPORT_PS)
+    ]
+
+
+def _ratios(prefix: str, labels, values) -> dict:
+    """Each variant's value over the original's, values[0]; an exactly zero
+    original reports 1."""
+    orig = values[0]
+    return {
+        prefix + lab: 1.0 if orig == 0.0 else values[1 + vi] / orig
+        for vi, lab in enumerate(labels)
+    }
+
+
+def _mean_truths(cfg: McConfig) -> tuple:
+    """The estimators under mean loss, and the true mean on each one's grid."""
+    specs = [replace(s, loss=MEAN_LOSS) for s in cfg.estimators]
+    truths = [
+        GriddedFunction([s.eval_axis], true_cef(s.eval_axis.coords, cfg.beta))
+        for s in specs
+    ]
+    return specs, truths
 
 
 def _run_errors_table(cfg: McConfig, table: int) -> McReport:
-    lambda_grid = cfg.lambda_grid
     if table == 1:
-        specs = [replace(s, loss=MEAN_LOSS) for s in cfg.estimators]
-        truths = [
-            GriddedFunction([s.eval_axis], true_cef(s.eval_axis.coords, cfg.beta))
-            for s in specs
-        ]
+        specs, truths = _mean_truths(cfg)
+        estimate = lambda data, spec: fit(data, spec).estimate
         orderings = _PI_1D
     else:
         specs = list(cfg.estimators)
@@ -414,58 +419,48 @@ def _run_errors_table(cfg: McConfig, table: int) -> McReport:
             )
             for s in specs
         ]
+        estimate = lambda data, spec: fit_quantile_process(data, spec, cfg.taus)
         orderings = _PI_2D
 
-    labels = _variant_labels(lambda_grid)
+    labels = _variant_labels(cfg.lambda_grid)
     errors = np.empty((cfg.reps, len(specs), 1 + len(labels), len(REPORT_PS)))
     for r in range(cfg.reps):
         data = simulate_rep(cfg, r)
-        out = errors[r]
         for ei, (spec, truth) in enumerate(zip(specs, truths)):
-            if table == 1:
-                fhat = fit(data, spec).estimate
-            else:
-                fhat = fit_quantile_process(data, spec, cfg.taus)
-            variants = _monotone_variants(fhat, orderings, lambda_grid)
-            for vi, g in enumerate([fhat] + variants):
-                for pi, p in enumerate(REPORT_PS):
-                    out[ei, vi, pi] = lp_distance(g, truth, p)
-            for vi, lab in enumerate(labels):
-                for pi, p in enumerate(REPORT_PS):
-                    _require_no_worse(
-                        out[ei, 1 + vi, pi],
-                        out[ei, 0, pi],
-                        f"{spec.method} {lab} L^{_format_p(p)} error",
-                        r,
-                    )
-            if table == 2:
+            fhat = estimate(data, spec)
+            variants = _monotone_variants(fhat, orderings, cfg.lambda_grid)
+            distance = lambda g, p: lp_distance(g, truth, p)
+            what = spec.method + " {label} L^{p} error"
+            _measure(errors[r, ei], fhat, variants, labels, distance, what, r)
+            if len(orderings) > 1:
                 # the averaged rearrangement must also beat the mean of its members
-                per_pi_err = np.array(
-                    [
-                        [lp_distance(rearrange_pi(fhat, pi), truth, p) for p in REPORT_PS]
-                        for pi in orderings
-                    ]
-                )
-                for pi_, p in enumerate(REPORT_PS):
+                members = [rearrange_pi(fhat, o) for o in orderings]
+                for pi, p in enumerate(REPORT_PS):
                     _require_no_worse(
-                        out[ei, 1, pi_],
-                        float(per_pi_err[:, pi_].mean()),
+                        errors[r, ei, 1, pi],
+                        float(np.mean([distance(m, p) for m in members])),
                         f"{spec.method} averaged rearrangement vs mean of "
                         f"single-ordering L^{_format_p(p)} errors",
                         r,
                     )
 
-    columns, rows = _error_rows(cfg, errors)
-    return McReport(table, columns, rows, per_rep={"errors": errors})
+    avg = errors.mean(axis=0)
+    rows = _rows(
+        specs,
+        lambda ei, pi: {
+            "error_original": avg[ei, 0, pi],
+            **_ratios("ratio_", labels, avg[ei, :, pi]),
+        },
+    )
+    return McReport(table, list(rows[0]), rows, per_rep={"errors": errors})
 
 
 def _run_bands_table(cfg: McConfig) -> McReport:
-    specs = [replace(s, loss=MEAN_LOSS) for s in cfg.estimators]
-    truths = [
-        GriddedFunction([s.eval_axis], true_cef(s.eval_axis.coords, cfg.beta))
-        for s in specs
-    ]
+    specs, truths = _mean_truths(cfg)
+    labels = _variant_labels(cfg.lambda_grid)
 
+    # the critical value of a method pools the max-t statistics of every
+    # replication, so all fits and bootstrap stderrs come first
     fits = []
     for r in range(cfg.reps):
         data = simulate_rep(cfg, r)
@@ -477,10 +472,8 @@ def _run_bands_table(cfg: McConfig) -> McReport:
             )
             fits[r].append((fhat, stderr))
 
-    labels = _variant_labels(cfg.lambda_grid)
-    n_var = len(labels)
-    coverage = np.empty((cfg.reps, len(specs), 1 + n_var), dtype=bool)
-    lengths = np.empty((cfg.reps, len(specs), 1 + n_var, len(REPORT_PS)))
+    coverage = np.empty((cfg.reps, len(specs), 1 + len(labels)), dtype=bool)
+    lengths = np.empty((cfg.reps, len(specs), 1 + len(labels), len(REPORT_PS)))
     criticals = []
     for ei, (spec, truth) in enumerate(zip(specs, truths)):
         stats = []
@@ -508,59 +501,29 @@ def _run_bands_table(cfg: McConfig) -> McReport:
             lowers = _monotone_variants(band.lower, _PI_1D, cfg.lambda_grid)
             uppers = _monotone_variants(band.upper, _PI_1D, cfg.lambda_grid)
             variants = [Band(lower, upper) for lower, upper in zip(lowers, uppers)]
-            coverage[r, ei, 0] = covers(band, truth)
-            for pi, p in enumerate(REPORT_PS):
-                lengths[r, ei, 0, pi] = lp_length(band, p)
-            for vi, vband in enumerate(variants):
-                coverage[r, ei, 1 + vi] = covers(vband, truth)
-                if coverage[r, ei, 0] and not coverage[r, ei, 1 + vi]:
+            for vi, vband in enumerate([band] + variants):
+                coverage[r, ei, vi] = covers(vband, truth)
+                if coverage[r, ei, 0] and not coverage[r, ei, vi]:
                     raise ImprovementViolationError(
-                        f"replication {r}: {spec.method} {labels[vi]} band lost "
+                        f"replication {r}: {spec.method} {labels[vi - 1]} band lost "
                         "coverage the original band had"
                     )
-                for pi, p in enumerate(REPORT_PS):
-                    lengths[r, ei, 1 + vi, pi] = lp_length(vband, p)
-                    _require_no_worse(
-                        lengths[r, ei, 1 + vi, pi],
-                        lengths[r, ei, 0, pi],
-                        f"{spec.method} {labels[vi]} band L^{_format_p(p)} length",
-                        r,
-                    )
+            what = spec.method + " {label} band L^{p} length"
+            _measure(lengths[r, ei], band, variants, labels, lp_length, what, r)
 
-    columns = (
-        ["method", "p", "coverage_original"]
-        + ["coverage_" + l for l in labels]
-        + ["length_original"]
-        + ["length_ratio_" + l for l in labels]
-    )
-    rows = []
     cov_freq = coverage.mean(axis=0)
     len_avg = lengths.mean(axis=0)
-    for ei, spec in enumerate(specs):
-        for pi, p in enumerate(REPORT_PS):
-            row = {
-                "method": spec.method,
-                "p": _format_p(p),
-                "coverage_original": cov_freq[ei, 0],
-                "length_original": len_avg[ei, 0, pi],
-            }
-            for vi, lab in enumerate(labels):
-                row["coverage_" + lab] = cov_freq[ei, 1 + vi]
-                row["length_ratio_" + lab] = _safe_ratio(
-                    len_avg[ei, 1 + vi, pi], len_avg[ei, 0, pi]
-                )
-            rows.append(row)
-    return McReport(
-        3,
-        columns,
-        rows,
-        per_rep={
-            "coverage": coverage,
-            "lengths": lengths,
-            "criticals": np.asarray(criticals),
-            "variant_labels": labels,
+    rows = _rows(
+        specs,
+        lambda ei, pi: {
+            "coverage_original": cov_freq[ei, 0],
+            **{"coverage_" + lab: cov_freq[ei, 1 + vi] for vi, lab in enumerate(labels)},
+            "length_original": len_avg[ei, 0, pi],
+            **_ratios("length_ratio_", labels, len_avg[ei, :, pi]),
         },
     )
+    per_rep = {"coverage": coverage, "lengths": lengths, "criticals": np.asarray(criticals)}
+    return McReport(3, list(rows[0]), rows, per_rep=per_rep)
 
 
 def run_experiment(cfg: McConfig, table: int = 1) -> McReport:
@@ -587,7 +550,8 @@ def config_from_dict(d: dict) -> McConfig:
     dict-specified estimators, and "taus" accepts either an explicit list or
     {"lo", "hi", "step"} (see parse_tau_net).  Each entry of "estimators" is
     a dict with "method" plus the method's settings (bandwidth, knots,
-    n_terms, fourier_linear).
+    n_terms, fourier_linear); fourier_linear defaults to true there, while
+    the default four use the purely periodic Fourier basis.
     """
     known = {
         "beta", "sigma", "n", "x_design", "reps", "seed", "estimators",
@@ -608,28 +572,17 @@ def config_from_dict(d: dict) -> McConfig:
     cfg = McConfig(**kwargs)
     eval_axis = span_axis(cfg.x_design, grid)
     ests = d.get("estimators")
-    if ests is not None:
+    if ests is None:
+        specs = default_estimators(eval_axis)
+    else:
         specs = []
         for e in ests:
-            e = dict(e)
-            method = e.pop("method", None)
+            settings = dict(e)
+            method = settings.pop("method", None)
             if method is None:
                 raise OutOfRangeError("each estimator entry needs a method")
-            knots = e.pop("knots", None)
-            specs.append(
-                EstimatorSpec(
-                    method,
-                    MEAN_LOSS,
-                    eval_axis,
-                    bandwidth=e.pop("bandwidth", None),
-                    knots=tuple(knots) if knots is not None else None,
-                    n_terms=e.pop("n_terms", None),
-                    fourier_linear=bool(e.pop("fourier_linear", True)),
-                )
-            )
-            if e:
-                raise OutOfRangeError(f"unknown estimator keys: {sorted(e)}")
-        return replace(cfg, estimators=tuple(specs))
-    if "grid" in d:
-        return replace(cfg, estimators=default_estimators(eval_axis))
-    return cfg
+            unknown = set(settings) - {"bandwidth", "knots", "n_terms", "fourier_linear"}
+            if unknown:
+                raise OutOfRangeError(f"unknown estimator keys: {sorted(unknown)}")
+            specs.append(EstimatorSpec(method, MEAN_LOSS, eval_axis, **settings))
+    return replace(cfg, estimators=tuple(specs))

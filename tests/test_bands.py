@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -211,3 +213,17 @@ def test_covers_is_tolerance_padded():
 def test_band_rejects_crossing_endpoints_near_the_float_limit():
     with pytest.raises(CrossingBandError):
         _band(UNIT, [1e308, 0.0], [-1e308, 1.0])
+
+
+def test_band_and_covers_decide_exactly_near_the_float_maximum():
+    big = sys.float_info.max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning from numpy
+        # upper + tol and lower - tol pass the float maximum at one node each
+        band = _band(UNIT, [-big, 0.0], [0.0, big])
+        assert covers(band, make_grid_function([UNIT], [-big, big]))
+        assert covers(band, make_grid_function([UNIT], [-big / 2, big / 2]))
+        assert not covers(band, make_grid_function([UNIT], [big / 2, big]))
+        assert not covers(band, make_grid_function([UNIT], [-big, -big / 2]))
+        with pytest.raises(CrossingBandError):
+            _band(UNIT, [big, 0.0], [-big, big])

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import monotonize
 from monotonize import csvio
 from monotonize.cli import main
 from monotonize.errors import CrossingBandError, CsvFormatError, GridMismatchError
@@ -568,3 +573,44 @@ def test_cli_estimate_needs_two_distinct_x(tmp_path, capsys, x):
         "monotonize: invalid input: an evaluation grid needs at least two "
         "distinct x values; every x is 0.5\n"
     )
+
+
+def test_cli_simulate_improvement_violation_is_one_numerical_failure_line(
+    tmp_path, capsys, monkeypatch
+):
+    from monotonize import montecarlo
+
+    monkeypatch.setattr(
+        montecarlo, "rearrange_average", lambda f, *args: f.with_values(f.values + 100.0)
+    )
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(
+        json.dumps({"n": 40, "reps": 2, "grid": 10,
+                    "estimators": [{"method": "kernel", "bandwidth": 2.0}]}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "r.csv"
+    rc = main(["simulate", "--config", str(cfg_path), "--table", "1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("monotonize: numerical failure: replication 0: kernel rearranged")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_rearrange_on_an_axis_spanning_the_float_range(tmp_path):
+    # in a fresh interpreter, so that a numpy warning would reach stderr
+    src = tmp_path / "in.csv"
+    src.write_text("x1,value\n-1.7e308,2.0\n1.7e308,1.0\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    path = [str(Path(monotonize.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    done = subprocess.run(
+        [sys.executable, "-m", "monotonize", "rearrange", "--input", str(src), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+        capture_output=True,
+        text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    f = csvio.read_grid_function(out)
+    np.testing.assert_array_equal(f.axes[0].coords, [-1.7e308, 1.7e308])
+    np.testing.assert_array_equal(f.values, [1.0, 2.0])

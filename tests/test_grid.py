@@ -226,3 +226,29 @@ def test_lp_distance_keeps_its_bits_at_ordinary_magnitudes():
                 acc = np.tensordot(ax.node_weights(), acc, axes=(0, 0))
             assert lp_distance(f, g, p) == float(acc) ** (1.0 / p)
         assert lp_distance(f, g, INF) == float(diff.max())
+
+
+def test_axis_with_gaps_beyond_the_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning from numpy
+        # the gap, 3.4e308, and the span overflow unless scaled
+        axis = Axis([-1.7e308, 1.7e308])
+        assert axis.equidistant
+        np.testing.assert_array_equal(axis.node_weights(), [0.5, 0.5])
+        axis = Axis([-1.7e308, 0.0, 1.7e308])
+        assert axis.equidistant
+        axis = Axis([-1.7e308, 1e308, 1.7e308])
+        assert not axis.equidistant
+        weights = axis.node_weights()
+        assert weights.sum() == pytest.approx(1.0, rel=1e-15)
+        np.testing.assert_allclose(weights, [2.7 / 6.8, 3.4 / 6.8, 0.7 / 6.8], rtol=1e-15)
+
+
+def test_axis_keeps_its_bits_at_ordinary_magnitudes():
+    rng = np.random.default_rng(73)
+    for scale in (1e-3, 1.0, 1e3, 1e300):
+        c = np.sort(rng.normal(0.0, scale, 9))
+        w = np.empty(9)
+        w[0], w[-1] = (c[1] - c[0]) / 2.0, (c[-1] - c[-2]) / 2.0
+        w[1:-1] = (c[2:] - c[:-2]) / 2.0
+        np.testing.assert_array_equal(Axis(c).node_weights(), w / (c[-1] - c[0]))

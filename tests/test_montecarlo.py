@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from monotonize import montecarlo
 from monotonize.errors import (
+    ImprovementViolationError,
     OutOfRangeError,
     ShapeMismatchError,
 )
@@ -373,3 +375,47 @@ def test_config_rejects_non_numeric_fields_and_a_one_age_design():
         McConfig(n=1)
     with pytest.raises(OutOfRangeError, match="at least two distinct x values"):
         config_from_dict({"x_design": [5.0, 5.0], "grid": 12})
+
+
+# Each per-replication improvement assertion, made to fail by replacing an
+# operator in the harness's namespace with a broken one.
+
+
+def _shifted(offset):
+    return lambda f, *args: f.with_values(f.values + offset)
+
+
+def _widened_about_the_mean(f, *args):
+    # twice as far from the true mean: a band stays ordered and covering,
+    # but gets twice as long
+    truth = true_cef(f.axes[0].coords)
+    return f.with_values(truth + 2.0 * (f.values - truth))
+
+
+def _true_quantile_surface(f, *args):
+    return f.with_values(true_cqf(f.axes[0].coords[:, None], f.axes[1].coords[None, :]))
+
+
+@pytest.mark.parametrize(
+    "table, operator, broken, message",
+    [
+        (1, "rearrange_average", _shifted(100.0), "kernel rearranged L^1 error"),
+        (2, "rearrange_pi", _true_quantile_surface, "kernel averaged rearrangement"),
+        (3, "isotonize_average", _shifted(1e3), "kernel isotonized band lost coverage"),
+        (3, "rearrange_average", _widened_about_the_mean, "kernel rearranged band L^1"),
+    ],
+)
+def test_a_worse_variant_aborts_the_run(monkeypatch, table, operator, broken, message):
+    monkeypatch.setattr(montecarlo, operator, broken)
+    cfg = McConfig(
+        n=60,
+        reps=3,
+        seed=5,
+        taus=np.linspace(0.25, 0.75, 3),
+        bootstrap_B=8,
+        estimators=_kernel_only(grid=10, bandwidth=2.0),
+    )
+    with pytest.raises(ImprovementViolationError) as info:
+        run_experiment(cfg, table=table)
+    assert str(info.value).startswith("replication 0: ")
+    assert message in str(info.value)
