@@ -8,7 +8,6 @@ estimators with pairs bootstrap, a simulation harness, and a CLI.
 
 from .bands import (
     Band,
-    BandRecipe,
     assemble_band,
     covers,
     critical_value_max_t,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Axis",
     "Band",
-    "BandRecipe",
     "Dataset",
     "DEFAULT_KNOTS",
     "EstimatorSpec",

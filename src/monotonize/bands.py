@@ -16,7 +16,6 @@ get shorter in every L^p length.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -69,31 +68,17 @@ class Band:
         return f"Band(shape={self.lower.shape})"
 
 
-@dataclass(frozen=True)
-class BandRecipe:
-    """Ingredients of a symmetric band: center +/- critical * stderr."""
-
-    center: GriddedFunction
-    stderr: GriddedFunction
-    critical: float
-    alpha: float
-
-    def __post_init__(self):
-        check_same_grid(self.center, self.stderr)
-        if np.any(self.stderr.values < 0.0):
-            raise NegativeStderrError("standard errors must be non-negative")
-        if not float(self.critical) >= 0.0:
-            raise OutOfRangeError("the critical value must be non-negative")
-        if not 0.0 < float(self.alpha) < 1.0:
-            raise OutOfRangeError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-
-
-def assemble_band(recipe: BandRecipe) -> Band:
-    """Build the two-sided band described by a recipe."""
-    offset = float(recipe.critical) * recipe.stderr.values
+def assemble_band(center: GriddedFunction, stderr: GriddedFunction, critical: float) -> Band:
+    """The two-sided band center +/- critical * stderr."""
+    check_same_grid(center, stderr)
+    if np.any(stderr.values < 0.0):
+        raise NegativeStderrError("standard errors must be non-negative")
+    if not float(critical) >= 0.0:
+        raise OutOfRangeError("the critical value must be non-negative")
+    offset = float(critical) * stderr.values
     return Band(
-        recipe.center.with_values(recipe.center.values - offset),
-        recipe.center.with_values(recipe.center.values + offset),
+        center.with_values(center.values - offset),
+        center.with_values(center.values + offset),
     )
 
 
@@ -112,42 +97,42 @@ def order_statistic_quantile(values, alpha: float) -> float:
     return sample_quantile(arr, 1.0 - float(alpha))
 
 
+def max_t(center: GriddedFunction, f: GriddedFunction, stderr: GriddedFunction) -> float:
+    """max |f - center| / stderr over the nodes whose stderr is not degenerate."""
+    check_same_grid(center, stderr)
+    check_same_grid(center, f)
+    valid = stderr.values > DEGENERATE_STDERR
+    if not np.any(valid):
+        raise AllNodesDegenerateError(
+            "every node has a near-zero standard error; no max-t statistic exists"
+        )
+    return float(
+        np.max(np.abs(f.values[valid] - center.values[valid]) / stderr.values[valid])
+    )
+
+
 def critical_value_max_t(
     center: GriddedFunction,
     bootstrap_centers: Sequence[GriddedFunction],
     stderr: GriddedFunction,
     alpha: float,
 ) -> float:
-    """Critical value of the bootstrap max-t statistic.
+    """Conservative empirical (1 - alpha) quantile of max_t over the draws.
 
-    For each draw the statistic is the maximum over grid nodes of
-    |draw - center| / stderr; the critical value is the conservative
-    empirical (1 - alpha) quantile over the draws.  Nodes with near-zero
-    stderr are excluded from the maximum and reported via a warning.
+    A warning reports the nodes that max_t leaves out for a near-zero stderr.
     """
     draws = list(bootstrap_centers)
     if len(draws) < 2:
         raise TooFewDrawsError(f"need at least 2 draws, got {len(draws)}")
-    check_same_grid(center, stderr)
-    for d in draws:
-        check_same_grid(center, d)
-    s = stderr.values
-    valid = s > DEGENERATE_STDERR
-    n_bad = int(s.size - np.count_nonzero(valid))
-    if n_bad == s.size:
-        raise AllNodesDegenerateError(
-            "every node has a near-zero standard error; no max-t statistic exists"
-        )
+    stats = [max_t(center, d, stderr) for d in draws]
+    n_bad = int(np.count_nonzero(stderr.values <= DEGENERATE_STDERR))
     if n_bad:
         warnings.warn(
-            f"{n_bad} of {s.size} nodes have near-zero stderr and are "
+            f"{n_bad} of {stderr.values.size} nodes have near-zero stderr and are "
             "excluded from the max-t statistic",
             RuntimeWarning,
             stacklevel=2,
         )
-    sv = s[valid]
-    cv = center.values[valid]
-    stats = [float(np.max(np.abs(d.values[valid] - cv) / sv)) for d in draws]
     return order_statistic_quantile(stats, alpha)
 
 

@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import csvio
-from .bands import Band, BandRecipe, assemble_band, critical_value_max_t, monotonize_band
+from .bands import Band, assemble_band, critical_value_max_t, monotonize_band
 from .errors import NumericalError, OutOfRangeError, ValidationError
 from .estimators import (
     MEAN_LOSS,
@@ -176,7 +176,7 @@ def _cmd_band(args, parser) -> int:
             print(f"critical value: {critical!r}")
         else:
             parser.error("band: --center/--stderr needs --critical or --draws")
-        band = assemble_band(BandRecipe(center, stderr, critical, args.alpha))
+        band = assemble_band(center, stderr, critical)
     else:
         parser.error("band: give --input, --lower/--upper, or --center/--stderr")
     mono = monotonize_band(
@@ -240,7 +240,7 @@ def _cmd_estimate(args, parser) -> int:
         print(f"wrote {args.draws_out}")
     if args.band_out:
         critical = critical_value_max_t(result.estimate, draws, stderr, args.alpha)
-        band = assemble_band(BandRecipe(result.estimate, stderr, critical, args.alpha))
+        band = assemble_band(result.estimate, stderr, critical)
         csvio.write_band(band, args.band_out)
         print(f"critical value: {critical!r}")
         print(f"wrote {args.band_out}")

@@ -56,6 +56,30 @@ IRLS_MAX_ITER = 200
 IRLS_KAPPA_SCALE = 1e-3
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise OutOfRangeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real(name: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise OutOfRangeError(f"{name} must be a number, got {value!r}") from None
+
+
+def _reals(name: str, value) -> np.ndarray:
+    try:
+        out = np.array(value, dtype=float)
+        if out.ndim:
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise OutOfRangeError(f"{name} must be a list of numbers, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Paired observations (x_i, y_i)."""
@@ -139,28 +163,34 @@ class EstimatorSpec:
         if not isinstance(self.eval_axis, Axis):
             object.__setattr__(self, "eval_axis", Axis(self.eval_axis))
         if self.method in ("kernel", "loclinear"):
-            if self.bandwidth is None or not float(self.bandwidth) > 0.0:
+            if self.bandwidth is None or not _real("bandwidth", self.bandwidth) > 0.0:
                 raise OutOfRangeError(
                     f"{self.method} needs a positive bandwidth, got {self.bandwidth!r}"
                 )
         if self.method == "bspline":
-            if not self.knots:
-                raise OutOfRangeError("bspline needs interior knots")
-            knots = tuple(float(k) for k in self.knots)
-            if any(b <= a for a, b in zip(knots, knots[1:])):
+            knots = _reals("knots", () if self.knots is None else self.knots)
+            if knots.ndim != 1 or not knots.size:
+                raise OutOfRangeError("bspline needs a list of interior knots")
+            knots = tuple(knots.tolist())
+            # the conditions are stated positively, so that a NaN knot fails them
+            if not all(a < b for a, b in zip(knots, knots[1:])):
                 raise NonIncreasingAxisError("knots must be strictly increasing")
             lo, hi = self.eval_axis.coords[0], self.eval_axis.coords[-1]
-            if knots[0] <= lo or knots[-1] >= hi:
+            if not (lo < knots[0] and knots[-1] < hi):
                 raise OutOfDomainError(
                     "interior knots must lie strictly inside the evaluation range"
                 )
             object.__setattr__(self, "knots", knots)
         if self.method == "fourier":
-            if self.n_terms is None or int(self.n_terms) < 1:
+            if self.n_terms is None or _integer("n_terms", self.n_terms) < 1:
                 raise OutOfRangeError(
                     f"fourier needs n_terms >= 1, got {self.n_terms!r}"
                 )
             object.__setattr__(self, "n_terms", int(self.n_terms))
+        if not isinstance(self.fourier_linear, (bool, np.bool_)):
+            raise OutOfRangeError(
+                f"fourier_linear must be true or false, got {self.fourier_linear!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -32,14 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bands import (
-    DEGENERATE_STDERR,
-    Band,
-    BandRecipe,
-    assemble_band,
-    covers,
-    order_statistic_quantile,
-)
+from .bands import Band, assemble_band, covers, max_t, order_statistic_quantile
 from .errors import (
     AllNodesDegenerateError,
     ImprovementViolationError,
@@ -51,6 +44,9 @@ from .estimators import (
     MEAN_LOSS,
     Dataset,
     EstimatorSpec,
+    _integer,
+    _real,
+    _reals,
     bootstrap,
     fit,
     fit_quantile_process,
@@ -118,30 +114,6 @@ def parse_tau_net(net) -> np.ndarray:
     if abs(count * step - (hi - lo)) > 1e-9 * (hi - lo):
         raise OutOfRangeError(f"bad tau net {net!r}: step does not divide hi - lo")
     return np.linspace(lo, hi, count + 1)
-
-
-def _integer(name: str, value) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise OutOfRangeError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _real(name: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise OutOfRangeError(f"{name} must be a number, got {value!r}") from None
-
-
-def _reals(name: str, value) -> np.ndarray:
-    try:
-        out = np.array(value, dtype=float)
-        if out.ndim:
-            return out
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise OutOfRangeError(f"{name} must be a list of numbers, got {value!r}")
 
 
 def design_vector(x):
@@ -478,25 +450,15 @@ def _run_bands_table(cfg: McConfig) -> McReport:
     for ei, (spec, truth) in enumerate(zip(specs, truths)):
         stats = []
         for r in range(cfg.reps):
-            fhat, stderr = fits[r][ei]
-            valid = stderr.values > DEGENERATE_STDERR
-            if not np.any(valid):
-                raise AllNodesDegenerateError(
-                    f"replication {r}: every node's bootstrap stderr is near zero"
-                )
-            stats.append(
-                float(
-                    np.max(
-                        np.abs(fhat.values[valid] - truth.values[valid])
-                        / stderr.values[valid]
-                    )
-                )
-            )
+            try:
+                stats.append(max_t(truth, *fits[r][ei]))
+            except AllNodesDegenerateError as exc:
+                raise AllNodesDegenerateError(f"replication {r}: {exc}") from None
         critical = order_statistic_quantile(stats, cfg.alpha)
         criticals.append(critical)
         for r in range(cfg.reps):
             fhat, stderr = fits[r][ei]
-            band = assemble_band(BandRecipe(fhat, stderr, critical, cfg.alpha))
+            band = assemble_band(fhat, stderr, critical)
             # each end-point through the same operator, as bands.monotonize_band does
             lowers = _monotone_variants(band.lower, _PI_1D, cfg.lambda_grid)
             uppers = _monotone_variants(band.upper, _PI_1D, cfg.lambda_grid)
@@ -574,6 +536,8 @@ def config_from_dict(d: dict) -> McConfig:
     ests = d.get("estimators")
     if ests is None:
         specs = default_estimators(eval_axis)
+    elif not (isinstance(ests, list) and ests and all(isinstance(e, dict) for e in ests)):
+        raise OutOfRangeError(f"estimators must be a non-empty list of objects, got {ests!r}")
     else:
         specs = []
         for e in ests:

@@ -7,10 +7,10 @@ import pytest
 
 from monotonize.bands import (
     Band,
-    BandRecipe,
     assemble_band,
     covers,
     critical_value_max_t,
+    max_t,
     monotonize_band,
     order_statistic_quantile,
 )
@@ -54,27 +54,24 @@ def test_band_requires_shared_grid():
         )
 
 
-def test_band_recipe_validation():
+def test_assemble_band_validation():
     center = make_grid_function([UNIT], [1.0, 2.0])
     stderr = make_grid_function([UNIT], [0.5, 1.0])
-    BandRecipe(center, stderr, 2.0, 0.1)
+    assemble_band(center, stderr, 0.0)
     with pytest.raises(NegativeStderrError):
-        BandRecipe(center, stderr.with_values([-0.5, 1.0]), 2.0, 0.1)
+        assemble_band(center, stderr.with_values([-0.5, 1.0]), 2.0)
     with pytest.raises(OutOfRangeError):
-        BandRecipe(center, stderr, -1.0, 0.1)
+        assemble_band(center, stderr, -1.0)
     with pytest.raises(OutOfRangeError):
-        BandRecipe(center, stderr, math.nan, 0.1)
-    for alpha in (0.0, 1.0, -0.2):
-        with pytest.raises(OutOfRangeError):
-            BandRecipe(center, stderr, 2.0, alpha)
+        assemble_band(center, stderr, math.nan)
     with pytest.raises(GridMismatchError):
-        BandRecipe(center, make_grid_function([[0.0, 2.0]], [0.5, 1.0]), 2.0, 0.1)
+        assemble_band(center, make_grid_function([[0.0, 2.0]], [0.5, 1.0]), 2.0)
 
 
 def test_assemble_band_hand_value():
     center = make_grid_function([UNIT], [1.0, 2.0])
     stderr = make_grid_function([UNIT], [0.5, 1.0])
-    band = assemble_band(BandRecipe(center, stderr, 2.0, 0.1))
+    band = assemble_band(center, stderr, 2.0)
     np.testing.assert_allclose(band.lower.values, [0.0, 0.0])
     np.testing.assert_allclose(band.upper.values, [2.0, 4.0])
 
@@ -227,3 +224,15 @@ def test_band_and_covers_decide_exactly_near_the_float_maximum():
         assert not covers(band, make_grid_function([UNIT], [-big, -big / 2]))
         with pytest.raises(CrossingBandError):
             _band(UNIT, [big, 0.0], [-big, big])
+
+
+def test_max_t_skips_degenerate_nodes():
+    center = make_grid_function([[0.0, 0.5, 1.0]], [0.0, 1.0, 2.0])
+    stderr = center.with_values([2.0, 0.0, 0.5])
+    f = center.with_values([-4.0, 100.0, 2.5])
+    # |f - center| / stderr is 2 and 1 on the two nodes with a usable stderr
+    assert max_t(center, f, stderr) == 2.0
+    with pytest.raises(AllNodesDegenerateError):
+        max_t(center, f, stderr.with_values([0.0, 1e-12, 0.0]))
+    with pytest.raises(GridMismatchError):
+        max_t(center, make_grid_function([[0.0, 0.5, 2.0]], [0.0, 0.0, 0.0]), stderr)

@@ -326,6 +326,27 @@ def test_cli_band_from_center_and_draws(tmp_path, capsys):
     assert "critical value:" in capsys.readouterr().out
 
 
+def test_cli_band_alpha_zero_builds_on_the_largest_statistic(tmp_path, capsys):
+    axis = np.linspace(0, 1, 3)
+    center = make_grid_function([axis], np.zeros(3))
+    csvio.write_grid_function(center, tmp_path / "center.csv")
+    csvio.write_grid_function(center.with_values(np.ones(3)), tmp_path / "stderr.csv")
+    # per-draw max-t statistics are 1, 3 and 2
+    draws = [center.with_values(v) for v in ([1.0, 0.5, 0.0], [0.0, -3.0, 1.0], [2.0, 0.0, 0.0])]
+    csvio.write_draws(draws, tmp_path / "draws.csv")
+    out = tmp_path / "band.csv"
+    rc = main(
+        ["band", "--center", str(tmp_path / "center.csv"),
+         "--stderr", str(tmp_path / "stderr.csv"),
+         "--draws", str(tmp_path / "draws.csv"), "--alpha", "0", "--out", str(out)]
+    )
+    assert rc == 0
+    assert "critical value: 3.0\n" in capsys.readouterr().out
+    band = csvio.read_band(out)
+    np.testing.assert_array_equal(band.lower.values, [-3.0, -3.0, -3.0])
+    np.testing.assert_array_equal(band.upper.values, [3.0, 3.0, 3.0])
+
+
 def test_cli_band_usage_error(tmp_path, capsys):
     center = _grid_csv(tmp_path, [1.0, 2.0], "center.csv")
     rc = main(["band", "--center", center])
@@ -533,6 +554,13 @@ def test_cli_simulate_non_utf8_config_is_one_invalid_input_line(tmp_path, capsys
         {"x_design": ["a"]},
         {"lambda_grid": ["x"]},
         {"lambda_grid": 0.5},
+        {"estimators": 5},
+        {"estimators": [5]},
+        {"estimators": [], "grid": 7},
+        {"estimators": [{"method": "kernel", "bandwidth": "x"}]},
+        {"estimators": [{"method": "bspline", "knots": ["a"]}]},
+        {"estimators": [{"method": "fourier", "n_terms": "x"}]},
+        {"estimators": [{"method": "fourier", "n_terms": 2, "fourier_linear": "no"}]},
     ],
 )
 def test_cli_simulate_bad_config_value_is_one_invalid_input_line(tmp_path, capsys, config):
@@ -594,6 +622,31 @@ def test_cli_simulate_improvement_violation_is_one_numerical_failure_line(
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("monotonize: numerical failure: replication 0: kernel rearranged")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_simulate_degenerate_band_stderr_is_one_numerical_failure_line(
+    tmp_path, capsys, monkeypatch
+):
+    from monotonize import montecarlo
+
+    def zero_stderr(data, spec, n_draws, seed):
+        fhat = montecarlo.fit(data, spec).estimate
+        return fhat.with_values(np.zeros(fhat.shape)), [fhat, fhat]
+
+    monkeypatch.setattr(montecarlo, "bootstrap", zero_stderr)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(
+        json.dumps({"n": 40, "reps": 2, "grid": 10, "bootstrap_B": 4,
+                    "estimators": [{"method": "kernel", "bandwidth": 2.0}]}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "r.csv"
+    rc = main(["simulate", "--config", str(cfg_path), "--table", "3", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("monotonize: numerical failure: replication 0: ")
     assert err.count("\n") == 1
     assert not out.exists()
 

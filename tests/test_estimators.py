@@ -88,12 +88,30 @@ def test_spec_validation():
         EstimatorSpec("bspline", MEAN_LOSS, ax, knots=(0.5, 0.5))
     with pytest.raises(OutOfDomainError):
         EstimatorSpec("bspline", MEAN_LOSS, ax, knots=(0.5, 1.5))
+    # a NaN knot used to pass both checks and fail later inside lstsq
+    with pytest.raises(NonIncreasingAxisError):
+        EstimatorSpec("bspline", MEAN_LOSS, ax, knots=(0.25, math.nan, 0.75))
+    with pytest.raises(OutOfDomainError):
+        EstimatorSpec("bspline", MEAN_LOSS, ax, knots=(math.nan,))
     with pytest.raises(OutOfRangeError):
         EstimatorSpec("fourier", MEAN_LOSS, ax, n_terms=0)
     # raw coordinate lists are promoted to an Axis
     spec = EstimatorSpec("kernel", MEAN_LOSS, [0.0, 0.5, 1.0], bandwidth=1.0)
     assert isinstance(spec.eval_axis, Axis)
     assert EstimatorSpec("fourier", MEAN_LOSS, ax, n_terms=2).fourier_linear
+    # values the spec cannot convert are one OutOfRangeError, not a TypeError
+    for method, settings, message in (
+        ("kernel", {"bandwidth": "x"}, "bandwidth must be a number"),
+        ("loclinear", {"bandwidth": [1.0]}, "bandwidth must be a number"),
+        ("bspline", {"knots": ["a"]}, "knots must be a list of numbers"),
+        ("bspline", {"knots": 0.5}, "knots must be a list of numbers"),
+        ("bspline", {"knots": [[0.25, 0.5]]}, "bspline needs a list of interior knots"),
+        ("fourier", {"n_terms": "x"}, "n_terms must be an integer"),
+        ("fourier", {"n_terms": 2, "fourier_linear": "no"}, "fourier_linear must be"),
+        ("kernel", {"bandwidth": 1.0, "fourier_linear": 1}, "fourier_linear must be"),
+    ):
+        with pytest.raises(OutOfRangeError, match=message):
+            EstimatorSpec(method, MEAN_LOSS, ax, **settings)
 
 
 def test_sample_quantile_matches_exact_order_statistic():

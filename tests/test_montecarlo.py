@@ -4,6 +4,7 @@ from scipy.stats import norm
 
 from monotonize import montecarlo
 from monotonize.errors import (
+    AllNodesDegenerateError,
     ImprovementViolationError,
     OutOfRangeError,
     ShapeMismatchError,
@@ -325,6 +326,10 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"estimators": [{"method": "kernel", "bandwidth": 1, "h": 2}]})
     with pytest.raises(OutOfRangeError):
         config_from_dict({"grid": 1})
+    # an empty list used to fall back to the default four at 100 nodes
+    for ests in (5, [5], [], ["kernel"], {"method": "kernel"}):
+        with pytest.raises(OutOfRangeError, match="estimators must be a non-empty list"):
+            config_from_dict({"grid": 7, "estimators": ests})
 
 
 def test_parse_tau_net_text_and_dict_agree():
@@ -419,3 +424,15 @@ def test_a_worse_variant_aborts_the_run(monkeypatch, table, operator, broken, me
         run_experiment(cfg, table=table)
     assert str(info.value).startswith("replication 0: ")
     assert message in str(info.value)
+
+
+def test_bands_table_zero_stderr_names_the_replication(monkeypatch):
+    # a bootstrap whose stderr is zero at every node leaves no max-t statistic
+    def zero_stderr(data, spec, n_draws, seed):
+        fhat = montecarlo.fit(data, spec).estimate
+        return fhat.with_values(np.zeros(fhat.shape)), [fhat, fhat]
+
+    monkeypatch.setattr(montecarlo, "bootstrap", zero_stderr)
+    cfg = McConfig(n=60, reps=2, seed=5, bootstrap_B=8, estimators=_kernel_only(grid=10))
+    with pytest.raises(AllNodesDegenerateError, match="^replication 0: "):
+        run_experiment(cfg, table=3)
