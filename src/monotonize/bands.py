@@ -27,7 +27,7 @@ from .errors import (
     OutOfRangeError,
     TooFewDrawsError,
 )
-from .estimators import sample_quantile
+from .estimators import _real, sample_quantile
 from .grid import GriddedFunction, check_same_grid, value_tol
 from .isotonic import monotonize
 
@@ -92,9 +92,10 @@ def order_statistic_quantile(values, alpha: float) -> float:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise TooFewDrawsError("no values to take a quantile of")
-    if not 0.0 <= float(alpha) < 1.0:
+    alpha = _real("alpha", alpha)
+    if not 0.0 <= alpha < 1.0:
         raise OutOfRangeError(f"alpha must lie in [0, 1), got {alpha!r}")
-    return sample_quantile(arr, 1.0 - float(alpha))
+    return sample_quantile(arr, 1.0 - alpha)
 
 
 def max_t(center: GriddedFunction, f: GriddedFunction, stderr: GriddedFunction) -> float:

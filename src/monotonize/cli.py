@@ -191,8 +191,6 @@ def _cmd_band(args, parser) -> int:
 
 def _cmd_estimate(args, parser) -> int:
     data = csvio.read_dataset(args.data)
-    if args.grid < 2:
-        parser.error("estimate: --grid must be at least 2")
     eval_axis = span_axis(data.x, args.grid)
     if args.loss == "quantile":
         if args.tau is None and not args.taus:

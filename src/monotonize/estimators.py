@@ -56,28 +56,50 @@ IRLS_MAX_ITER = 200
 IRLS_KAPPA_SCALE = 1e-3
 
 
-def _integer(name: str, value) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise OutOfRangeError(f"{name} must be an integer, got {value!r}") from None
+def _is_number(value) -> bool:
+    """A number from outside is a Python or numpy int or float, never a bool."""
+    kinds = (int, float, np.integer, np.floating)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _integer(name: str, value, least: int) -> int:
+    """value as an int of at least least; an integral float such as 3.0 counts."""
+    if _is_number(value) and value >= least:
+        if isinstance(value, (int, np.integer)) or value.is_integer():
+            return int(value)
+    raise OutOfRangeError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _real(name: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise OutOfRangeError(f"{name} must be a number, got {value!r}") from None
+    """value as a float; infinities pass, the caller bounds them."""
+    if _is_number(value):
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise OutOfRangeError(f"{name} must be a number, got {value!r}")
 
 
 def _reals(name: str, value) -> np.ndarray:
+    """value as a non-empty 1-d float array."""
     try:
         out = np.array(value, dtype=float)
-        if out.ndim:
-            return out
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise OutOfRangeError(f"{name} must be a list of numbers, got {value!r}")
+        out = None
+    if out is None or out.ndim != 1 or not out.size or not all(map(_is_number, value)):
+        raise OutOfRangeError(f"{name} must be a list of numbers, got {value!r}")
+    return out
+
+
+def _levels(name: str, value) -> np.ndarray:
+    """A net of quantile levels: non-empty, strictly increasing, inside (0, 1)."""
+    if isinstance(value, (list, tuple, np.ndarray)) and not len(value):
+        raise EmptyInputError(f"{name} must not be empty")
+    taus = _reals(name, value)
+    if np.any(np.diff(taus) <= 0.0):
+        raise NonIncreasingAxisError(f"{name} must be strictly increasing")
+    # stated positively, so that a NaN level fails it
+    if not (np.all(taus > 0.0) and np.all(taus < 1.0)):
+        raise OutOfRangeError(f"every level of {name} must lie in (0, 1)")
+    return taus
 
 
 @dataclass(frozen=True)
@@ -123,7 +145,7 @@ class Loss:
         if self.kind == "quantile":
             if self.tau is None:
                 raise OutOfRangeError("a quantile loss needs tau")
-            if not 0.0 < float(self.tau) < 1.0:
+            if not 0.0 < _real("tau", self.tau) < 1.0:
                 raise OutOfRangeError(f"tau must lie in (0, 1), got {self.tau!r}")
         elif self.tau is not None:
             raise OutOfRangeError("a mean loss takes no tau")
@@ -168,10 +190,10 @@ class EstimatorSpec:
                     f"{self.method} needs a positive bandwidth, got {self.bandwidth!r}"
                 )
         if self.method == "bspline":
-            knots = _reals("knots", () if self.knots is None else self.knots)
-            if knots.ndim != 1 or not knots.size:
+            nested = np.array(() if self.knots is None else self.knots, dtype=object)
+            if nested.ndim > 1 or not nested.size:
                 raise OutOfRangeError("bspline needs a list of interior knots")
-            knots = tuple(knots.tolist())
+            knots = tuple(_reals("knots", self.knots).tolist())
             # the conditions are stated positively, so that a NaN knot fails them
             if not all(a < b for a, b in zip(knots, knots[1:])):
                 raise NonIncreasingAxisError("knots must be strictly increasing")
@@ -182,11 +204,7 @@ class EstimatorSpec:
                 )
             object.__setattr__(self, "knots", knots)
         if self.method == "fourier":
-            if self.n_terms is None or _integer("n_terms", self.n_terms) < 1:
-                raise OutOfRangeError(
-                    f"fourier needs n_terms >= 1, got {self.n_terms!r}"
-                )
-            object.__setattr__(self, "n_terms", int(self.n_terms))
+            object.__setattr__(self, "n_terms", _integer("n_terms", self.n_terms, 1))
         if not isinstance(self.fourier_linear, (bool, np.bool_)):
             raise OutOfRangeError(
                 f"fourier_linear must be true or false, got {self.fourier_linear!r}"
@@ -226,6 +244,7 @@ def _irls_kappa(y: np.ndarray) -> float:
 
 def span_axis(x, nodes: int) -> Axis:
     """nodes equidistant evaluation points from min(x) to max(x)."""
+    nodes = _integer("grid", nodes, 2)
     lo, hi = float(np.min(x)), float(np.max(x))
     if not hi > lo:
         raise OutOfRangeError(
@@ -562,13 +581,7 @@ def fit_quantile_process(data: Dataset, spec: EstimatorSpec, taus) -> GriddedFun
 
     The spec's own loss is ignored; row j matches fit() at level taus[j].
     """
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if taus.size == 0:
-        raise EmptyInputError("taus must not be empty")
-    if np.any(np.diff(taus) <= 0.0):
-        raise NonIncreasingAxisError("taus must be strictly increasing")
-    if not (np.all(taus > 0.0) and np.all(taus < 1.0)):
-        raise OutOfRangeError("every tau must lie in (0, 1)")
+    taus = _levels("taus", taus)
     est, _ = _fit_quantiles(data, spec, taus)
     return GriddedFunction([Axis(taus), spec.eval_axis], est)
 
@@ -584,13 +597,14 @@ def bootstrap(data: Dataset, spec: EstimatorSpec, b_draws: int, seed: int):
     b_draws = int(b_draws)
     if b_draws < 2:
         raise TooFewDrawsError(f"need at least 2 bootstrap draws, got {b_draws}")
+    seed = _integer("seed", seed, 0)
     n = data.n
     failures = 0
     estimates = []
     for bidx in range(b_draws):
         for retry in range(1000):
             rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=int(seed), spawn_key=(bidx, retry))
+                np.random.SeedSequence(entropy=seed, spawn_key=(bidx, retry))
             )
             idx = rng.integers(0, n, size=n)
             try:

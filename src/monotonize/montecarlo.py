@@ -28,7 +28,7 @@ on the config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .estimators import (
     Dataset,
     EstimatorSpec,
     _integer,
+    _levels,
     _real,
     _reals,
     bootstrap,
@@ -96,13 +97,13 @@ def parse_tau_net(net) -> np.ndarray:
     0 < lo <= hi < 1 and 0 < step < 1, and step must divide hi - lo.
     """
     if isinstance(net, str):
-        fields = net.split(":")
+        parts = net.split(":")
     elif isinstance(net, dict) and set(net) == {"lo", "hi", "step"}:
-        fields = [net["lo"], net["hi"], net["step"]]
+        parts = [net["lo"], net["hi"], net["step"]]
     else:
-        fields = []
+        parts = []
     try:
-        lo, hi, step = (float(f) for f in fields)
+        lo, hi, step = (float(f) for f in parts)
     except (TypeError, ValueError):
         raise OutOfRangeError(
             f"cannot parse tau net {net!r}; expected 'lo:hi:step' or "
@@ -190,37 +191,26 @@ class McConfig:
             raise NonFiniteValueError("beta must be finite")
         object.__setattr__(self, "beta", beta)
         sigma = _real("sigma", self.sigma)
-        if not sigma >= 0.0:
-            raise OutOfRangeError(f"sigma must be non-negative, got {self.sigma!r}")
+        if not 0.0 <= sigma < math.inf:
+            raise OutOfRangeError(f"sigma must be finite and non-negative, got {self.sigma!r}")
         object.__setattr__(self, "sigma", sigma)
+        n = None if self.n is None else _integer("n", self.n, 1)
         if self.x_design is None:
-            n = BENCHMARK_N if self.n is None else _integer("n", self.n)
-            if n < 1:
-                raise OutOfRangeError("n must be at least 1")
-            x = np.linspace(AGE_RANGE[0], AGE_RANGE[1], n)
+            x = np.linspace(AGE_RANGE[0], AGE_RANGE[1], BENCHMARK_N if n is None else n)
         else:
             x = _reals("x_design", self.x_design)
-            if x.ndim != 1 or x.size < 1:
-                raise ShapeMismatchError(
-                    f"x_design must be a non-empty 1-d array, got shape {x.shape}"
-                )
-            n = x.size if self.n is None else _integer("n", self.n)
-            if x.size != n:
+            if n is not None and x.size != n:
                 raise ShapeMismatchError(
                     f"x_design must hold n={n} ages, got shape {x.shape}"
                 )
-            if np.any(x < AGE_RANGE[0]) or np.any(x > AGE_RANGE[1]):
-                raise OutOfRangeError(
-                    f"design ages must lie within {AGE_RANGE}"
-                )
-        object.__setattr__(self, "n", n)
+            # stated positively, so that a NaN age fails it
+            if not (np.all(x >= AGE_RANGE[0]) and np.all(x <= AGE_RANGE[1])):
+                raise OutOfRangeError(f"x_design ages must lie within {AGE_RANGE}")
+        object.__setattr__(self, "n", x.size)
         x.setflags(write=False)
         object.__setattr__(self, "x_design", x)
-        reps = _integer("reps", self.reps)
-        if reps < 1:
-            raise OutOfRangeError("reps must be at least 1")
-        object.__setattr__(self, "reps", reps)
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        object.__setattr__(self, "reps", _integer("reps", self.reps, 1))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
         if not self.estimators:
             object.__setattr__(self, "estimators", default_estimators(span_axis(x, 100)))
         else:
@@ -228,27 +218,15 @@ class McConfig:
                 if not isinstance(s, EstimatorSpec):
                     raise OutOfRangeError("estimators must be EstimatorSpec instances")
             object.__setattr__(self, "estimators", tuple(self.estimators))
-        taus = _reals("taus", self.taus)
-        if taus.ndim != 1 or taus.size == 0:
-            raise ShapeMismatchError("taus must be a non-empty 1-d sequence")
-        if np.any(np.diff(taus) <= 0.0):
-            raise OutOfRangeError("taus must be strictly increasing")
-        if not (np.all(taus > 0.0) and np.all(taus < 1.0)):
-            raise OutOfRangeError("every tau must lie in (0, 1)")
+        taus = _levels("taus", self.taus)
         taus.setflags(write=False)
         object.__setattr__(self, "taus", taus)
         alpha = _real("alpha", self.alpha)
         if not 0.0 < alpha < 1.0:
             raise OutOfRangeError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         object.__setattr__(self, "alpha", alpha)
-        b_draws = _integer("bootstrap_B", self.bootstrap_B)
-        if b_draws < 2:
-            raise OutOfRangeError("bootstrap_B must be at least 2")
-        object.__setattr__(self, "bootstrap_B", b_draws)
-        lams = _reals("lambda_grid", self.lambda_grid)
-        if lams.ndim != 1 or not lams.size:
-            raise OutOfRangeError("lambda_grid must be a non-empty list of numbers")
-        lams = tuple(float(l) for l in lams)
+        object.__setattr__(self, "bootstrap_B", _integer("bootstrap_B", self.bootstrap_B, 2))
+        lams = tuple(float(l) for l in _reals("lambda_grid", self.lambda_grid))
         if any(not 0.0 <= l <= 1.0 for l in lams):
             raise OutOfRangeError("every lambda must lie in [0, 1]")
         object.__setattr__(self, "lambda_grid", lams)
@@ -515,10 +493,7 @@ def config_from_dict(d: dict) -> McConfig:
     n_terms, fourier_linear); fourier_linear defaults to true there, while
     the default four use the purely periodic Fourier basis.
     """
-    known = {
-        "beta", "sigma", "n", "x_design", "reps", "seed", "estimators",
-        "taus", "alpha", "bootstrap_B", "lambda_grid", "grid",
-    }
+    known = {f.name for f in fields(McConfig)} | {"grid"}
     unknown = set(d) - known
     if unknown:
         raise OutOfRangeError(f"unknown config keys: {sorted(unknown)}")
@@ -528,11 +503,8 @@ def config_from_dict(d: dict) -> McConfig:
         kwargs["taus"] = parse_tau_net(taus)
     elif taus is not None:
         kwargs["taus"] = taus
-    grid = _integer("grid", d.get("grid", 100))
-    if grid < 2:
-        raise OutOfRangeError("grid must be at least 2")
     cfg = McConfig(**kwargs)
-    eval_axis = span_axis(cfg.x_design, grid)
+    eval_axis = span_axis(cfg.x_design, d.get("grid", 100))
     ests = d.get("estimators")
     if ests is None:
         specs = default_estimators(eval_axis)

@@ -91,7 +91,7 @@ def test_order_statistic_quantile_rule():
 def test_order_statistic_quantile_validation():
     with pytest.raises(TooFewDrawsError):
         order_statistic_quantile([], 0.1)
-    for alpha in (1.0, -0.1, 1.5):
+    for alpha in (1.0, -0.1, 1.5, "x", "0.1", True):
         with pytest.raises(OutOfRangeError):
             order_statistic_quantile([1.0, 2.0], alpha)
 

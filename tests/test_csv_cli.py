@@ -561,6 +561,22 @@ def test_cli_simulate_non_utf8_config_is_one_invalid_input_line(tmp_path, capsys
         {"estimators": [{"method": "bspline", "knots": ["a"]}]},
         {"estimators": [{"method": "fourier", "n_terms": "x"}]},
         {"estimators": [{"method": "fourier", "n_terms": 2, "fourier_linear": "no"}]},
+        # a count is a whole number, a seed is at least 0, and neither a bool
+        # nor a quoted number is a number
+        {"reps": 2.9},
+        {"grid": 7.5},
+        {"reps": "3"},
+        {"reps": True},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"bootstrap_B": 2.5},
+        {"sigma": True},
+        {"lambda_grid": [True]},
+        {"taus": ["0.25", "0.75"]},
+        {"estimators": [{"method": "fourier", "n_terms": 2.7}]},
+        {"estimators": [{"method": "kernel", "bandwidth": True}]},
+        {"x_design": [float("nan"), 3.0, 4.0]},
+        {"sigma": float("inf")},
     ],
 )
 def test_cli_simulate_bad_config_value_is_one_invalid_input_line(tmp_path, capsys, config):
@@ -569,6 +585,21 @@ def test_cli_simulate_bad_config_value_is_one_invalid_input_line(tmp_path, capsy
     rc = main(
         ["simulate", "--config", str(cfg_path), "--table", "2",
          "--out", str(tmp_path / "r.csv")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("monotonize: invalid input: ") and err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "extra", [["--bootstrap", "5", "--seed", "-1"], ["--grid", "1"]]
+)
+def test_cli_estimate_refused_value_is_one_invalid_input_line(tmp_path, capsys, extra):
+    data = _dataset_csv(tmp_path)
+    rc = main(
+        ["estimate", "--data", data, "--method", "kernel", "--bandwidth", "0.35",
+         "--out", str(tmp_path / "f.csv"), *extra]
     )
     assert rc == 1
     err = capsys.readouterr().err

@@ -67,7 +67,7 @@ def test_loss_validation():
         Loss("median")
     with pytest.raises(OutOfRangeError):
         Loss("quantile")
-    for tau in (0.0, 1.0, -0.5):
+    for tau in (0.0, 1.0, -0.5, "abc", "0.5", True):
         with pytest.raises(OutOfRangeError):
             Loss("quantile", tau)
     with pytest.raises(OutOfRangeError):
@@ -107,6 +107,10 @@ def test_spec_validation():
         ("bspline", {"knots": 0.5}, "knots must be a list of numbers"),
         ("bspline", {"knots": [[0.25, 0.5]]}, "bspline needs a list of interior knots"),
         ("fourier", {"n_terms": "x"}, "n_terms must be an integer"),
+        ("fourier", {"n_terms": 2.7}, "n_terms must be an integer"),
+        ("fourier", {"n_terms": True}, "n_terms must be an integer"),
+        ("kernel", {"bandwidth": True}, "bandwidth must be a number"),
+        ("bspline", {"knots": ["0.5"]}, "knots must be a list of numbers"),
         ("fourier", {"n_terms": 2, "fourier_linear": "no"}, "fourier_linear must be"),
         ("kernel", {"bandwidth": 1.0, "fourier_linear": 1}, "fourier_linear must be"),
     ):
@@ -611,6 +615,8 @@ def test_quantile_process_validation():
         fit_quantile_process(data, spec, [0.5, 0.5])
     with pytest.raises(OutOfRangeError):
         fit_quantile_process(data, spec, [0.5, 1.0])
+    with pytest.raises(OutOfRangeError, match="taus must be a list of numbers"):
+        fit_quantile_process(data, spec, ["0.25", "0.75"])
 
 
 def test_bootstrap_determinism_and_stderr():
@@ -641,6 +647,17 @@ def test_bootstrap_needs_two_draws():
     spec = EstimatorSpec("kernel", MEAN_LOSS, _axis(2), bandwidth=2.0)
     with pytest.raises(TooFewDrawsError):
         bootstrap(data, spec, 1, seed=0)
+
+
+def test_bootstrap_seed_is_a_non_negative_integer():
+    data = Dataset([0.0, 0.5, 1.0], [1.0, 2.0, 3.0])
+    spec = EstimatorSpec("kernel", MEAN_LOSS, _axis(2), bandwidth=2.0)
+    for seed in (-1, 1.5, "3", True):
+        with pytest.raises(OutOfRangeError, match="seed must be an integer >= 0"):
+            bootstrap(data, spec, 4, seed=seed)
+    se, _ = bootstrap(data, spec, 4, seed=3)
+    assert bootstrap(data, spec, 4, seed=np.int64(3))[0] == se
+    assert bootstrap(data, spec, 4, seed=3.0)[0] == se
 
 
 def test_bootstrap_aborts_on_persistent_failures():

@@ -5,7 +5,9 @@ from scipy.stats import norm
 from monotonize import montecarlo
 from monotonize.errors import (
     AllNodesDegenerateError,
+    EmptyInputError,
     ImprovementViolationError,
+    NonIncreasingAxisError,
     OutOfRangeError,
     ShapeMismatchError,
 )
@@ -117,8 +119,10 @@ def test_config_validation():
         McConfig(reps=0)
     with pytest.raises(OutOfRangeError):
         McConfig(estimators=("kernel",))
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(NonIncreasingAxisError):
         McConfig(taus=[0.5, 0.4])
+    with pytest.raises(EmptyInputError):
+        McConfig(taus=[])
     with pytest.raises(OutOfRangeError):
         McConfig(taus=[0.5, 1.0])
     with pytest.raises(OutOfRangeError):
@@ -360,9 +364,26 @@ def test_parse_tau_net_rejects_bad_nets(net):
 
 @pytest.mark.parametrize("key", ["n", "reps", "seed", "bootstrap_B", "grid"])
 def test_config_integer_fields_reject_non_integers(key):
-    for bad in ("abc", [3], 1e999):
+    for bad in ("abc", [3], 1e999, 2.5, "3", True, -1):
         with pytest.raises(OutOfRangeError, match=key):
             config_from_dict({key: bad})
+
+
+def test_config_integer_fields_take_integral_floats_and_numpy_integers():
+    cfg = config_from_dict(
+        {"n": np.int64(40), "reps": 3.0, "seed": np.uint32(7), "bootstrap_B": 5.0,
+         "grid": np.int16(12), "estimators": [{"method": "fourier", "n_terms": 2.0}]}
+    )
+    assert (cfg.n, cfg.reps, cfg.seed, cfg.bootstrap_B) == (40, 3, 7, 5)
+    assert all(type(v) is int for v in (cfg.n, cfg.reps, cfg.seed, cfg.bootstrap_B))
+    assert len(cfg.estimators[0].eval_axis) == 12 and cfg.estimators[0].n_terms == 2
+
+
+def test_config_non_finite_values_name_their_key():
+    with pytest.raises(OutOfRangeError, match="x_design"):
+        config_from_dict({"x_design": [float("nan"), 3.0, 4.0]})
+    with pytest.raises(OutOfRangeError, match="sigma"):
+        config_from_dict({"sigma": float("inf")})
 
 
 def test_config_rejects_non_numeric_fields_and_a_one_age_design():
@@ -373,6 +394,11 @@ def test_config_rejects_non_numeric_fields_and_a_one_age_design():
         {"taus": ["a"]},
         {"x_design": ["a"]},
         {"lambda_grid": 0.5},
+        {"sigma": True},
+        {"alpha": "0.1"},
+        {"lambda_grid": [True]},
+        {"taus": ["0.25", "0.75"]},
+        {"x_design": [True, 3.0]},
     ):
         with pytest.raises(OutOfRangeError, match=f"{next(iter(kwargs))} must be"):
             McConfig(reps=2, **kwargs)
