@@ -222,14 +222,19 @@ def _cmd_estimate(args, parser) -> int:
         csvio.write_grid_function(proc, args.out)
         print(f"wrote {args.out}")
         return 0
+    if args.bootstrap is None and (args.stderr_out or args.draws_out or args.band_out):
+        parser.error("estimate: --stderr-out/--draws-out/--band-out need --bootstrap")
     result = fit(data, spec)
+    # everything that can refuse the input runs before the first file is written
+    if args.bootstrap is not None:
+        stderr, draws = bootstrap(data, spec, args.bootstrap, args.seed)
+        if args.band_out:
+            critical = critical_value_max_t(result.estimate, draws, stderr, args.alpha)
+            band = assemble_band(result.estimate, stderr, critical)
     csvio.write_grid_function(result.estimate, args.out)
     print(f"wrote {args.out}")
     if args.bootstrap is None:
-        if args.stderr_out or args.draws_out or args.band_out:
-            parser.error("estimate: --stderr-out/--draws-out/--band-out need --bootstrap")
         return 0
-    stderr, draws = bootstrap(data, spec, args.bootstrap, args.seed)
     if args.stderr_out:
         csvio.write_grid_function(stderr, args.stderr_out)
         print(f"wrote {args.stderr_out}")
@@ -237,8 +242,6 @@ def _cmd_estimate(args, parser) -> int:
         csvio.write_draws(draws, args.draws_out)
         print(f"wrote {args.draws_out}")
     if args.band_out:
-        critical = critical_value_max_t(result.estimate, draws, stderr, args.alpha)
-        band = assemble_band(result.estimate, stderr, critical)
         csvio.write_band(band, args.band_out)
         print(f"critical value: {critical!r}")
         print(f"wrote {args.band_out}")

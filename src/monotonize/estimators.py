@@ -55,6 +55,12 @@ IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 200
 IRLS_KAPPA_SCALE = 1e-3
 
+#: The work arrays of one block of bootstrap draws hold about this many numbers.
+BLOCK_ELEMENTS = 1 << 16
+#: A series draw whose Gram matrix has an eigenvalue ratio (smallest over
+#: largest) at or below this is refit by least squares on its rows.
+GRAM_EIG_RATIO = 1e-6
+
 
 def _is_number(value) -> bool:
     """A number from outside is a Python or numpy int or float, never a bool."""
@@ -254,10 +260,9 @@ def span_axis(x, nodes: int) -> Axis:
 
 
 def _windows(data: Dataset, spec: EstimatorSpec) -> tuple:
-    """Sorted (x, y) and each eval node's window [lo, hi) in them.
+    """The sort order of x, sorted (x, y) and each eval node's window [lo, hi).
 
-    The window of a node holds the x with |x - node| <= bandwidth; a kernel
-    window needs one point, a local-linear window two distinct x.
+    The window of a node holds the x with |x - node| <= bandwidth.
     """
     order = np.argsort(data.x, kind="stable")
     xs, ys = data.x[order], data.y[order]
@@ -265,15 +270,66 @@ def _windows(data: Dataset, spec: EstimatorSpec) -> tuple:
     h = float(spec.bandwidth)
     lo = np.searchsorted(xs, nodes - h, side="left")
     hi = np.searchsorted(xs, nodes + h, side="right")
-    if spec.method == "kernel":
-        thin, what = hi - lo < 1, "no data"
+    return order, xs, ys, lo, hi
+
+
+def _thin_windows(spec: EstimatorSpec, xs, lo, hi, w=None) -> np.ndarray:
+    """Rows x nodes: the windows too thin to fit under each row of weights.
+
+    w is rows x n in the order of the sorted xs, None for one row of ones.
+    Counting only the points of positive weight, a kernel window needs one
+    point, a local-linear window two distinct x.
+    """
+    # a window starts and ends at the start of a run of tied x, or at the end
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    first, stop = np.searchsorted(starts, lo), np.searchsorted(starts, hi)
+    if w is None:
+        runs = (stop - first)[None]
     else:
-        last, first = xs[np.minimum(hi - 1, xs.size - 1)], xs[np.minimum(lo, xs.size - 1)]
-        thin, what = (hi - lo < 2) | (last <= first), "fewer than 2 distinct x"
+        held = np.zeros((w.shape[0], starts.size + 1), dtype=np.int64)
+        np.cumsum(np.add.reduceat(w, starts, axis=1) > 0.0, axis=1, out=held[:, 1:])
+        runs = held[:, stop] - held[:, first]
+    return runs < (1 if spec.method == "kernel" else 2)
+
+
+def _checked_windows(data: Dataset, spec: EstimatorSpec) -> tuple:
+    """_windows of the data, refusing a window too thin to fit."""
+    _, xs, ys, lo, hi = _windows(data, spec)
+    thin = _thin_windows(spec, xs, lo, hi)[0]
     if np.any(thin):
-        node = float(nodes[int(np.argmax(thin))])
+        what = "no data" if spec.method == "kernel" else "fewer than 2 distinct x"
+        node = float(spec.eval_axis.coords[int(np.argmax(thin))])
+        h = float(spec.bandwidth)
         raise EmptyWindowError(f"{what} within bandwidth {h} of node {node}")
     return xs, ys, lo, hi
+
+
+def _window_means(spec: EstimatorSpec, xs, ys, lo, hi, w) -> np.ndarray:
+    """Kernel or local-linear mean fits at the nodes, one per row of weights w.
+
+    w is n or rows x n, in the order of the sorted (xs, ys).  Each window sum
+    of a weighted moment is a difference of two prefix sums.  Under unit
+    weights every product below is exact, so ones give the unweighted fit
+    bit for bit.
+    """
+
+    def window_sums(v):
+        prefix = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,))
+        np.cumsum(v, axis=-1, out=prefix[..., 1:])
+        return prefix[..., hi] - prefix[..., lo]
+
+    s0, t0 = window_sums(w), window_sums(w * ys)
+    if spec.method == "kernel":
+        return t0 / s0
+    wx = w * xs
+    s1, s2, t1 = window_sums(wx), window_sums(wx * xs), window_sums(wx * ys)
+    # center the design at each node: regress y on (1, x - node)
+    nodes = spec.eval_axis.coords
+    sx = s1 - nodes * s0
+    sxx = s2 - 2.0 * nodes * s1 + nodes * nodes * s0
+    sxy = t1 - nodes * t0
+    det = s0 * sxx - sx * sx
+    return (sxx * t0 - sx * sxy) / det
 
 
 # --- basis construction -----------------------------------------------------
@@ -478,29 +534,6 @@ def _irls(design, y, inwin, tau, kappa, coef0) -> tuple:
     return coef, trace
 
 
-# --- local linear -----------------------------------------------------------
-
-
-def _loclinear_mean(xs, ys, lo, hi, nodes) -> np.ndarray:
-    zeros = np.zeros(1)
-    c0 = np.concatenate([zeros, np.cumsum(np.ones_like(xs))])
-    c1 = np.concatenate([zeros, np.cumsum(xs)])
-    c2 = np.concatenate([zeros, np.cumsum(xs * xs)])
-    d0 = np.concatenate([zeros, np.cumsum(ys)])
-    d1 = np.concatenate([zeros, np.cumsum(xs * ys)])
-    s0 = c0[hi] - c0[lo]
-    s1 = c1[hi] - c1[lo]
-    s2 = c2[hi] - c2[lo]
-    t0 = d0[hi] - d0[lo]
-    t1 = d1[hi] - d1[lo]
-    # center the design at each node: regress y on (1, x - node)
-    sx = s1 - nodes * s0
-    sxx = s2 - 2.0 * nodes * s1 + nodes * nodes * s0
-    sxy = t1 - nodes * t0
-    det = s0 * sxx - sx * sx
-    return (sxx * t0 - sx * sxy) / det
-
-
 # --- series -----------------------------------------------------------------
 
 
@@ -526,12 +559,12 @@ def _fit_quantiles(data: Dataset, spec: EstimatorSpec, taus: np.ndarray) -> tupl
     (levels x k) are returned for the series methods only.
     """
     if spec.method == "kernel":
-        _, ys, lo, hi = _windows(data, spec)
+        _, ys, lo, hi = _checked_windows(data, spec)
         est = [[sample_quantile(ys[a:b], t) for a, b in zip(lo, hi)] for t in taus]
         return np.array(est), None
     kappa = _irls_kappa(data.y)
     if spec.method == "loclinear":
-        xs, ys, lo, hi = _windows(data, spec)
+        xs, ys, lo, hi = _checked_windows(data, spec)
         nodes = spec.eval_axis.coords
         # each window is a contiguous slice of the sorted data: gather the
         # slices into rows as wide as the widest window and mask the padding
@@ -540,7 +573,8 @@ def _fit_quantiles(data: Dataset, spec: EstimatorSpec, taus: np.ndarray) -> tupl
         xi = xs[idx] - nodes[:, None]
         design = np.stack([np.ones_like(xi), xi], axis=-1)
         inwin = offsets < (hi - lo)[:, None]
-        start = np.column_stack([_loclinear_mean(xs, ys, lo, hi, nodes), np.zeros(nodes.size)])
+        mean = _window_means(spec, xs, ys, lo, hi, np.ones(xs.size))
+        start = np.column_stack([mean, np.zeros(nodes.size)])
         est = [
             _irls(design, ys[idx], inwin, np.full(nodes.size, t), kappa, start)[0][:, 0]
             for t in taus
@@ -564,12 +598,9 @@ def fit(data: Dataset, spec: EstimatorSpec) -> FitResult:
             GriddedFunction([spec.eval_axis], est[0]), None if coef is None else coef[0]
         )
     coef = None
-    if spec.method == "kernel":
-        _, ys, lo, hi = _windows(data, spec)
-        cy = np.concatenate([[0.0], np.cumsum(ys)])
-        est = (cy[hi] - cy[lo]) / (hi - lo)
-    elif spec.method == "loclinear":
-        est = _loclinear_mean(*_windows(data, spec), spec.eval_axis.coords)
+    if spec.method in ("kernel", "loclinear"):
+        xs, ys, lo, hi = _checked_windows(data, spec)
+        est = _window_means(spec, xs, ys, lo, hi, np.ones(data.n))
     else:
         coef = _series_lstsq(_basis_matrix(spec, data.x), data.y)
         est = _basis_matrix(spec, spec.eval_axis.coords) @ coef
@@ -586,42 +617,125 @@ def fit_quantile_process(data: Dataset, spec: EstimatorSpec, taus) -> GriddedFun
     return GriddedFunction([Axis(taus), spec.eval_axis], est)
 
 
+def _resample(seed: int, draw: int, retry: int, n: int) -> np.ndarray:
+    """The row indices of a draw's attempt, from the stream (seed, draw, retry)."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(draw, retry)))
+    return rng.integers(0, n, size=n)
+
+
+def _counts(idx: np.ndarray, n: int) -> np.ndarray:
+    """draws x n: how often each draw (a row of idx) holds each of the n rows."""
+    offsets = n * np.arange(idx.shape[0])[:, None]
+    return np.bincount((idx + offsets).ravel(), minlength=idx.size).reshape(idx.shape) * 1.0
+
+
+def _draw_fitter(data: Dataset, spec: EstimatorSpec) -> tuple:
+    """(fit_draws, k): fit_draws(idx) fits a block of draws, one per row of idx.
+
+    It returns (draws x nodes estimates, failed draws).  Under mean loss a
+    draw is its count vector over the fixed data: the window methods weight
+    the prefix sums of one sort, and a series method forms each draw's
+    normal equations from one design.  A series draw that is not clearly
+    well conditioned, and every check-loss draw, is refit on its resampled
+    rows as fit does it.  k is the width per data row of a block's work
+    arrays, which sizes the blocks.
+    """
+    n, nodes = data.n, spec.eval_axis.coords.size
+
+    def per_draw(idx, rows=None):
+        """Refit the draws in rows (every row of idx by default) as fit does."""
+        est, failed = np.zeros((idx.shape[0], nodes)), np.zeros(idx.shape[0], dtype=bool)
+        for i in range(idx.shape[0]) if rows is None else rows:
+            try:
+                est[i] = fit(Dataset(data.x[idx[i]], data.y[idx[i]]), spec).estimate.values
+            except (ValidationError, NumericalError):
+                failed[i] = True
+        return est, failed
+
+    if spec.loss.kind == "quantile":
+        return per_draw, 1
+    if spec.method in ("kernel", "loclinear"):
+        order, xs, ys, lo, hi = _windows(data, spec)
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+
+        def window_draws(idx):
+            w = _counts(rank[idx], n)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                est = _window_means(spec, xs, ys, lo, hi, w)
+            return est, np.any(_thin_windows(spec, xs, lo, hi, w), axis=1)
+
+        return window_draws, 5
+    try:
+        design = _basis_matrix(spec, data.x)
+    except OutOfDomainError:
+        # a draw that leaves out the points outside the domain can still fit
+        return per_draw, 1
+    grid = _basis_matrix(spec, spec.eval_axis.coords)
+
+    def series_draws(idx):
+        weighted = design.T * _counts(idx, n)[:, None, :]  # X'C, draws x k x n
+        gram, rhs = weighted @ design, weighted @ data.y
+        eig = np.linalg.eigvalsh(gram)
+        sure = eig[:, 0] > GRAM_EIG_RATIO * eig[:, -1]
+        est, failed = per_draw(idx, np.flatnonzero(~sure))
+        # only the sure draws: one singular system makes a batched solve raise
+        coef = np.linalg.solve(gram[sure], rhs[sure][:, :, None])[:, :, 0]
+        est[sure] = coef @ grid.T
+        return est, failed
+
+    return series_draws, design.shape[1]
+
+
 def bootstrap(data: Dataset, spec: EstimatorSpec, b_draws: int, seed: int):
     """Pairs bootstrap of a fit: (stderr function, list of draw estimates).
 
     Draw b resamples n rows with replacement using an RNG stream derived from
-    (seed, b), so results do not depend on evaluation order.  A draw whose fit
-    fails is redrawn with a derived sub-seed and counted; more than 10%
-    failures aborts.  stderr is the per-node standard deviation across draws.
+    (seed, b), so results do not depend on evaluation order.  The draw is
+    the count vector of its rows over the fixed data, and the draws are
+    fitted in blocks of such vectors (see _draw_fitter), sized so that a
+    block's work arrays hold about BLOCK_ELEMENTS numbers.  A draw whose fit
+    fails is redrawn from the stream (seed, b, retry + 1) and counted; the
+    failed draws of a pass are redrawn in draw order, and more than 10%
+    failures abort.  stderr is the per-node standard deviation across draws.
     """
-    b_draws = int(b_draws)
+    b_draws = _integer("b_draws", b_draws, 0)
     if b_draws < 2:
         raise TooFewDrawsError(f"need at least 2 bootstrap draws, got {b_draws}")
     seed = _integer("seed", seed, 0)
     n = data.n
+    fit_draws, k = _draw_fitter(data, spec)
+    block = max(1, BLOCK_ELEMENTS // (n * k))
+    values = np.empty((b_draws, spec.eval_axis.coords.size))
     failures = 0
-    estimates = []
-    for bidx in range(b_draws):
-        for retry in range(1000):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(bidx, retry))
-            )
-            idx = rng.integers(0, n, size=n)
-            try:
-                estimates.append(fit(Dataset(data.x[idx], data.y[idx]), spec).estimate)
-                break
-            except (ValidationError, NumericalError):
-                failures += 1
-                if failures > 0.1 * b_draws:
-                    raise TooManyFailedDrawsError(
-                        f"{failures} failed draws exceed 10% of {b_draws}"
-                    ) from None
+    pending = [(b, 0) for b in range(b_draws)]
+    while pending:
+        redraw = []
+        for first in range(0, len(pending), block):
+            attempts = pending[first : first + block]
+            idx = np.empty((len(attempts), n), dtype=np.int64)
+            for row, (b, retry) in zip(idx, attempts):
+                row[:] = _resample(seed, b, retry, n)
+            est, failed = fit_draws(idx)
+            # fit refuses a non-finite estimate
+            failed |= ~np.all(np.isfinite(est), axis=1)
+            for (b, retry), row, bad in zip(attempts, est, failed):
+                if bad:
+                    redraw.append((b, retry + 1))
+                else:
+                    values[b] = row
+            failures += int(np.count_nonzero(failed))
+            if failures > 0.1 * b_draws:
+                raise TooManyFailedDrawsError(
+                    f"{failures} failed draws exceed 10% of {b_draws}"
+                )
+        pending = redraw
     if failures:
         warnings.warn(
             f"bootstrap redrew {failures} failed draws",
             RuntimeWarning,
             stacklevel=2,
         )
-    stacked = np.stack([e.values for e in estimates])
-    stderr = GriddedFunction(estimates[0].axes, stacked.std(axis=0, ddof=1))
+    estimates = [GriddedFunction([spec.eval_axis], v) for v in values]
+    stderr = GriddedFunction([spec.eval_axis], values.std(axis=0, ddof=1))
     return stderr, estimates

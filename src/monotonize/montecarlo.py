@@ -274,9 +274,7 @@ def _format_p(p: float) -> str:
 
 def simulate_rep(cfg: McConfig, rep_index: int) -> Dataset:
     """Draw one replication's dataset from the stream (seed, rep_index)."""
-    rep_index = int(rep_index)
-    if rep_index < 0:
-        raise OutOfRangeError("rep_index must be non-negative")
+    rep_index = _integer("rep_index", rep_index, 0)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_STREAM_DATA, rep_index))
     )
@@ -473,7 +471,7 @@ def run_experiment(cfg: McConfig, table: int = 1) -> McReport:
     errors, 3 for confidence bands.  The replications run serially, in
     replication order.
     """
-    table = int(table)
+    table = _integer("table", table, 1)
     if table not in (1, 2, 3):
         raise OutOfRangeError(f"table must be 1, 2 or 3, got {table}")
     if table in (1, 2):

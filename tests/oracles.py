@@ -11,9 +11,13 @@ whole arrays: pava_reference repairs one fiber per call,
 read_rows_reference and write_rows_reference parse and format one CSV line
 at a time, and read_draws_reference assembles one draw at a time.  The
 batched code must match them bit for bit and byte for byte.
+window_mean_reference is the unweighted kernel and local-linear mean fit,
+and bootstrap_oracle refits every draw on its resampled rows, one draw at a
+time; the weighted, blocked bootstrap must match it to rounding.
 """
 
 import csv
+import warnings
 
 import numpy as np
 
@@ -23,8 +27,14 @@ from monotonize.errors import (
     EmptyInputError,
     GridMismatchError,
     IndexOutOfRangeError,
+    NumericalError,
     OutOfRangeError,
+    TooFewDrawsError,
+    TooManyFailedDrawsError,
+    ValidationError,
 )
+from monotonize.estimators import Dataset, EstimatorSpec, _integer, fit
+from monotonize.grid import GriddedFunction
 from monotonize.grid import _headroom
 from monotonize.isotonic import _check_seq
 from monotonize.rearrange import _average, _axis_pass, _compose
@@ -168,3 +178,63 @@ def read_draws_reference(path) -> list:
         if not first.same_grid(f):
             raise GridMismatchError(f"{path}: draws disagree on their grid")
     return out
+
+
+def window_mean_reference(data: Dataset, spec: EstimatorSpec) -> np.ndarray:
+    """Kernel or local-linear mean fit from unweighted window sums."""
+    order = np.argsort(data.x, kind="stable")
+    xs, ys = data.x[order], data.y[order]
+    nodes = spec.eval_axis.coords
+    lo = np.searchsorted(xs, nodes - spec.bandwidth, side="left")
+    hi = np.searchsorted(xs, nodes + spec.bandwidth, side="right")
+    if spec.method == "kernel":
+        cy = np.concatenate([[0.0], np.cumsum(ys)])
+        return (cy[hi] - cy[lo]) / (hi - lo)
+    zeros = np.zeros(1)
+    c0 = np.concatenate([zeros, np.cumsum(np.ones_like(xs))])
+    c1 = np.concatenate([zeros, np.cumsum(xs)])
+    c2 = np.concatenate([zeros, np.cumsum(xs * xs)])
+    d0 = np.concatenate([zeros, np.cumsum(ys)])
+    d1 = np.concatenate([zeros, np.cumsum(xs * ys)])
+    s0, s1, s2 = c0[hi] - c0[lo], c1[hi] - c1[lo], c2[hi] - c2[lo]
+    t0, t1 = d0[hi] - d0[lo], d1[hi] - d1[lo]
+    sx = s1 - nodes * s0
+    sxx = s2 - 2.0 * nodes * s1 + nodes * nodes * s0
+    sxy = t1 - nodes * t0
+    det = s0 * sxx - sx * sx
+    return (sxx * t0 - sx * sxy) / det
+
+
+def bootstrap_oracle(data: Dataset, spec: EstimatorSpec, b_draws: int, seed: int):
+    """bootstrap refitting each draw on its resampled rows, draw by draw.
+
+    Draw b, attempt retry, resamples with the stream (seed, b, retry); a
+    failed fit is redrawn at once, and more than 10% failures abort.
+    """
+    b_draws = _integer("b_draws", b_draws, 0)
+    if b_draws < 2:
+        raise TooFewDrawsError(f"need at least 2 bootstrap draws, got {b_draws}")
+    seed = _integer("seed", seed, 0)
+    n = data.n
+    failures = 0
+    estimates = []
+    for bidx in range(b_draws):
+        for retry in range(1000):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(bidx, retry))
+            )
+            idx = rng.integers(0, n, size=n)
+            try:
+                estimates.append(fit(Dataset(data.x[idx], data.y[idx]), spec).estimate)
+                break
+            except (ValidationError, NumericalError):
+                failures += 1
+                if failures > 0.1 * b_draws:
+                    raise TooManyFailedDrawsError(
+                        f"{failures} failed draws exceed 10% of {b_draws}"
+                    ) from None
+    if failures:
+        warnings.warn(f"bootstrap redrew {failures} failed draws", RuntimeWarning)
+    stacked = np.stack([e.values for e in estimates])
+    stderr = GriddedFunction(estimates[0].axes, stacked.std(axis=0, ddof=1))
+    return stderr, estimates

@@ -422,7 +422,11 @@ def test_cli_estimate_bootstrap_outputs(tmp_path, capsys):
          "--band-out", str(tmp_path / "band.csv")]
     )
     assert rc == 0
-    assert "critical value:" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["wrote"] * 3 + ["critical", "wrote"]
+    assert [line.split()[-1] for line in lines if line.startswith("wrote")] == [
+        out, *(str(tmp_path / f) for f in ("se.csv", "draws.csv", "band.csv"))
+    ]
     assert csvio.read_grid_function(str(tmp_path / "se.csv")).shape == (9,)
     assert len(csvio.read_draws(str(tmp_path / "draws.csv"))) == 12
     band = csvio.read_band(str(tmp_path / "band.csv"))
@@ -437,6 +441,20 @@ def test_cli_estimate_bootstrap_outputs_need_flag(tmp_path, capsys):
     )
     assert rc == 1
     assert "--bootstrap" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("draws", [["--bootstrap", "5", "--seed", "-1"], ["--bootstrap", "1"]])
+def test_cli_estimate_refused_bootstrap_writes_no_file(tmp_path, capsys, draws):
+    data = _dataset_csv(tmp_path)
+    rc = main(
+        ["estimate", "--data", data, "--method", "kernel", "--bandwidth", "0.35",
+         "--out", str(tmp_path / "f.csv"), "--band-out", str(tmp_path / "b.csv"), *draws]
+    )
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("monotonize: invalid input: ")
+    assert not (tmp_path / "f.csv").exists() and not (tmp_path / "b.csv").exists()
 
 
 def test_cli_estimate_numerical_failure_exit_code(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -38,7 +39,16 @@ from monotonize.estimators import (
     sample_quantile,
 )
 from monotonize.grid import Axis
-from monotonize.montecarlo import AGE_RANGE, DEFAULT_KNOTS, McConfig, desk_tau_net, simulate_rep
+from monotonize.montecarlo import (
+    AGE_RANGE,
+    DEFAULT_KNOTS,
+    McConfig,
+    _bootstrap_seed,
+    default_estimators,
+    desk_tau_net,
+    simulate_rep,
+)
+from oracles import bootstrap_oracle, window_mean_reference
 
 
 def _axis(n=11, lo=0.0, hi=1.0):
@@ -669,3 +679,112 @@ def test_bootstrap_aborts_on_persistent_failures():
     spec = EstimatorSpec("kernel", MEAN_LOSS, Axis([0.15, 0.7]), bandwidth=0.1)
     with pytest.raises(TooManyFailedDrawsError):
         bootstrap(data, spec, 30, seed=3)
+    with pytest.raises(TooManyFailedDrawsError):
+        bootstrap_oracle(data, spec, 30, seed=3)
+
+
+@pytest.mark.parametrize("b_draws", [2.9, 2.5, True, "5", -1, None])
+def test_bootstrap_draw_count_is_an_integer(b_draws):
+    data = Dataset([0.0, 0.5, 1.0], [1.0, 2.0, 3.0])
+    spec = EstimatorSpec("kernel", MEAN_LOSS, _axis(2), bandwidth=2.0)
+    with pytest.raises(OutOfRangeError, match="b_draws must be an integer >= 0"):
+        bootstrap(data, spec, b_draws, seed=0)
+    with pytest.raises(TooFewDrawsError):
+        bootstrap(data, spec, 1.0, seed=0)
+    assert bootstrap(data, spec, 4.0, seed=3)[0] == bootstrap(data, spec, 4, seed=3)[0]
+
+
+def _simulated(reps=3):
+    cfg = McConfig(reps=reps, seed=11)
+    return cfg, [simulate_rep(cfg, r) for r in range(reps)]
+
+
+@pytest.mark.parametrize("method", ["kernel", "loclinear"])
+def test_window_mean_fit_is_the_unweighted_reference_bit_for_bit(method):
+    cfg, datasets = _simulated()
+    spec = next(s for s in cfg.estimators if s.method == method)
+    rng = np.random.default_rng(23)
+    x = rng.uniform(0, 1, 80)
+    datasets.append(Dataset(x, np.sin(3 * x) + rng.normal(0, 0.2, 80)))
+    small = replace(spec, eval_axis=_axis(9, 0.1, 0.9), bandwidth=0.2)
+    for data, sp in zip(datasets, [spec] * 3 + [small]):
+        assert np.array_equal(fit(data, sp).estimate.values, window_mean_reference(data, sp))
+
+
+def _bootstrap_outcome(fn, data, spec, b_draws, seed):
+    """("ok", stderr, draws, warnings) or ("abort", None, None, warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            stderr, draws = fn(data, spec, b_draws, seed)
+            result = ("ok", stderr.values, np.stack([d.values for d in draws]))
+        except TooManyFailedDrawsError:
+            result = ("abort", None, None)
+    return (*result, [str(w.message) for w in caught])
+
+
+def _assert_matches_oracle(data, spec, b_draws, seed) -> str:
+    got = _bootstrap_outcome(bootstrap, data, spec, b_draws, seed)
+    want = _bootstrap_outcome(bootstrap_oracle, data, spec, b_draws, seed)
+    assert got[0] == want[0] and got[3] == want[3]
+    if got[0] == "ok":
+        np.testing.assert_allclose(got[2], want[2], rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-9, atol=0.0)
+    return got[0] if got[0] == "abort" or not got[3] else "redrawn"
+
+
+@pytest.mark.parametrize("method", ["kernel", "loclinear", "bspline", "fourier"])
+def test_bootstrap_matches_the_per_draw_oracle(method):
+    cfg, datasets = _simulated(2)
+    ei, spec = next((i, s) for i, s in enumerate(cfg.estimators) if s.method == method)
+    for r, data in enumerate(datasets):
+        assert _assert_matches_oracle(data, spec, 100, _bootstrap_seed(cfg, r, ei)) == "ok"
+
+
+def _failing_cases():
+    """Data on which some draws fail: a kernel window, a local-linear window
+    and a B-spline knot interval that only a few points reach; the
+    local-linear window holds four tied x.  Last, a point outside the
+    series domain that most draws hold."""
+    rng = np.random.default_rng(5)
+    noisy = lambda x: Dataset(x, 1.0 + x + rng.normal(0.0, 0.1, x.size))
+    tail = lambda lead, *points: np.r_[np.linspace(0.0, lead, 60 - len(points)), points]
+    yield (
+        noisy(tail(0.6, 0.8, 0.85, 0.9)),
+        EstimatorSpec("kernel", MEAN_LOSS, Axis([0.3, 0.85]), bandwidth=0.1),
+    )
+    yield (
+        noisy(tail(0.6, 0.9, 0.9, 0.9, 0.9, 0.93, 0.95, 0.96)),
+        EstimatorSpec("loclinear", MEAN_LOSS, Axis([0.3, 0.92]), bandwidth=0.05),
+    )
+    yield (
+        noisy(tail(0.7, 0.85, 0.9, 0.95)),
+        EstimatorSpec("bspline", MEAN_LOSS, Axis(np.linspace(0.0, 0.95, 5)), knots=(0.3, 0.6, 0.8)),
+    )
+    yield (
+        noisy(tail(0.9, 0.99)),
+        EstimatorSpec("fourier", MEAN_LOSS, Axis(np.linspace(0.0, 0.95, 5)), n_terms=1),
+    )
+
+
+@pytest.mark.parametrize(
+    "case, outcomes",
+    [(0, {"redrawn", "abort"}), (1, {"redrawn", "abort"}), (2, {"redrawn", "abort"}), (3, {"abort"})],
+    ids=["kernel", "loclinear-tied", "bspline", "outside-domain"],
+)
+def test_bootstrap_failures_and_redraws_match_the_oracle(case, outcomes):
+    data, spec = list(_failing_cases())[case]
+    seen = {_assert_matches_oracle(data, spec, 40, seed) for seed in range(6)}
+    assert outcomes <= seen
+
+
+@pytest.mark.parametrize("method", ["kernel", "loclinear", "bspline", "fourier"])
+def test_check_loss_bootstrap_is_the_oracle_bit_for_bit(method):
+    rng = np.random.default_rng(41)
+    x = np.sort(rng.uniform(2.0, 20.0, 120))
+    data = Dataset(x, 70.0 + 5.0 * x + rng.normal(0.0, 4.0, x.size))
+    specs = default_estimators(Axis(np.linspace(x[0], x[-1], 12)))
+    spec = replace(next(s for s in specs if s.method == method), loss=Loss("quantile", 0.3))
+    got, want = bootstrap(data, spec, 6, 8), bootstrap_oracle(data, spec, 6, 8)
+    assert np.array_equal(got[0].values, want[0].values)
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(got[1], want[1]))

@@ -202,6 +202,21 @@ def test_run_experiment_validation():
         run_experiment(cfg, table=4)
 
 
+@pytest.mark.parametrize("table", [1.9, True, "1", 0, 4, None])
+def test_run_experiment_table_is_an_integer(table):
+    cfg = McConfig(n=30, reps=1, estimators=_kernel_only())
+    with pytest.raises(OutOfRangeError, match="table must be"):
+        run_experiment(cfg, table=table)
+
+
+@pytest.mark.parametrize("rep_index", [2.5, True, "2", -1, None])
+def test_simulate_rep_index_is_an_integer(rep_index):
+    cfg = McConfig(n=30, reps=3, estimators=_kernel_only())
+    with pytest.raises(OutOfRangeError, match="rep_index must be an integer >= 0"):
+        simulate_rep(cfg, rep_index)
+    assert np.array_equal(simulate_rep(cfg, 2.0).y, simulate_rep(cfg, np.int64(2)).y)
+
+
 def test_errors_table_shape_and_ratios():
     cfg = McConfig(
         n=80,
