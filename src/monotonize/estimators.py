@@ -18,9 +18,11 @@ its quantile levels, all sharing one basis matrix.  Each iteration solves the
 weighted least-squares majorizer of every fit's objective and halves a fit's
 step until its objective does not increase, so each objective is
 non-increasing across iterations by construction.  A fit leaves the batch at
-coefficient change 1e-8 (relative), with a cap of 200 iterations.  The
-box-kernel quantile fit needs no iteration: with indicator weights the check
-loss is minimized exactly by an order statistic of the in-window responses.
+coefficient change 1e-8 (relative), with a cap of 200 iterations.  A
+local-linear quantile process warm-starts each level after the first from
+the previous level's coefficients.  The box-kernel quantile fit needs no
+iteration: with indicator weights the check loss is minimized exactly by an
+order statistic of the in-window responses.
 """
 
 from __future__ import annotations
@@ -504,14 +506,14 @@ def _irls_stage(design, y, inwin, tau, kappa, coef, tol, max_iter):
     return done, last_delta, np.stack(trace)
 
 
-def _irls(design, y, inwin, tau, kappa, coef0) -> tuple:
+def _irls(design, y, inwin, tau, kappa, coef0, stages=IRLS_STAGES) -> tuple:
     """Annealed damped IRLS for a batch of fits (shapes as in _irls_stage).
 
-    Runs the IRLS_STAGES warm starts, then the final pass at kappa; returns
-    (coef, objectives of the final pass) or raises IrlsNoConvergenceError.
+    Runs stages (IRLS_STAGES by default), then the final pass at kappa;
+    returns (coef, final-pass objectives) or raises IrlsNoConvergenceError.
     """
     coef = np.array(coef0, dtype=float)
-    for mult, tol, cap in IRLS_STAGES:
+    for mult, tol, cap in stages:
         _irls_stage(design, y, inwin, tau, kappa * mult, coef, tol, cap)
     done, delta, trace = _irls_stage(
         design, y, inwin, tau, kappa, coef, IRLS_TOL, IRLS_MAX_ITER
@@ -552,33 +554,40 @@ def _series_lstsq(design: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _fit_quantiles(data: Dataset, spec: EstimatorSpec, taus: np.ndarray) -> tuple:
     """Check-loss fits at every level of taus: (taus x nodes, coefficients).
 
-    The box kernel takes window order statistics.  Local linear runs one IRLS
-    batch over the nodes per level; a batch over levels x nodes would hold
-    levels times the work arrays.  A series method runs one batch over the
-    levels, sharing the design and the mean-loss start.  Coefficients
-    (levels x k) are returned for the series methods only.
+    The box kernel sorts each window once and indexes every level's order
+    statistic.  Local linear runs one IRLS batch over the nodes per level; a
+    batch over levels x nodes would hold levels times the work arrays.  The
+    levels go in tau order: the first starts cold from the window means, each
+    later one from the previous level's coefficients with the final pass
+    only.  A series method runs one batch over the levels, sharing the design
+    and the mean-loss start.  Coefficients (levels x k) are returned for the
+    series methods only.
     """
-    if spec.method == "kernel":
-        _, ys, lo, hi = _checked_windows(data, spec)
-        est = [[sample_quantile(ys[a:b], t) for a, b in zip(lo, hi)] for t in taus]
-        return np.array(est), None
-    kappa = _irls_kappa(data.y)
-    if spec.method == "loclinear":
+    if spec.method in ("kernel", "loclinear"):
         xs, ys, lo, hi = _checked_windows(data, spec)
-        nodes = spec.eval_axis.coords
         # each window is a contiguous slice of the sorted data: gather the
         # slices into rows as wide as the widest window and mask the padding
-        offsets = np.arange(int(np.max(hi - lo)))
+        m = hi - lo
+        offsets = np.arange(int(np.max(m)))
         idx = np.minimum(lo[:, None] + offsets, xs.size - 1)
+        inwin = offsets < m[:, None]
+    if spec.method == "kernel":
+        # one sort per window, padding last; each level takes sample_quantile's
+        # order statistic of every window by index
+        win = np.sort(np.where(inwin, ys[idx], np.inf), axis=1)
+        k = np.clip(np.ceil(taus[:, None] * m - 1e-9), 1, m).astype(np.intp)
+        return win[np.arange(m.size), k - 1], None
+    kappa = _irls_kappa(data.y)
+    if spec.method == "loclinear":
+        nodes = spec.eval_axis.coords
         xi = xs[idx] - nodes[:, None]
         design = np.stack([np.ones_like(xi), xi], axis=-1)
-        inwin = offsets < (hi - lo)[:, None]
         mean = _window_means(spec, xs, ys, lo, hi, np.ones(xs.size))
-        start = np.column_stack([mean, np.zeros(nodes.size)])
-        est = [
-            _irls(design, ys[idx], inwin, np.full(nodes.size, t), kappa, start)[0][:, 0]
-            for t in taus
-        ]
+        yw, coef, est = ys[idx], np.column_stack([mean, np.zeros(nodes.size)]), []
+        for j, t in enumerate(taus):
+            stages = () if j else IRLS_STAGES
+            coef = _irls(design, yw, inwin, np.full(nodes.size, t), kappa, coef, stages)[0]
+            est.append(coef[:, 0])
         return np.array(est), None
     design = _basis_matrix(spec, data.x)
     start = np.tile(_series_lstsq(design, data.y), (taus.size, 1))
@@ -610,7 +619,8 @@ def fit(data: Dataset, spec: EstimatorSpec) -> FitResult:
 def fit_quantile_process(data: Dataset, spec: EstimatorSpec, taus) -> GriddedFunction:
     """Stack per-tau quantile fits into a 2-d function (axis 1: tau, axis 2: x).
 
-    The spec's own loss is ignored; row j matches fit() at level taus[j].
+    The spec's own loss is ignored.  Row j matches fit() at level taus[j],
+    but a warm-started local-linear row may sit elsewhere on a flat optimum.
     """
     taus = _levels("taus", taus)
     est, _ = _fit_quantiles(data, spec, taus)

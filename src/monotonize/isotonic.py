@@ -86,10 +86,12 @@ def _pava_rows(v: np.ndarray, w=None) -> np.ndarray:
         top = np.frexp(np.abs(v).max(axis=1))[1]
         shift = np.maximum(0, top + math.frexp(wtotal)[1] - 1023)[:, None]
         v = np.ldexp(v, -shift)
+    # pava is the identity on a weakly increasing row: only the others pool
+    work = np.any(v[:, 1:] < v[:, :-1], axis=1)
     # the stacks hold Python floats: the same double arithmetic as numpy
     # scalars, without their per-element boxing
     means, counts = [], []
-    for row in v.tolist():
+    for row in v[work].tolist():
         mean, wsum, count = [], [], []
         for x, wx in zip(row, wl):
             c = 1
@@ -104,7 +106,8 @@ def _pava_rows(v: np.ndarray, w=None) -> np.ndarray:
             count.append(c)
         means += mean
         counts += count
-    out = np.repeat(means, counts).reshape(v.shape)
+    out = v.copy()
+    out[work] = np.repeat(means, counts).reshape(-1, n)
     return out if shift is None else np.ldexp(out, shift)
 
 

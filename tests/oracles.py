@@ -12,8 +12,9 @@ read_rows_reference and write_rows_reference parse and format one CSV line
 at a time, and read_draws_reference assembles one draw at a time.  The
 batched code must match them bit for bit and byte for byte.
 window_mean_reference is the unweighted kernel and local-linear mean fit,
-and bootstrap_oracle refits every draw on its resampled rows, one draw at a
-time; the weighted, blocked bootstrap must match it to rounding.
+kernel_quantile_process_reference takes one sample_quantile per level and
+window, and bootstrap_oracle refits every draw on its resampled rows, one
+draw at a time; the weighted, blocked bootstrap must match it to rounding.
 """
 
 import csv
@@ -33,7 +34,7 @@ from monotonize.errors import (
     TooManyFailedDrawsError,
     ValidationError,
 )
-from monotonize.estimators import Dataset, EstimatorSpec, _integer, fit
+from monotonize.estimators import Dataset, EstimatorSpec, _integer, fit, sample_quantile
 from monotonize.grid import GriddedFunction
 from monotonize.grid import _headroom
 from monotonize.isotonic import _check_seq
@@ -203,6 +204,13 @@ def window_mean_reference(data: Dataset, spec: EstimatorSpec) -> np.ndarray:
     sxy = t1 - nodes * t0
     det = s0 * sxx - sx * sx
     return (sxx * t0 - sx * sxy) / det
+
+
+def kernel_quantile_process_reference(data: Dataset, spec: EstimatorSpec, taus) -> np.ndarray:
+    """Box-kernel check-loss fits, levels x nodes: one sample_quantile per cell."""
+    h = spec.bandwidth
+    windows = [data.y[(data.x >= c - h) & (data.x <= c + h)] for c in spec.eval_axis.coords]
+    return np.array([[sample_quantile(w, t) for w in windows] for t in taus])
 
 
 def bootstrap_oracle(data: Dataset, spec: EstimatorSpec, b_draws: int, seed: int):

@@ -48,7 +48,11 @@ from monotonize.montecarlo import (
     desk_tau_net,
     simulate_rep,
 )
-from oracles import bootstrap_oracle, window_mean_reference
+from oracles import (
+    bootstrap_oracle,
+    kernel_quantile_process_reference,
+    window_mean_reference,
+)
 
 
 def _axis(n=11, lo=0.0, hi=1.0):
@@ -197,6 +201,19 @@ def test_kernel_quantile_equals_window_order_statistics():
             assert est[i] == sample_quantile(win, tau)
 
 
+def test_kernel_quantile_process_is_the_per_level_reference():
+    rng = np.random.default_rng(29)
+    taus = np.linspace(0.05, 0.95, 19)
+    for _ in range(20):
+        n = int(rng.integers(10, 120))
+        # rounded x and y: ties at window edges and among the order statistics
+        x = np.round(rng.uniform(0, 1, n), 2)
+        y = np.round(rng.normal(size=n), 1)
+        spec = EstimatorSpec("kernel", MEAN_LOSS, _axis(11, 0.2, 0.8), bandwidth=0.2)
+        est = fit_quantile_process(Dataset(x, y), spec, taus).values
+        assert np.array_equal(est, kernel_quantile_process_reference(Dataset(x, y), spec, taus))
+
+
 def test_loclinear_mean_recovers_exact_line():
     rng = np.random.default_rng(13)
     x = rng.uniform(0, 1, 60)
@@ -281,8 +298,8 @@ def _spy_on_irls(monkeypatch):
     real_irls = estimators._irls
     calls = []
 
-    def spy(design, y, inwin, tau, kappa, coef0):
-        coef, trace = real_irls(design, y, inwin, tau, kappa, coef0)
+    def spy(design, y, inwin, tau, kappa, coef0, stages=estimators.IRLS_STAGES):
+        coef, trace = real_irls(design, y, inwin, tau, kappa, coef0, stages)
         calls.append({"design": design, "tau": tau, "coef": coef, "trace": trace})
         return coef, trace
 
@@ -290,9 +307,20 @@ def _spy_on_irls(monkeypatch):
     return calls
 
 
-def test_loclinear_quantile_within_smoothing_bound_of_exact_lp(monkeypatch):
+def _assert_within_smoothing_bound(data, nodes, h, tau, kappa, a, b):
     # rho <= rho_kappa <= rho + kappa log 2 pointwise, so a converged fit of
     # the smoothed loss has exact window loss at most LP optimum + m kappa log 2
+    for j, node in enumerate(nodes):
+        win = _window(data.x, node, h)
+        xi, y = data.x[win] - node, data.y[win]
+        lp = _lp_optimum(np.column_stack([np.ones_like(xi), xi]), y, tau)
+        got = _check_loss(y - a[j] - b[j] * xi, tau)
+        bound = lp + y.size * kappa * math.log(2.0)
+        assert got >= lp - 1e-9 * max(1.0, lp)
+        assert got <= bound + 1e-9 * max(1.0, bound)
+
+
+def test_loclinear_quantile_within_smoothing_bound_of_exact_lp(monkeypatch):
     calls = _spy_on_irls(monkeypatch)
     h = 0.15
     ax = _axis(9, 0.1, 0.9)
@@ -307,15 +335,27 @@ def test_loclinear_quantile_within_smoothing_bound_of_exact_lp(monkeypatch):
             b = calls[-1]["coef"][:, 1]
             # the work arrays are nodes x widest window, never nodes x n
             assert calls[-1]["design"].shape == (ax.coords.size, max(counts), 2)
-            for j, node in enumerate(ax.coords):
-                win = _window(data.x, node, h)
-                xi, y = data.x[win] - node, data.y[win]
-                lp = _lp_optimum(np.column_stack([np.ones_like(xi), xi]), y, tau)
-                got = _check_loss(y - a[j] - b[j] * xi, tau)
-                bound = lp + y.size * kappa * math.log(2.0)
-                assert got >= lp - 1e-9 * max(1.0, lp)
-                assert got <= bound + 1e-9 * max(1.0, bound)
+            _assert_within_smoothing_bound(data, ax.coords, h, tau, kappa, a, b)
     assert max(widths) >= 3.0
+
+
+def test_loclinear_quantile_process_within_smoothing_bound_of_exact_lp(monkeypatch):
+    # levels after the first start from their neighbour's optimum and run the
+    # final pass only; each row must still meet the bound of a cold fit
+    calls = _spy_on_irls(monkeypatch)
+    h, taus = 0.15, (0.1, 0.5, 0.9)
+    ax = _axis(9, 0.1, 0.9)
+    for data in _loclinear_quantile_designs():
+        kappa = _irls_kappa(data.y)
+        spec = EstimatorSpec("loclinear", MEAN_LOSS, ax, bandwidth=h)
+        calls.clear()
+        est = fit_quantile_process(data, spec, taus).values
+        assert len(calls) == len(taus)
+        first = fit(data, replace(spec, loss=Loss("quantile", taus[0]))).estimate.values
+        assert np.array_equal(est[0], first)
+        for i, tau in enumerate(taus):
+            b = calls[i]["coef"][:, 1]
+            _assert_within_smoothing_bound(data, ax.coords, h, tau, kappa, est[i], b)
 
 
 def test_loclinear_quantile_ignores_data_outside_the_window():
