@@ -16,13 +16,13 @@ get shorter in every L^p length.
 from __future__ import annotations
 
 import warnings
-from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     AllNodesDegenerateError,
     CrossingBandError,
+    GridMismatchError,
     NegativeStderrError,
     OutOfRangeError,
     TooFewDrawsError,
@@ -98,34 +98,34 @@ def order_statistic_quantile(values, alpha: float) -> float:
     return sample_quantile(arr, 1.0 - alpha)
 
 
-def max_t(center: GriddedFunction, f: GriddedFunction, stderr: GriddedFunction) -> float:
-    """max |f - center| / stderr over the nodes whose stderr is not degenerate."""
+def max_t(center: GriddedFunction, f: GriddedFunction, stderr: GriddedFunction):
+    """max |f - center| / stderr over the nodes whose stderr is not degenerate,
+    one per draw if f leads with a draw axis, as bootstrap's draws do."""
     check_same_grid(center, stderr)
-    check_same_grid(center, f)
+    if f.axes[int(f.ndim > center.ndim) :] != center.axes:
+        raise GridMismatchError("functions do not live on the same grid")
     valid = stderr.values > DEGENERATE_STDERR
     if not np.any(valid):
         raise AllNodesDegenerateError(
             "every node has a near-zero standard error; no max-t statistic exists"
         )
-    return float(
-        np.max(np.abs(f.values[valid] - center.values[valid]) / stderr.values[valid])
-    )
+    dev = np.abs(f.values[..., valid] - center.values[valid]) / stderr.values[valid]
+    return dev.max(axis=-1)
 
 
 def critical_value_max_t(
     center: GriddedFunction,
-    bootstrap_centers: Sequence[GriddedFunction],
+    draws: GriddedFunction,
     stderr: GriddedFunction,
     alpha: float,
 ) -> float:
-    """Conservative empirical (1 - alpha) quantile of max_t over the draws.
+    """Conservative empirical (1 - alpha) quantile of max_t over bootstrap's draws.
 
     A warning reports the nodes that max_t leaves out for a near-zero stderr.
     """
-    draws = list(bootstrap_centers)
-    if len(draws) < 2:
-        raise TooFewDrawsError(f"need at least 2 draws, got {len(draws)}")
-    stats = [max_t(center, d, stderr) for d in draws]
+    stats = np.atleast_1d(max_t(center, draws, stderr))
+    if stats.size < 2:
+        raise TooFewDrawsError(f"need at least 2 draws, got {stats.size}")
     n_bad = int(np.count_nonzero(stderr.values <= DEGENERATE_STDERR))
     if n_bad:
         warnings.warn(

@@ -189,15 +189,21 @@ def _cmd_band(args, parser) -> int:
     return 0
 
 
-def _cmd_estimate(args, parser) -> int:
+def _cmd_estimate(args) -> int:
+    # an option the fit would ignore is refused before anything is read
+    levels = [a for a in (args.tau, args.taus) if a is not None]
+    if len(levels) != (args.loss == "quantile"):
+        raise OutOfRangeError(
+            "--loss quantile needs --tau or --taus (not both); --loss mean takes neither"
+        )
+    if args.bootstrap is None and any((args.stderr_out, args.draws_out, args.band_out)):
+        raise OutOfRangeError("--stderr-out/--draws-out/--band-out need --bootstrap")
+    if args.bootstrap is not None and args.taus is not None:
+        raise OutOfRangeError("--bootstrap does not apply to --taus processes")
     data = csvio.read_dataset(args.data)
     eval_axis = span_axis(data.x, args.grid)
-    if args.loss == "quantile":
-        if args.tau is None and not args.taus:
-            parser.error("estimate: --loss quantile needs --tau or --taus")
-        loss = Loss("quantile", args.tau if args.tau is not None else 0.5)
-    else:
-        loss = MEAN_LOSS
+    tau = 0.5 if args.tau is None else args.tau  # a --taus process sets its own levels
+    loss = Loss("quantile", tau) if args.loss == "quantile" else MEAN_LOSS
     knots = None
     if args.knots:
         try:
@@ -213,17 +219,11 @@ def _cmd_estimate(args, parser) -> int:
         n_terms=args.nterms,
         fourier_linear=not args.fourier_no_linear,
     )
-    if args.taus:
-        if args.bootstrap:
-            raise OutOfRangeError(
-                "--bootstrap applies to single-level fits, not --taus processes"
-            )
+    if args.taus is not None:
         proc = fit_quantile_process(data, spec, parse_tau_net(args.taus))
         csvio.write_grid_function(proc, args.out)
         print(f"wrote {args.out}")
         return 0
-    if args.bootstrap is None and (args.stderr_out or args.draws_out or args.band_out):
-        parser.error("estimate: --stderr-out/--draws-out/--band-out need --bootstrap")
     result = fit(data, spec)
     # everything that can refuse the input runs before the first file is written
     if args.bootstrap is not None:
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
         if args.command == "band":
             return _cmd_band(args, parser)
         if args.command == "estimate":
-            return _cmd_estimate(args, parser)
+            return _cmd_estimate(args)
         return _cmd_simulate(args)
     except SystemExit as exc:
         # argparse signals usage problems this way; --help arrives as code 0

@@ -10,9 +10,11 @@ All formats are plain CSV with a mandatory header row:
 Grid rows may arrive in any order but must cover the full cartesian product
 of the coordinate values exactly once.  Floats are written with repr, so a
 write/read round trip reproduces every value bit for bit.  Writers emit grid
-nodes in C order, axis 1 varying slowest, and draws in index order.  Both
-directions work on whole columns; a reader walks the rows one by one only to
-name the line of a malformed one.
+nodes in C order, axis 1 varying slowest.  Bootstrap draws are one grid
+function with the draw index as axis 1, and a draws file is its grid file,
+that axis written as the integer column draw.  Both directions work on whole
+columns; a reader walks the rows one by one only to name the line of a
+malformed one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
-from itertools import chain, product, repeat
+from itertools import chain, product
 
 import numpy as np
 
@@ -115,25 +117,24 @@ def _lines(columns) -> str:
     return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
-def _write_grid_rows(path, header: list, blocks) -> None:
-    """Write the header line, then one line per grid node of each block.
+def _write_grid_rows(path, header: list, axes, arrays, lead=()) -> None:
+    """Write the header line, then one line per grid node.
 
-    A block is (lead, axes, value arrays): each of its lines holds the lead
-    fields, the node's coordinates and then the node's entry of every array.
-    Nodes follow C order, axis 1 varying slowest, as in itertools.product.
+    A node's line holds its coordinates and then its entry of every array;
+    lead holds the text of any axes that come before axes.  Nodes follow C
+    order, axis 1 varying slowest, as in itertools.product.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for lead, axes, arrays in blocks:
-            coords = product(*(list(map(repr, a.coords.tolist())) for a in axes))
-            columns = [repeat(x) for x in lead] + [map(",".join, coords)]
-            columns += [map(repr, a.reshape(-1).tolist()) for a in arrays]
-            fh.write(_lines(columns))
+        coords = [*lead, *(list(map(repr, a.coords.tolist())) for a in axes)]
+        columns = [map(",".join, product(*coords))]
+        columns += [map(repr, a.reshape(-1).tolist()) for a in arrays]
+        fh.write(_lines(columns))
 
 
 def write_grid_function(f: GriddedFunction, path) -> None:
     header = _coord_header(f.ndim) + ["value"]
-    _write_grid_rows(path, header, [((), f.axes, [f.values])])
+    _write_grid_rows(path, header, f.axes, [f.values])
 
 
 def read_grid_function(path) -> GriddedFunction:
@@ -147,7 +148,7 @@ def read_grid_function(path) -> GriddedFunction:
 def write_band(band: Band, path) -> None:
     header = _coord_header(band.lower.ndim) + ["lower", "upper"]
     arrays = [band.lower.values, band.upper.values]
-    _write_grid_rows(path, header, [((), band.axes, arrays)])
+    _write_grid_rows(path, header, band.axes, arrays)
 
 
 def read_band(path) -> Band:
@@ -175,17 +176,15 @@ def read_dataset(path) -> Dataset:
     return Dataset(rows[:, 0], rows[:, 1])
 
 
-def write_draws(draws, path) -> None:
-    """Write a sequence of same-grid functions, one block per draw index."""
-    draws = list(draws)
-    if not draws:
-        raise CsvFormatError("no draws to write")
-    header = ["draw"] + _coord_header(draws[0].ndim) + ["value"]
-    blocks = (((str(b),), f.axes, [f.values]) for b, f in enumerate(draws))
-    _write_grid_rows(path, header, blocks)
+def write_draws(draws: GriddedFunction, path) -> None:
+    """Write bootstrap draws: the grid file of draws, axis 1 as integer indices."""
+    header = ["draw"] + _coord_header(draws.ndim - 1) + ["value"]
+    index = list(map(str, range(draws.shape[0])))
+    _write_grid_rows(path, header, draws.axes[1:], [draws.values], [index])
 
 
-def read_draws(path) -> list:
+def read_draws(path) -> GriddedFunction:
+    """Read a draws file into one function whose axis 1 is the draw index."""
     header, rows = _read_rows(path, "draws")
     if len(header) < 3 or header[0] != "draw":
         raise CsvFormatError(
@@ -216,12 +215,10 @@ def read_draws(path) -> list:
         if ids.size == counts.size * size and np.unique(key).size == ids.size:
             flat = np.zeros(ids.size, dtype=float)
             flat[key] = values
-            return [GriddedFunction(axes, v) for v in flat.reshape(-1, *shape)]
-    # otherwise assemble draw by draw, which names the first offending draw
-    blocks = (rows[ids == b] for b in range(counts.size))
-    out = [_grid_from_columns(b[:, 1 : 1 + d], b[:, 1 + d], path) for b in blocks]
-    first = out[0]
-    for f in out[1:]:
-        if not first.same_grid(f):
-            raise GridMismatchError(f"{path}: draws disagree on their grid")
-    return out
+            return GriddedFunction([Axis(range(counts.size)), *axes], flat.reshape(-1, *shape))
+    # otherwise the file is refused: assembling draw by draw names the first
+    # broken draw, and if every draw holds a grid of its own, they disagree
+    for b in range(counts.size):
+        block = rows[ids == b]
+        _grid_from_columns(block[:, 1 : 1 + d], block[:, 1 + d], path)
+    raise GridMismatchError(f"{path}: draws disagree on their grid")

@@ -698,7 +698,7 @@ def _draw_fitter(data: Dataset, spec: EstimatorSpec) -> tuple:
 
 
 def bootstrap(data: Dataset, spec: EstimatorSpec, b_draws: int, seed: int):
-    """Pairs bootstrap of a fit: (stderr function, list of draw estimates).
+    """Pairs bootstrap of a fit: (stderr function, draws function).
 
     Draw b resamples n rows with replacement using an RNG stream derived from
     (seed, b), so results do not depend on evaluation order.  The draw is
@@ -707,7 +707,8 @@ def bootstrap(data: Dataset, spec: EstimatorSpec, b_draws: int, seed: int):
     block's work arrays hold about BLOCK_ELEMENTS numbers.  A draw whose fit
     fails is redrawn from the stream (seed, b, retry + 1) and counted; the
     failed draws of a pass are redrawn in draw order, and more than 10%
-    failures abort.  stderr is the per-node standard deviation across draws.
+    failures abort.  The draws are one function, axis 1 the draw index 0..B-1
+    and axis 2 the fit's grid; stderr is their per-node standard deviation.
     """
     b_draws = _integer("b_draws", b_draws, 0)
     if b_draws < 2:
@@ -746,6 +747,6 @@ def bootstrap(data: Dataset, spec: EstimatorSpec, b_draws: int, seed: int):
             RuntimeWarning,
             stacklevel=2,
         )
-    estimates = [GriddedFunction([spec.eval_axis], v) for v in values]
+    draws = GriddedFunction([Axis(range(b_draws)), spec.eval_axis], values)
     stderr = GriddedFunction([spec.eval_axis], values.std(axis=0, ddof=1))
-    return stderr, estimates
+    return stderr, draws

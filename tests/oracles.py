@@ -9,12 +9,14 @@ isotonic projection (pava).
 The references are one-row-at-a-time forms of package code that works on
 whole arrays: pava_reference repairs one fiber per call,
 read_rows_reference and write_rows_reference parse and format one CSV line
-at a time, and read_draws_reference assembles one draw at a time.  The
-batched code must match them bit for bit and byte for byte.
+at a time, and read_draws_reference assembles one draw at a time and
+stacks the draws at the end.  The batched code must match them bit for bit
+and byte for byte.
 window_mean_reference is the unweighted kernel and local-linear mean fit,
 kernel_quantile_process_reference takes one sample_quantile per level and
 window, and bootstrap_oracle refits every draw on its resampled rows, one
-draw at a time; the weighted, blocked bootstrap must match it to rounding.
+draw at a time, and stacks the draws at the end; the weighted, blocked
+bootstrap must match it to rounding.
 """
 
 import csv
@@ -35,7 +37,7 @@ from monotonize.errors import (
     ValidationError,
 )
 from monotonize.estimators import Dataset, EstimatorSpec, _integer, fit, sample_quantile
-from monotonize.grid import GriddedFunction
+from monotonize.grid import Axis, GriddedFunction
 from monotonize.grid import _headroom
 from monotonize.isotonic import _check_seq
 from monotonize.rearrange import _average, _axis_pass, _compose
@@ -153,8 +155,9 @@ def write_rows_reference(path, header: list, blocks) -> None:
                 fh.write(lead + ",".join(repr(float(v)) for v in row) + "\n")
 
 
-def read_draws_reference(path) -> list:
-    """read_draws assembling and checking one draw at a time, in index order."""
+def read_draws_reference(path) -> GriddedFunction:
+    """read_draws assembling and checking one draw at a time, in index order,
+    then stacking the draws along a leading draw axis."""
     header, rows = _read_rows(path, "draws")
     if len(header) < 3 or header[0] != "draw":
         raise CsvFormatError(
@@ -178,7 +181,8 @@ def read_draws_reference(path) -> list:
     for f in out[1:]:
         if not first.same_grid(f):
             raise GridMismatchError(f"{path}: draws disagree on their grid")
-    return out
+    stacked = np.stack([f.values for f in out])
+    return GriddedFunction([Axis(np.arange(len(out))), *first.axes], stacked)
 
 
 def window_mean_reference(data: Dataset, spec: EstimatorSpec) -> np.ndarray:
@@ -245,4 +249,4 @@ def bootstrap_oracle(data: Dataset, spec: EstimatorSpec, b_draws: int, seed: int
         warnings.warn(f"bootstrap redrew {failures} failed draws", RuntimeWarning)
     stacked = np.stack([e.values for e in estimates])
     stderr = GriddedFunction(estimates[0].axes, stacked.std(axis=0, ddof=1))
-    return stderr, estimates
+    return stderr, GriddedFunction([Axis(np.arange(b_draws)), *estimates[0].axes], stacked)

@@ -34,6 +34,11 @@ def _band(axis, lower, upper):
     )
 
 
+def _draws(center, rows):
+    """The draws function on center's grid whose draw b takes the values rows[b]."""
+    return make_grid_function([np.arange(len(rows)), *center.axes], rows)
+
+
 def test_band_rejects_crossing_endpoints():
     with pytest.raises(CrossingBandError):
         _band(UNIT, [1.0, 0.0], [0.5, 3.0])
@@ -99,11 +104,7 @@ def test_order_statistic_quantile_validation():
 def test_critical_value_max_t_hand_case():
     center = make_grid_function([UNIT], [0.0, 0.0])
     stderr = make_grid_function([UNIT], [1.0, 2.0])
-    draws = [
-        center.with_values([1.0, 0.0]),
-        center.with_values([-2.0, 0.0]),
-        center.with_values([0.0, 4.0]),
-    ]
+    draws = _draws(center, [[1.0, 0.0], [-2.0, 0.0], [0.0, 4.0]])
     # per-draw max-t statistics are [1, 2, 2]
     assert critical_value_max_t(center, draws, stderr, 0.1) == 2.0
     assert critical_value_max_t(center, draws, stderr, 0.9) == 1.0
@@ -112,7 +113,7 @@ def test_critical_value_max_t_hand_case():
 def test_critical_value_max_t_excludes_degenerate_nodes():
     center = make_grid_function([UNIT], [0.0, 0.0])
     stderr = make_grid_function([UNIT], [1e-15, 1.0])
-    draws = [center.with_values([5.0, 1.0]), center.with_values([5.0, 2.0])]
+    draws = _draws(center, [[5.0, 1.0], [5.0, 2.0]])
     with pytest.warns(RuntimeWarning):
         crit = critical_value_max_t(center, draws, stderr, 0.0)
     assert crit == 2.0
@@ -121,7 +122,7 @@ def test_critical_value_max_t_excludes_degenerate_nodes():
 def test_critical_value_max_t_degenerate_everywhere():
     center = make_grid_function([UNIT], [0.0, 0.0])
     stderr = make_grid_function([UNIT], [0.0, 0.0])
-    draws = [center.with_values([1.0, 1.0]), center.with_values([2.0, 2.0])]
+    draws = _draws(center, [[1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(AllNodesDegenerateError):
         critical_value_max_t(center, draws, stderr, 0.1)
 
@@ -130,7 +131,28 @@ def test_critical_value_max_t_needs_two_draws():
     center = make_grid_function([UNIT], [0.0, 0.0])
     stderr = make_grid_function([UNIT], [1.0, 1.0])
     with pytest.raises(TooFewDrawsError):
-        critical_value_max_t(center, [center], stderr, 0.1)
+        critical_value_max_t(center, _draws(center, [[0.0, 0.0]]), stderr, 0.1)
+
+
+def test_max_t_over_a_draw_axis_is_the_per_draw_statistic_bit_for_bit():
+    rng = np.random.default_rng(29)
+    center = make_grid_function([np.linspace(0, 1, 4), [0.0, 0.5, 1.0]], rng.normal(size=(4, 3)))
+    se = rng.uniform(0.5, 2.0, size=(4, 3))
+    se[2, 1] = 0.0  # excluded: the draws' largest deviation sits there
+    stderr = center.with_values(se)
+    values = 3.0 * rng.normal(size=(7, 4, 3))
+    values[:, 2, 1] = 1e6
+    draws = _draws(center, values)
+    stats = max_t(center, draws, stderr)
+    loop = np.array([max_t(center, center.with_values(v), stderr) for v in values])
+    assert stats.shape == (7,) and stats.tobytes() == loop.tobytes()
+    shifted = make_grid_function([np.arange(7), [0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 1.0]], values)
+    for f in (shifted, _draws(draws, [values])):
+        with pytest.raises(GridMismatchError):
+            max_t(center, f, stderr)
+    # a function without a draw axis is a single draw
+    with pytest.raises(TooFewDrawsError, match="got 1"):
+        critical_value_max_t(center, center, stderr, 0.1)
 
 
 def test_monotonize_band_fixture():

@@ -12,7 +12,7 @@ import monotonize
 from monotonize import csvio
 from monotonize.cli import main
 from monotonize.errors import CrossingBandError, CsvFormatError, GridMismatchError
-from monotonize.bands import Band
+from monotonize.bands import Band, assemble_band, critical_value_max_t, monotonize_band
 from monotonize.estimators import Dataset
 from monotonize.grid import make_grid_function
 from monotonize.isotonic import pava
@@ -83,12 +83,12 @@ def test_band_round_trip(tmp_path):
 def test_draws_round_trip(tmp_path):
     rng = np.random.default_rng(17)
     axis = np.linspace(0, 1, 5)
-    draws = [make_grid_function([axis], rng.normal(size=5)) for _ in range(4)]
+    draws = make_grid_function([np.arange(4), axis], rng.normal(size=(4, 5)))
     path = tmp_path / "draws.csv"
     csvio.write_draws(draws, path)
     back = csvio.read_draws(path)
-    assert len(back) == 4
-    assert all(a == b for a, b in zip(back, draws))
+    assert back.shape == (4, 5)
+    assert back == draws
 
 
 # --- malformed input ------------------------------------------------------
@@ -314,7 +314,7 @@ def test_cli_band_from_center_and_draws(tmp_path, capsys):
     csvio.write_grid_function(
         center.with_values(np.full(4, 0.5)), tmp_path / "stderr.csv"
     )
-    draws = [center.with_values(rng.normal(size=4)) for _ in range(8)]
+    draws = make_grid_function([np.arange(8), axis], rng.normal(size=(8, 4)))
     csvio.write_draws(draws, tmp_path / "draws.csv")
     rc = main(
         ["band", "--center", str(tmp_path / "center.csv"),
@@ -332,7 +332,9 @@ def test_cli_band_alpha_zero_builds_on_the_largest_statistic(tmp_path, capsys):
     csvio.write_grid_function(center, tmp_path / "center.csv")
     csvio.write_grid_function(center.with_values(np.ones(3)), tmp_path / "stderr.csv")
     # per-draw max-t statistics are 1, 3 and 2
-    draws = [center.with_values(v) for v in ([1.0, 0.5, 0.0], [0.0, -3.0, 1.0], [2.0, 0.0, 0.0])]
+    draws = make_grid_function(
+        [np.arange(3), axis], [[1.0, 0.5, 0.0], [0.0, -3.0, 1.0], [2.0, 0.0, 0.0]]
+    )
     csvio.write_draws(draws, tmp_path / "draws.csv")
     out = tmp_path / "band.csv"
     rc = main(
@@ -345,6 +347,45 @@ def test_cli_band_alpha_zero_builds_on_the_largest_statistic(tmp_path, capsys):
     band = csvio.read_band(out)
     np.testing.assert_array_equal(band.lower.values, [-3.0, -3.0, -3.0])
     np.testing.assert_array_equal(band.upper.values, [3.0, 3.0, 3.0])
+
+
+def _band_files_2d(tmp_path, draw_axes=None):
+    """center, stderr and draws CSVs on a 4 x 3 grid: the draws on draw_axes."""
+    rng = np.random.default_rng(31)
+    axes = [np.linspace(0, 1, 4), [0.0, 0.5, 1.0]]
+    center = make_grid_function(axes, rng.normal(size=(4, 3)))
+    stderr = center.with_values(rng.uniform(0.5, 1.5, size=(4, 3)))
+    draws = make_grid_function([np.arange(9), *(draw_axes or axes)], rng.normal(size=(9, 4, 3)))
+    paths = [str(tmp_path / f) for f in ("center.csv", "stderr.csv", "draws.csv")]
+    csvio.write_grid_function(center, paths[0])
+    csvio.write_grid_function(stderr, paths[1])
+    csvio.write_draws(draws, paths[2])
+    return (center, stderr, draws), paths
+
+
+def test_cli_band_from_draws_on_a_2d_grid(tmp_path, capsys):
+    (center, stderr, draws), (c, se, d) = _band_files_2d(tmp_path)
+    out = str(tmp_path / "band.csv")
+    rc = main(["band", "--center", c, "--stderr", se, "--draws", d, "--alpha", "0.2",
+               "--out", out])
+    assert rc == 0
+    critical = critical_value_max_t(center, draws, stderr, 0.2)
+    assert f"critical value: {critical!r}\n" in capsys.readouterr().out
+    assert csvio.read_band(out) == monotonize_band(assemble_band(center, stderr, critical))
+
+
+def test_cli_band_draws_on_another_grid_is_one_line(tmp_path, capsys):
+    _, (c, se, d) = _band_files_2d(tmp_path, [np.linspace(0, 1, 4), [0.0, 0.5, 2.0]])
+    center, stderr = map(csvio.read_grid_function, (c, se))
+    with pytest.raises(GridMismatchError):
+        critical_value_max_t(center, csvio.read_draws(d), stderr, 0.1)
+    out = str(tmp_path / "b.csv")
+    rc = main(["band", "--center", c, "--stderr", se, "--draws", d, "--out", out])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", "monotonize: invalid input: functions do not live on the same grid\n"
+    )
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_cli_band_usage_error(tmp_path, capsys):
@@ -428,7 +469,7 @@ def test_cli_estimate_bootstrap_outputs(tmp_path, capsys):
         out, *(str(tmp_path / f) for f in ("se.csv", "draws.csv", "band.csv"))
     ]
     assert csvio.read_grid_function(str(tmp_path / "se.csv")).shape == (9,)
-    assert len(csvio.read_draws(str(tmp_path / "draws.csv"))) == 12
+    assert csvio.read_draws(str(tmp_path / "draws.csv")).shape == (12, 9)
     band = csvio.read_band(str(tmp_path / "band.csv"))
     assert np.all(band.lower.values <= band.upper.values)
 
@@ -455,6 +496,30 @@ def test_cli_estimate_refused_bootstrap_writes_no_file(tmp_path, capsys, draws):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("monotonize: invalid input: ")
     assert not (tmp_path / "f.csv").exists() and not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--taus", "0.1:0.9:0.1", "--draws-out", "d.csv", "--stderr-out", "s.csv"],
+        ["--tau", "0.3"],
+        ["--taus", "0.25:0.75:0.25"],
+        ["--loss", "mean", "--tau", "0.3", "--bootstrap", "4"],
+        ["--loss", "quantile", "--tau", "0.3", "--taus", "0.25:0.75:0.25"],
+        ["--loss", "quantile", "--taus", "0.25:0.75:0.25", "--bootstrap", "0"],
+        *(["--loss", "quantile", "--taus", "0.25:0.75:0.25", flag, "o.csv"]
+          for flag in ("--stderr-out", "--draws-out", "--band-out")),
+    ],
+)
+def test_cli_estimate_refuses_options_it_would_ignore(tmp_path, capsys, extra):
+    data = _dataset_csv(tmp_path)
+    extra = [str(tmp_path / a) if a.endswith(".csv") else a for a in extra]
+    rc = main(["estimate", "--data", data, "--method", "kernel", "--bandwidth", "0.35",
+               "--grid", "8", "--out", str(tmp_path / "f.csv"), *extra])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("monotonize: invalid input: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
 
 def test_cli_estimate_numerical_failure_exit_code(tmp_path, capsys):

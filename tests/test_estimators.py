@@ -38,7 +38,7 @@ from monotonize.estimators import (
     fit_quantile_process,
     sample_quantile,
 )
-from monotonize.grid import Axis
+from monotonize.grid import Axis, GriddedFunction
 from monotonize.montecarlo import (
     AGE_RANGE,
     DEFAULT_KNOTS,
@@ -677,11 +677,31 @@ def test_bootstrap_determinism_and_stderr():
     se1, draws1 = bootstrap(data, spec, 24, seed=9)
     se2, draws2 = bootstrap(data, spec, 24, seed=9)
     assert se1 == se2
-    assert len(draws1) == 24
-    assert all(a == b for a, b in zip(draws1, draws2))
+    assert draws1.shape == (24, 6)
+    assert draws1 == draws2
     assert np.all(se1.values > 0)
     se3, _ = bootstrap(data, spec, 24, seed=10)
     assert se3 != se1
+
+
+@pytest.mark.parametrize("method", ["kernel", "loclinear", "bspline", "fourier"])
+def test_bootstrap_builds_no_grid_function_per_draw(method, monkeypatch):
+    cfg, (data,) = _simulated(1)
+    spec = next(s for s in cfg.estimators if s.method == method)
+    built = []
+    init = GriddedFunction.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(GriddedFunction, "__init__", counting_init)
+    counts = []
+    for b_draws in (10, 200):
+        built.clear()
+        bootstrap(data, spec, b_draws, seed=4)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 def test_bootstrap_constant_outcome_gives_zero_stderr():
@@ -757,7 +777,7 @@ def _bootstrap_outcome(fn, data, spec, b_draws, seed):
         warnings.simplefilter("always")
         try:
             stderr, draws = fn(data, spec, b_draws, seed)
-            result = ("ok", stderr.values, np.stack([d.values for d in draws]))
+            result = ("ok", stderr.values, draws.values)
         except TooManyFailedDrawsError:
             result = ("abort", None, None)
     return (*result, [str(w.message) for w in caught])
@@ -827,4 +847,4 @@ def test_check_loss_bootstrap_is_the_oracle_bit_for_bit(method):
     spec = replace(next(s for s in specs if s.method == method), loss=Loss("quantile", 0.3))
     got, want = bootstrap(data, spec, 6, 8), bootstrap_oracle(data, spec, 6, 8)
     assert np.array_equal(got[0].values, want[0].values)
-    assert all(np.array_equal(a.values, b.values) for a, b in zip(got[1], want[1]))
+    assert got[1] == want[1]
