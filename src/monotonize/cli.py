@@ -158,7 +158,7 @@ def _length_report(before, after) -> None:
         print(f"{label} length: original {b!r} monotonized {a!r} ratio {ratio!r}")
 
 
-def _cmd_band(args, parser) -> int:
+def _cmd_band(args) -> int:
     if args.input:
         band = csvio.read_band(args.input)
     elif args.lower and args.upper:
@@ -175,10 +175,10 @@ def _cmd_band(args, parser) -> int:
             critical = critical_value_max_t(center, draws, stderr, args.alpha)
             print(f"critical value: {critical!r}")
         else:
-            parser.error("band: --center/--stderr needs --critical or --draws")
+            raise OutOfRangeError("band: --center/--stderr needs --critical or --draws")
         band = assemble_band(center, stderr, critical)
     else:
-        parser.error("band: give --input, --lower/--upper, or --center/--stderr")
+        raise OutOfRangeError("band: give --input, --lower/--upper, or --center/--stderr")
     mono = monotonize_band(
         band, method=args.method, orderings=_parse_orderings(args.orderings), lam=args.lam
     )
@@ -277,7 +277,7 @@ def main(argv=None) -> int:
         if args.command in ("rearrange", "isotonize"):
             return _cmd_monotonize(args)
         if args.command == "band":
-            return _cmd_band(args, parser)
+            return _cmd_band(args)
         if args.command == "estimate":
             return _cmd_estimate(args)
         return _cmd_simulate(args)

@@ -27,7 +27,7 @@ from itertools import chain, product
 import numpy as np
 
 from .bands import Band
-from .errors import CsvFormatError, GridMismatchError
+from .errors import CsvFormatError, GridMismatchError, ShapeMismatchError
 from .estimators import Dataset
 from .grid import Axis, GriddedFunction
 
@@ -178,6 +178,8 @@ def read_dataset(path) -> Dataset:
 
 def write_draws(draws: GriddedFunction, path) -> None:
     """Write bootstrap draws: the grid file of draws, axis 1 as integer indices."""
+    if draws.ndim < 2:
+        raise ShapeMismatchError("draws need a grid axis after the draw axis")
     header = ["draw"] + _coord_header(draws.ndim - 1) + ["value"]
     index = list(map(str, range(draws.shape[0])))
     _write_grid_rows(path, header, draws.axes[1:], [draws.values], [index])

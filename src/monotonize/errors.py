@@ -106,7 +106,7 @@ class RankDeficientDesignError(NumericalError):
 
 
 class IrlsNoConvergenceError(NumericalError):
-    """The smoothed-check IRLS loop hit its iteration cap."""
+    """The smoothed-check IRLS of a series quantile fit hit its iteration cap."""
 
 
 class AllNodesDegenerateError(NumericalError):

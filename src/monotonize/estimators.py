@@ -6,29 +6,24 @@ either squared-error loss or the check loss of quantile regression, and each
 evaluated on an explicit grid so the result plugs straight into the
 rearrangement and isotonization operators.
 
-Quantile fits other than the box-kernel one minimize a smoothed check loss
+Box-kernel and local-linear quantile fits minimize the check loss exactly
+(an order statistic of each window, and _loclinear_quantiles).  The series
+methods minimize a smoothed check loss
 
     rho_{tau,kappa}(u) = tau * u + kappa * log(1 + exp(-u / kappa)),
 
-with kappa = 1e-3 times the interquartile range of y, by one damped IRLS core
-that runs a batch of independent fits at once: each fit has its own design
-rows, responses, in-fit mask and level tau.  Local linear batches its eval
-nodes (each a 2-column design on the node's window); a series method batches
-its quantile levels, all sharing one basis matrix.  Each iteration solves the
-weighted least-squares majorizer of every fit's objective and halves a fit's
-step until its objective does not increase, so each objective is
-non-increasing across iterations by construction.  A fit leaves the batch at
-coefficient change 1e-8 (relative), with a cap of 200 iterations.  A
-local-linear quantile process warm-starts each level after the first from
-the previous level's coefficients.  The box-kernel quantile fit needs no
-iteration: with indicator weights the check loss is minimized exactly by an
-order statistic of the in-window responses.
+with kappa = 1e-3 times the interquartile range of y, by a damped IRLS core
+that runs one fit per quantile level at once, all sharing one basis matrix.
+Each iteration solves the weighted least-squares majorizer of every fit's
+objective and halves a fit's step until its objective does not increase, so
+each objective is non-increasing across iterations by construction.  A fit
+leaves the batch at coefficient change 1e-8 (relative), with a cap of 200
+iterations.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -49,7 +44,7 @@ from .errors import (
     ValidationError,
     NumericalError,
 )
-from .grid import Axis, GriddedFunction
+from .grid import Axis, GriddedFunction, _headroom
 
 METHODS = ("kernel", "loclinear", "bspline", "fourier")
 
@@ -230,17 +225,20 @@ class FitResult:
 # --- shared helpers ---------------------------------------------------------
 
 
+def _order_index(tau, m):
+    """The 0-based index of the ceil(tau * m)-th of m sorted values; the
+    slack keeps the ceiling exact when tau * m lands a hair above an integer."""
+    return np.minimum(np.maximum(np.ceil(tau * m - 1e-9), 1), m).astype(np.intp) - 1
+
+
 def sample_quantile(values: np.ndarray, tau: float) -> float:
     """Exact tau-th sample quantile: the ceil(tau * m)-th order statistic.
 
     Always a minimizer of the check loss; when the minimizers form an
-    interval this is its lower end-point among the data values.  The small
-    slack keeps the ceiling exact when tau * m lands a hair above an integer.
+    interval this is its lower end-point among the data values.
     """
-    m = values.size
-    k = math.ceil(tau * m - 1e-9)
-    k = min(max(k, 1), m)
-    return float(np.partition(values, k - 1)[k - 1])
+    k = _order_index(tau, values.size)
+    return float(np.partition(values, k)[k])
 
 
 def _irls_kappa(y: np.ndarray) -> float:
@@ -506,14 +504,14 @@ def _irls_stage(design, y, inwin, tau, kappa, coef, tol, max_iter):
     return done, last_delta, np.stack(trace)
 
 
-def _irls(design, y, inwin, tau, kappa, coef0, stages=IRLS_STAGES) -> tuple:
+def _irls(design, y, inwin, tau, kappa, coef0) -> tuple:
     """Annealed damped IRLS for a batch of fits (shapes as in _irls_stage).
 
-    Runs stages (IRLS_STAGES by default), then the final pass at kappa;
-    returns (coef, final-pass objectives) or raises IrlsNoConvergenceError.
+    Runs IRLS_STAGES, then the final pass at kappa; returns (coef,
+    final-pass objectives) or raises IrlsNoConvergenceError.
     """
     coef = np.array(coef0, dtype=float)
-    for mult, tol, cap in stages:
+    for mult, tol, cap in IRLS_STAGES:
         _irls_stage(design, y, inwin, tau, kappa * mult, coef, tol, cap)
     done, delta, trace = _irls_stage(
         design, y, inwin, tau, kappa, coef, IRLS_TOL, IRLS_MAX_ITER
@@ -551,48 +549,107 @@ def _series_lstsq(design: np.ndarray, y: np.ndarray) -> np.ndarray:
 # --- quantile fits ----------------------------------------------------------
 
 
+def _window_rows(n: int, lo, hi, width: int) -> tuple:
+    """Each window [lo, hi) of the sorted data as a row of indices padded to
+    width, and the mask of the row's in-window entries."""
+    offsets = np.arange(width)
+    return np.minimum(lo[:, None] + offsets, n - 1), offsets < (hi - lo)[:, None]
+
+
+def _kth_residual(z, y, b, k):
+    """Rows of residuals y - b z (levels x nodes x width) and each row's
+    (k + 1)-th smallest; the padding of a row has z = 0 and y = +inf."""
+    r = y - b[..., None] * z
+    return r, np.take_along_axis(np.sort(r, axis=-1), k[..., None], axis=-1)
+
+
+def _loclinear_quantiles(xs, ys, lo, hi, nodes, taus) -> tuple:
+    """Exact local-linear check-loss fits: (intercepts, slopes), levels x nodes.
+
+    With the slope b fixed, the best intercept is sample_quantile's order
+    statistic of the residuals y - b z (z = x - node), so the window's loss
+    g(b) is convex and piecewise linear, with breakpoints at the pairwise
+    slopes of its points of distinct x.  Those are sorted and made unique
+    once per node.  One binary search then runs for every (level, node): a
+    step takes the sign of g' midway between two adjacent slopes, where the
+    points below the order statistic weigh their z by 1 - tau, those above
+    by -tau and those at it by what keeps the intercept optimal.  It ends at
+    the leftmost slope whose right-hand segment has g' >= 0, so even on a
+    flat optimum a fit depends on its window and level alone.  The nodes go
+    in chunks whose slope and residual rows hold about BLOCK_ELEMENTS numbers.
+    """
+    width = int(np.max(hi - lo))
+    first, second = np.triu_indices(width, 1)
+    chunk = max(1, BLOCK_ELEMENTS // (first.size + taus.size * width))
+    tau = taus[:, None]
+    est, slope = np.empty((2, taus.size, nodes.size))
+    for part in np.split(np.arange(nodes.size), range(chunk, nodes.size, chunk)):
+        idx, inwin = _window_rows(xs.size, lo[part], hi[part], width)
+        x, y = xs[idx], ys[idx]
+        z = np.where(inwin, x - nodes[part, None], 0.0)
+        dx, cand = x[:, second], y[:, second]
+        dx -= x[:, first]
+        cand -= y[:, first]
+        pair = inwin[:, second] & (dx > 0.0)
+        np.divide(cand, dx, out=cand, where=pair)
+        cand[~pair] = np.inf
+        cand.sort(axis=1)
+        # each slope once: a repeat turns +inf and sorts last with the padding
+        cand[:, 1:][cand[:, 1:] == cand[:, :-1]] = np.inf
+        cand.sort(axis=1)
+        count = np.count_nonzero(cand < np.inf, axis=1)
+        y = np.where(inwin, y, np.inf)
+        m = hi[part] - lo[part]
+        k, rows = _order_index(tau, m), np.arange(part.size)
+        left, right = np.zeros(k.shape, dtype=np.intp), np.broadcast_to(count - 1, k.shape)
+        for _ in range(int(np.max(count) - 1).bit_length()):
+            searching = left < right
+            mid = (left + right) // 2
+            b = 0.5 * cand[rows, mid] + 0.5 * cand[rows, np.minimum(mid + 1, count - 1)]
+            r, v = _kth_residual(z, y, b, k)
+            below, at = r < v, r == v
+            n_below, n_at = np.count_nonzero(below, axis=-1), np.count_nonzero(at, axis=-1)
+            w_at = (tau * (m - n_below - n_at) - (1.0 - tau) * n_below) / n_at
+            w = np.where(below, 1.0 - tau[..., None], np.where(at, w_at[..., None], -tau[..., None]))
+            rising = np.sum(w * z, axis=-1) >= 0.0
+            right = np.where(searching & rising, mid, right)
+            left = np.where(searching & ~rising, mid + 1, left)
+        slope[:, part] = cand[rows, left]
+        est[:, part] = _kth_residual(z, y, slope[:, part], k)[1][..., 0]
+    return est, slope
+
+
 def _fit_quantiles(data: Dataset, spec: EstimatorSpec, taus: np.ndarray) -> tuple:
     """Check-loss fits at every level of taus: (taus x nodes, coefficients).
 
     The box kernel sorts each window once and indexes every level's order
-    statistic.  Local linear runs one IRLS batch over the nodes per level; a
-    batch over levels x nodes would hold levels times the work arrays.  The
-    levels go in tau order: the first starts cold from the window means, each
-    later one from the previous level's coefficients with the final pass
-    only.  A series method runs one batch over the levels, sharing the design
-    and the mean-loss start.  Coefficients (levels x k) are returned for the
-    series methods only.
+    statistic; local linear runs _loclinear_quantiles.  Both are exact, and
+    row j equals the fit at taus[j] alone bit for bit.  A series method runs
+    one IRLS batch over the levels, sharing the design and the mean-loss
+    start.  Coefficients (levels x k) are returned for the series methods
+    only.
     """
-    if spec.method in ("kernel", "loclinear"):
-        xs, ys, lo, hi = _checked_windows(data, spec)
-        # each window is a contiguous slice of the sorted data: gather the
-        # slices into rows as wide as the widest window and mask the padding
-        m = hi - lo
-        offsets = np.arange(int(np.max(m)))
-        idx = np.minimum(lo[:, None] + offsets, xs.size - 1)
-        inwin = offsets < m[:, None]
     if spec.method == "kernel":
+        xs, ys, lo, hi = _checked_windows(data, spec)
         # one sort per window, padding last; each level takes sample_quantile's
         # order statistic of every window by index
+        idx, inwin = _window_rows(xs.size, lo, hi, int(np.max(hi - lo)))
         win = np.sort(np.where(inwin, ys[idx], np.inf), axis=1)
-        k = np.clip(np.ceil(taus[:, None] * m - 1e-9), 1, m).astype(np.intp)
-        return win[np.arange(m.size), k - 1], None
-    kappa = _irls_kappa(data.y)
+        return win[np.arange(lo.size), _order_index(taus[:, None], hi - lo)], None
     if spec.method == "loclinear":
+        xs, ys, lo, hi = _checked_windows(data, spec)
         nodes = spec.eval_axis.coords
-        xi = xs[idx] - nodes[:, None]
-        design = np.stack([np.ones_like(xi), xi], axis=-1)
-        mean = _window_means(spec, xs, ys, lo, hi, np.ones(xs.size))
-        yw, coef, est = ys[idx], np.column_stack([mean, np.zeros(nodes.size)]), []
-        for j, t in enumerate(taus):
-            stages = () if j else IRLS_STAGES
-            coef = _irls(design, yw, inwin, np.full(nodes.size, t), kappa, coef, stages)[0]
-            est.append(coef[:, 0])
-        return np.array(est), None
+        # an exact scaling by 2^-s keeps every slope (at most 2 max|y| over the
+        # least gap of x) and residual finite; s is 0 at ordinary magnitudes
+        steps = np.diff(xs)
+        reach = max(1.0, max(xs[-1], nodes[-1]) - min(xs[0], nodes[0]))
+        shift = _headroom(float(np.max(np.abs(ys))), 4.0 * reach / np.min(steps[steps > 0.0]))
+        est = _loclinear_quantiles(xs, np.ldexp(ys, -shift), lo, hi, nodes, taus)[0]
+        return np.ldexp(est, shift), None
     design = _basis_matrix(spec, data.x)
     start = np.tile(_series_lstsq(design, data.y), (taus.size, 1))
     inwin = np.ones((1, data.n), dtype=bool)
-    coef, _ = _irls(design[None], data.y[None], inwin, taus, kappa, start)
+    coef, _ = _irls(design[None], data.y[None], inwin, taus, _irls_kappa(data.y), start)
     return coef @ _basis_matrix(spec, spec.eval_axis.coords).T, coef
 
 
@@ -619,8 +676,9 @@ def fit(data: Dataset, spec: EstimatorSpec) -> FitResult:
 def fit_quantile_process(data: Dataset, spec: EstimatorSpec, taus) -> GriddedFunction:
     """Stack per-tau quantile fits into a 2-d function (axis 1: tau, axis 2: x).
 
-    The spec's own loss is ignored.  Row j matches fit() at level taus[j],
-    but a warm-started local-linear row may sit elsewhere on a flat optimum.
+    The spec's own loss is ignored.  Row j is fit() at level taus[j]: for
+    kernel and local linear bit for bit, for a series method up to the
+    rounding of the batched IRLS.
     """
     taus = _levels("taus", taus)
     est, _ = _fit_quantiles(data, spec, taus)

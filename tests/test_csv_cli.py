@@ -11,7 +11,12 @@ import pytest
 import monotonize
 from monotonize import csvio
 from monotonize.cli import main
-from monotonize.errors import CrossingBandError, CsvFormatError, GridMismatchError
+from monotonize.errors import (
+    CrossingBandError,
+    CsvFormatError,
+    GridMismatchError,
+    ShapeMismatchError,
+)
 from monotonize.bands import Band, assemble_band, critical_value_max_t, monotonize_band
 from monotonize.estimators import Dataset
 from monotonize.grid import make_grid_function
@@ -89,6 +94,24 @@ def test_draws_round_trip(tmp_path):
     back = csvio.read_draws(path)
     assert back.shape == (4, 5)
     assert back == draws
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 4), (2, 3, 2), (2, 1, 2, 2)])
+def test_every_written_draws_file_reads_back(tmp_path, shape):
+    rng = np.random.default_rng(19)
+    axes = [np.arange(shape[0])] + [np.linspace(-1.0, 2.0, s) for s in shape[1:]]
+    draws = make_grid_function(axes, rng.normal(size=shape))
+    path = tmp_path / "draws.csv"
+    csvio.write_draws(draws, path)
+    assert csvio.read_draws(path) == draws
+
+
+def test_write_draws_refuses_a_function_without_a_grid_axis(tmp_path):
+    draws = make_grid_function([[0.0, 1.0, 2.0]], [0.5, 1.5, 2.5])
+    path = tmp_path / "draws.csv"
+    with pytest.raises(ShapeMismatchError, match="grid axis"):
+        csvio.write_draws(draws, path)
+    assert not path.exists()
 
 
 # --- malformed input ------------------------------------------------------
@@ -390,9 +413,14 @@ def test_cli_band_draws_on_another_grid_is_one_line(tmp_path, capsys):
 
 def test_cli_band_usage_error(tmp_path, capsys):
     center = _grid_csv(tmp_path, [1.0, 2.0], "center.csv")
-    rc = main(["band", "--center", center])
-    assert rc == 1
-    assert "error" in capsys.readouterr().err
+    stderr = _grid_csv(tmp_path, [0.5, 0.5], "stderr.csv")
+    for argv, message in (
+        ([], "give --input, --lower/--upper, or --center/--stderr"),
+        (["--stderr", stderr], "--center/--stderr needs --critical or --draws"),
+    ):
+        rc = main(["band", "--center", center, *argv])
+        assert rc == 1
+        assert capsys.readouterr().err == f"monotonize: invalid input: band: {message}\n"
 
 
 def _dataset_csv(tmp_path, n=60, seed=23):

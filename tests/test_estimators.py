@@ -248,8 +248,7 @@ def test_loclinear_needs_two_distinct_points():
 
 
 def test_loclinear_quantile_half_on_line_data():
-    # with tau = 0.5 and data exactly on a line the smoothed check loss is
-    # minimized on the line itself up to exponentially small terms
+    # with tau = 0.5 and data exactly on a line the exact fit is the line
     rng = np.random.default_rng(19)
     x = rng.uniform(0, 1, 50)
     data = Dataset(x, 1.0 + 2.0 * x)
@@ -258,7 +257,7 @@ def test_loclinear_quantile_half_on_line_data():
     )
     nodes = spec.eval_axis.coords
     np.testing.assert_allclose(
-        fit(data, spec).estimate.values, 1.0 + 2.0 * nodes, atol=1e-6
+        fit(data, spec).estimate.values, 1.0 + 2.0 * nodes, atol=1e-12
     )
 
 
@@ -293,74 +292,107 @@ def _lp_optimum(design, y, tau):
     return res.fun
 
 
-def _spy_on_irls(monkeypatch):
-    """Record the arguments and results of every IRLS batch a fit runs."""
-    real_irls = estimators._irls
-    calls = []
+def _spy_on_residual_rows(monkeypatch):
+    """Record the shape of every residual work array the local-linear search sorts."""
+    real = estimators._kth_residual
+    shapes = []
 
-    def spy(design, y, inwin, tau, kappa, coef0, stages=estimators.IRLS_STAGES):
-        coef, trace = real_irls(design, y, inwin, tau, kappa, coef0, stages)
-        calls.append({"design": design, "tau": tau, "coef": coef, "trace": trace})
-        return coef, trace
+    def spy(z, y, b, k):
+        r, v = real(z, y, b, k)
+        shapes.append(r.shape)
+        return r, v
 
-    monkeypatch.setattr(estimators, "_irls", spy)
-    return calls
+    monkeypatch.setattr(estimators, "_kth_residual", spy)
+    return shapes
 
 
-def _assert_within_smoothing_bound(data, nodes, h, tau, kappa, a, b):
-    # rho <= rho_kappa <= rho + kappa log 2 pointwise, so a converged fit of
-    # the smoothed loss has exact window loss at most LP optimum + m kappa log 2
+def _exact_fits(data, spec, taus):
+    """(intercepts, slopes) of the local-linear search, levels x nodes."""
+    windows = estimators._checked_windows(data, spec)
+    return estimators._loclinear_quantiles(
+        *windows, spec.eval_axis.coords, np.asarray(taus, dtype=float)
+    )
+
+
+def _assert_exact_lp(data, nodes, h, tau, a, b):
+    # every window's check loss equals the LP optimum up to rounding
     for j, node in enumerate(nodes):
         win = _window(data.x, node, h)
         xi, y = data.x[win] - node, data.y[win]
         lp = _lp_optimum(np.column_stack([np.ones_like(xi), xi]), y, tau)
         got = _check_loss(y - a[j] - b[j] * xi, tau)
-        bound = lp + y.size * kappa * math.log(2.0)
         assert got >= lp - 1e-9 * max(1.0, lp)
-        assert got <= bound + 1e-9 * max(1.0, bound)
+        assert got <= lp * (1.0 + 1e-12) + 1e-12
 
 
-def test_loclinear_quantile_within_smoothing_bound_of_exact_lp(monkeypatch):
-    calls = _spy_on_irls(monkeypatch)
+def test_loclinear_quantile_attains_the_exact_lp_optimum(monkeypatch):
+    shapes = _spy_on_residual_rows(monkeypatch)
     h = 0.15
     ax = _axis(9, 0.1, 0.9)
     widths = []
     for data in _loclinear_quantile_designs():
-        kappa = _irls_kappa(data.y)
         counts = [int(np.count_nonzero(_window(data.x, c, h))) for c in ax.coords]
         widths.append(max(counts) / min(counts))
         for tau in (0.1, 0.5, 0.9):
             spec = EstimatorSpec("loclinear", Loss("quantile", tau), ax, bandwidth=h)
+            shapes.clear()
             a = fit(data, spec).estimate.values
-            b = calls[-1]["coef"][:, 1]
-            # the work arrays are nodes x widest window, never nodes x n
-            assert calls[-1]["design"].shape == (ax.coords.size, max(counts), 2)
-            _assert_within_smoothing_bound(data, ax.coords, h, tau, kappa, a, b)
+            # the work arrays are levels x nodes x widest window, never x n
+            assert shapes and set(shapes) == {(1, ax.coords.size, max(counts))}
+            est, b = _exact_fits(data, spec, [tau])
+            assert np.array_equal(est[0], a)
+            _assert_exact_lp(data, ax.coords, h, tau, a, b[0])
     assert max(widths) >= 3.0
 
 
-def test_loclinear_quantile_process_within_smoothing_bound_of_exact_lp(monkeypatch):
-    # levels after the first start from their neighbour's optimum and run the
-    # final pass only; each row must still meet the bound of a cold fit
-    calls = _spy_on_irls(monkeypatch)
-    h, taus = 0.15, (0.1, 0.5, 0.9)
+def test_loclinear_quantile_process_rows_are_exact_fits(monkeypatch):
+    # row j is the fit at taus[j] alone, bit for bit, however the nodes are
+    # chunked, and every row attains the LP optimum
+    h, taus = 0.15, (0.1, 0.25, 0.5, 0.75, 0.9)
     ax = _axis(9, 0.1, 0.9)
     for data in _loclinear_quantile_designs():
-        kappa = _irls_kappa(data.y)
         spec = EstimatorSpec("loclinear", MEAN_LOSS, ax, bandwidth=h)
-        calls.clear()
         est = fit_quantile_process(data, spec, taus).values
-        assert len(calls) == len(taus)
-        first = fit(data, replace(spec, loss=Loss("quantile", taus[0]))).estimate.values
-        assert np.array_equal(est[0], first)
-        for i, tau in enumerate(taus):
-            b = calls[i]["coef"][:, 1]
-            _assert_within_smoothing_bound(data, ax.coords, h, tau, kappa, est[i], b)
+        for j, tau in enumerate(taus):
+            row = fit(data, replace(spec, loss=Loss("quantile", tau))).estimate.values
+            assert np.array_equal(est[j], row)
+        a, b = _exact_fits(data, spec, taus)
+        assert np.array_equal(a, est)
+        for j, tau in enumerate(taus):
+            _assert_exact_lp(data, ax.coords, h, tau, a[j], b[j])
+        # one node per chunk
+        with monkeypatch.context() as patch:
+            patch.setattr(estimators, "BLOCK_ELEMENTS", 1)
+            shapes = _spy_on_residual_rows(patch)
+            assert np.array_equal(fit_quantile_process(data, spec, taus).values, est)
+            assert {s[:2] for s in shapes} == {(len(taus), 1)}
+
+
+def test_loclinear_quantile_exact_on_ties_and_collinear_points():
+    # x on a coarse lattice and integer y on integer-slope lines: many tied
+    # x, duplicate points and collinear triples, so the pairwise slopes
+    # repeat and many windows have a flat optimum
+    rng = np.random.default_rng(37)
+    h = 0.25
+    ax = _axis(7, 0.1, 0.9)
+    taus = (0.1, 0.25, 0.5, 0.8)
+    for n in (40, 73):
+        k = rng.integers(0, 13, n)
+        y = 2.0 * k + rng.integers(-1, 2, n) * (rng.uniform(size=n) < 0.6)
+        data = Dataset(k / 12.0, y)
+        spec = EstimatorSpec("loclinear", MEAN_LOSS, ax, bandwidth=h)
+        est = fit_quantile_process(data, spec, taus).values
+        a, b = _exact_fits(data, spec, taus)
+        assert np.array_equal(a, est)
+        for j, tau in enumerate(taus):
+            row = fit(data, replace(spec, loss=Loss("quantile", tau))).estimate.values
+            assert np.array_equal(est[j], row)
+            _assert_exact_lp(data, ax.coords, h, tau, a[j], b[j])
 
 
 def test_loclinear_quantile_ignores_data_outside_the_window():
     # reversing y among the points outside node j's window keeps the multiset
-    # of y, hence kappa, fixed while changing everything node j must not see
+    # of y fixed while changing everything node j must not see
     rng = np.random.default_rng(29)
     x = np.sort(rng.uniform(0.0, 1.0, 120))
     data = Dataset(x, 3.0 * x + rng.normal(0.0, 0.3, 120))
@@ -372,20 +404,37 @@ def test_loclinear_quantile_ignores_data_outside_the_window():
         y = data.y.copy()
         y[out] = y[out[::-1]]
         moved = fit(Dataset(x, y), spec).estimate.values
-        tol = 10.0 * estimators.IRLS_TOL * max(1.0, abs(base[j]))
-        assert moved[j] == pytest.approx(base[j], abs=tol)
+        assert moved[j] == base[j]
         assert np.max(np.abs(np.delete(moved - base, j))) > 0.1
 
 
-def test_loclinear_quantile_reports_unconverged_nodes(monkeypatch):
+def test_loclinear_quantile_scales_exactly_near_the_float_limit():
+    # x gaps near 1e-11 make the pairwise slopes of y ~ 1e301 overflow unless
+    # the fit scales y first; a power-of-two scaling of y scales the fit
+    # exactly, so the huge fit is the ordinary one times 2^1000 bit for bit
+    rng = np.random.default_rng(41)
+    x = 1.0 + np.sort(rng.uniform(0.0, 5e-8, 50))
+    y = rng.uniform(-1.0, 1.0, 50)
+    spec = EstimatorSpec(
+        "loclinear", Loss("quantile", 0.3), Axis(np.linspace(x[0], x[-1], 5)), bandwidth=2e-8
+    )
+    small = fit(Dataset(x, y), spec).estimate.values
+    huge = fit(Dataset(x, np.ldexp(y, 1000)), spec).estimate.values
+    assert np.array_equal(huge, np.ldexp(small, 1000))
+
+
+def test_series_quantile_reports_unconverged_fits(monkeypatch):
     monkeypatch.setattr(estimators, "IRLS_STAGES", ())
     monkeypatch.setattr(estimators, "IRLS_MAX_ITER", 1)
     rng = np.random.default_rng(31)
     x = rng.uniform(0.0, 1.0, 80)
     data = Dataset(x, x + rng.normal(0.0, 0.5, 80))
-    spec = EstimatorSpec("loclinear", Loss("quantile", 0.25), _axis(5, 0.2, 0.8), bandwidth=0.2)
-    with pytest.raises(IrlsNoConvergenceError, match="fits unconverged after 1 iterations"):
-        fit(data, spec)
+    for spec in (
+        EstimatorSpec("fourier", Loss("quantile", 0.25), _axis(5), n_terms=2),
+        EstimatorSpec("bspline", Loss("quantile", 0.25), _axis(5), knots=(0.4, 0.7)),
+    ):
+        with pytest.raises(IrlsNoConvergenceError, match="fits unconverged after 1 iterations"):
+            fit(data, spec)
 
 
 def test_bspline_basis_partition_of_unity():
@@ -571,9 +620,9 @@ def test_irls_singular_fit_does_not_stop_its_batch():
 
 
 def test_quantile_process_accepts_a_fit_stalled_at_its_optimum():
-    # one local-linear fit of this replication stops moving by about 8e-6 per
-    # iteration while its gradient norm is 5e-14: a stationary point of a
-    # convex objective, so the fit has converged
+    # under IRLS one local-linear fit of this replication stopped moving by
+    # about 8e-6 per iteration at a stationary point; the exact search must
+    # fit it too
     cfg = McConfig(reps=2, seed=1010019)
     spec = next(s for s in cfg.estimators if s.method == "loclinear")
     taus = desk_tau_net()
@@ -581,7 +630,7 @@ def test_quantile_process_accepts_a_fit_stalled_at_its_optimum():
     assert est.shape == (taus.size, spec.eval_axis.coords.size)
 
 
-def test_irls_objective_never_increases(monkeypatch):
+def test_irls_objective_never_increases():
     rng = np.random.default_rng(53)
     x = rng.uniform(0, 1, 120)
     y = np.sin(2 * np.pi * x) + rng.normal(0, 0.5, 120)
@@ -589,17 +638,10 @@ def test_irls_objective_never_increases(monkeypatch):
     design = np.stack([basis_eval(spec, float(v)) for v in x])
     coef0 = np.linalg.lstsq(design, y, rcond=None)[0]
     taus = (0.05, 0.5, 0.95)
-    traces = [_shared_design_irls(design, y, taus, coef0)[1]]
-    # local linear: one batch of 9 node fits per level
-    calls = _spy_on_irls(monkeypatch)
-    spec = EstimatorSpec("loclinear", MEAN_LOSS, _axis(9, 0.1, 0.9), bandwidth=0.15)
-    fit_quantile_process(Dataset(x, y), spec, taus)
-    traces += [c["trace"] for c in calls]
-    assert [t.shape[1] for t in traces] == [3, 9, 9, 9]
-    for trace in traces:
-        assert trace.shape[0] > 1
-        slack = 1e-12 * np.maximum(1.0, np.abs(trace[:-1]))
-        assert np.all(np.diff(trace, axis=0) <= slack)
+    trace = _shared_design_irls(design, y, taus, coef0)[1]
+    assert trace.shape[0] > 1 and trace.shape[1] == 3
+    slack = 1e-12 * np.maximum(1.0, np.abs(trace[:-1]))
+    assert np.all(np.diff(trace, axis=0) <= slack)
 
 
 def test_quantile_fits_converge_across_methods_and_levels():
