@@ -7,8 +7,7 @@ evaluated on an explicit grid so the result plugs straight into the
 rearrangement and isotonization operators.
 
 Box-kernel and local-linear quantile fits minimize the check loss exactly
-(an order statistic of each window, and _loclinear_quantiles).  The series
-methods minimize a smoothed check loss
+(see _fit_quantiles); the series methods minimize a smoothed check loss
 
     rho_{tau,kappa}(u) = tau * u + kappa * log(1 + exp(-u / kappa)),
 
@@ -44,7 +43,7 @@ from .errors import (
     ValidationError,
     NumericalError,
 )
-from .grid import Axis, GriddedFunction, _headroom
+from .grid import Axis, GriddedFunction
 
 METHODS = ("kernel", "loclinear", "bspline", "fourier")
 
@@ -445,21 +444,20 @@ def _solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return step
 
 
-def _irls_stage(design, y, inwin, tau, kappa, coef, tol, max_iter):
+def _irls_stage(design, y, tau, kappa, coef, tol, max_iter):
     """One damped IRLS pass over P independent fits; updates coef in place.
 
-    design is P x W x k, y and inwin (the in-fit mask) are P x W, tau holds
-    one level per fit and coef is P x k; a leading axis of length 1 in
-    design, y or inwin is shared by all fits.  Each fit keeps its own
-    damping factor nu, halves its own step until its objective does not
-    increase, and drops out of the work set once its coefficient change
-    reaches tol.  Returns (done, last delta, objectives: iterations+1 x P).
+    design is P x n x k, y is P x n, tau holds one level per fit and coef is
+    P x k; a leading axis of length 1 in design or y is shared by all fits.
+    Each fit keeps its own damping factor nu, halves its own step until its
+    objective does not increase, and drops out of the work set once its
+    coefficient change reaches tol.  Returns (done, last delta, objectives:
+    iterations+1 x P).
     """
 
     def objective(idx, c):
         u = _rows(y, idx) - (_rows(design, idx) @ c[:, :, None])[:, :, 0]
-        rho = _check_objective(u, tau[idx, None], kappa)
-        return np.sum(np.where(_rows(inwin, idx), rho, 0.0), axis=1)
+        return np.sum(_check_objective(u, tau[idx, None], kappa), axis=1)
 
     p = coef.shape[0]
     obj = objective(np.arange(p), coef)
@@ -469,12 +467,12 @@ def _irls_stage(design, y, inwin, tau, kappa, coef, tol, max_iter):
     nu = np.ones(p)
     for _ in range(max_iter):
         act = np.flatnonzero(~done)
-        x, mask = _rows(design, act), _rows(inwin, act)
+        x = _rows(design, act)
         c, obja, nua = coef[act], obj[act], nu[act]
         u = _rows(y, act) - (x @ c[:, :, None])[:, :, 0]
         curvature, majorizer = _irls_weights(np.abs(u), kappa)
-        w = np.where(mask, curvature + nua[:, None] * majorizer, 0.0)
-        rp = np.where(mask, (tau[act, None] - 0.5) + 0.5 * np.tanh(u / (2.0 * kappa)), 0.0)
+        w = curvature + nua[:, None] * majorizer
+        rp = (tau[act, None] - 0.5) + 0.5 * np.tanh(u / (2.0 * kappa))
         xt = np.swapaxes(x, 1, 2)
         cn = c + _solve(xt @ (w[:, :, None] * x), (xt @ rp[:, :, None])[:, :, 0])
         objn = objective(act, cn)
@@ -504,7 +502,7 @@ def _irls_stage(design, y, inwin, tau, kappa, coef, tol, max_iter):
     return done, last_delta, np.stack(trace)
 
 
-def _irls(design, y, inwin, tau, kappa, coef0) -> tuple:
+def _irls(design, y, tau, kappa, coef0) -> tuple:
     """Annealed damped IRLS for a batch of fits (shapes as in _irls_stage).
 
     Runs IRLS_STAGES, then the final pass at kappa; returns (coef,
@@ -512,17 +510,15 @@ def _irls(design, y, inwin, tau, kappa, coef0) -> tuple:
     """
     coef = np.array(coef0, dtype=float)
     for mult, tol, cap in IRLS_STAGES:
-        _irls_stage(design, y, inwin, tau, kappa * mult, coef, tol, cap)
-    done, delta, trace = _irls_stage(
-        design, y, inwin, tau, kappa, coef, IRLS_TOL, IRLS_MAX_ITER
-    )
+        _irls_stage(design, y, tau, kappa * mult, coef, tol, cap)
+    done, delta, trace = _irls_stage(design, y, tau, kappa, coef, IRLS_TOL, IRLS_MAX_ITER)
     if not np.all(done):
         u = y - (design @ coef[:, :, None])[:, :, 0]
-        rp = np.where(inwin, (tau[:, None] - 0.5) + 0.5 * np.tanh(u / (2.0 * kappa)), 0.0)
+        rp = (tau[:, None] - 0.5) + 0.5 * np.tanh(u / (2.0 * kappa))
         grad = np.linalg.norm((np.swapaxes(design, 1, 2) @ rp[:, :, None])[:, :, 0], axis=1)
         # the objective is convex, so a fit whose last step was accepted and
         # whose gradient vanishes has stalled at its optimum
-        settled = np.isfinite(delta) & (grad <= IRLS_TOL * np.count_nonzero(inwin, axis=1))
+        settled = np.isfinite(delta) & (grad <= IRLS_TOL * y.shape[1])
         stuck = ~done & ~settled
         if np.any(stuck):
             raise IrlsNoConvergenceError(
@@ -556,67 +552,74 @@ def _window_rows(n: int, lo, hi, width: int) -> tuple:
     return np.minimum(lo[:, None] + offsets, n - 1), offsets < (hi - lo)[:, None]
 
 
-def _kth_residual(z, y, b, k):
-    """Rows of residuals y - b z (levels x nodes x width) and each row's
-    (k + 1)-th smallest; the padding of a row has z = 0 and y = +inf."""
-    r = y - b[..., None] * z
-    return r, np.take_along_axis(np.sort(r, axis=-1), k[..., None], axis=-1)
-
-
 def _loclinear_quantiles(xs, ys, lo, hi, nodes, taus) -> tuple:
     """Exact local-linear check-loss fits: (intercepts, slopes), levels x nodes.
 
     With the slope b fixed, the best intercept is sample_quantile's order
     statistic of the residuals y - b z (z = x - node), so the window's loss
-    g(b) is convex and piecewise linear, with breakpoints at the pairwise
-    slopes of its points of distinct x.  Those are sorted and made unique
-    once per node.  One binary search then runs for every (level, node): a
-    step takes the sign of g' midway between two adjacent slopes, where the
-    points below the order statistic weigh their z by 1 - tau, those above
-    by -tau and those at it by what keeps the intercept optimal.  It ends at
-    the leftmost slope whose right-hand segment has g' >= 0, so even on a
-    flat optimum a fit depends on its window and level alone.  The nodes go
-    in chunks whose slope and residual rows hold about BLOCK_ELEMENTS numbers.
+    g(b) is convex and piecewise linear.  Just right of a test slope t one
+    point p sorts at that order, and g is linear until another point crosses
+    p; one sort of the residuals gives the sign of g' there.  A fit brackets
+    the leftmost slope whose right-hand segment has g' >= 0 and moves one end
+    past t to the end of t's segment.  It tests the least-squares slope, then
+    the best slope of a line through p (a weighted quantile of p's slopes).
+    All fits run at once, in chunks of BLOCK_ELEMENTS / 4 numbers per array.
     """
     width = int(np.max(hi - lo))
-    first, second = np.triu_indices(width, 1)
-    chunk = max(1, BLOCK_ELEMENTS // (first.size + taus.size * width))
-    tau = taus[:, None]
-    est, slope = np.empty((2, taus.size, nodes.size))
-    for part in np.split(np.arange(nodes.size), range(chunk, nodes.size, chunk)):
-        idx, inwin = _window_rows(xs.size, lo[part], hi[part], width)
-        x, y = xs[idx], ys[idx]
-        z = np.where(inwin, x - nodes[part, None], 0.0)
-        dx, cand = x[:, second], y[:, second]
-        dx -= x[:, first]
-        cand -= y[:, first]
-        pair = inwin[:, second] & (dx > 0.0)
-        np.divide(cand, dx, out=cand, where=pair)
-        cand[~pair] = np.inf
-        cand.sort(axis=1)
-        # each slope once: a repeat turns +inf and sorts last with the padding
-        cand[:, 1:][cand[:, 1:] == cand[:, :-1]] = np.inf
-        cand.sort(axis=1)
-        count = np.count_nonzero(cand < np.inf, axis=1)
-        y = np.where(inwin, y, np.inf)
-        m = hi[part] - lo[part]
-        k, rows = _order_index(tau, m), np.arange(part.size)
-        left, right = np.zeros(k.shape, dtype=np.intp), np.broadcast_to(count - 1, k.shape)
-        for _ in range(int(np.max(count) - 1).bit_length()):
-            searching = left < right
-            mid = (left + right) // 2
-            b = 0.5 * cand[rows, mid] + 0.5 * cand[rows, np.minimum(mid + 1, count - 1)]
-            r, v = _kth_residual(z, y, b, k)
-            below, at = r < v, r == v
-            n_below, n_at = np.count_nonzero(below, axis=-1), np.count_nonzero(at, axis=-1)
-            w_at = (tau * (m - n_below - n_at) - (1.0 - tau) * n_below) / n_at
-            w = np.where(below, 1.0 - tau[..., None], np.where(at, w_at[..., None], -tau[..., None]))
-            rising = np.sum(w * z, axis=-1) >= 0.0
-            right = np.where(searching & rising, mid, right)
-            left = np.where(searching & ~rising, mid + 1, left)
-        slope[:, part] = cand[rows, left]
-        est[:, part] = _kth_residual(z, y, slope[:, part], k)[1][..., 0]
-    return est, slope
+    level, node = np.divmod(np.arange(taus.size * nodes.size), nodes.size)
+    chunk = max(1, BLOCK_ELEMENTS // (4 * width))
+    (est, slope), top = np.empty((2, level.size)), 2.0 * np.max(np.abs(ys))
+    for part in np.split(np.arange(level.size), range(chunk, level.size, chunk)):
+        j = node[part]
+        idx, inwin = _window_rows(xs.size, lo[j], hi[j], width)
+        z0, y0 = np.where(inwin, xs[idx] - nodes[j, None], 0.0), np.where(inwin, ys[idx], np.inf)
+        tau0, k0 = taus[level[part], None], _order_index(taus[level[part]], hi[j] - lo[j])
+        # every slope lies within +-(2 max|y| over the least gap of z)
+        gap = np.diff(z0, axis=1)
+        high = top / np.min(gap, axis=1, where=inwin[:, 1:] & (gap > 0.0), initial=np.inf)
+        slope[part], act = high, np.flatnonzero(high > 0.0)
+        zc = np.where(inwin, z0 - np.mean(z0, axis=1, where=inwin, keepdims=True), 0.0)[act]
+        with np.errstate(all="ignore"):
+            t = np.einsum("ij,ij->i", zc, np.where(inwin, y0, 0.0)[act]) / np.sum(zc * zc, axis=1)
+        low, high = -high[act], high[act]
+        t = np.where(t < high, np.fmax(t, low), low)
+        while act.size:
+            z, y, w, k, tau = z0[act], y0[act], inwin[act], k0[act], tau0[act, 0]
+            rows, tt = np.arange(act.size), t[:, None]
+            r = y - tt * z
+            v = np.take_along_axis(np.sort(r, axis=1), k[:, None], axis=1)
+            below, at, ties = r < v, r == v, np.count_nonzero(r <= v, axis=1) - k
+            # p sorts k-th just right of t, where residuals tied at t order by falling z
+            p = np.argmax(np.cumsum(at, axis=1, dtype=np.int32) >= ties[:, None], axis=1)
+            dz, dr = z - z[rows, p, None], r - r[rows, p, None]
+            below |= at & (dz > 0.0)
+            spread = np.einsum("ij,ij->i", dz, w)
+            rising = np.einsum("ij,ij->i", dz, below) >= tau * spread
+            ok = w & (dz != 0.0)
+            s = np.divide(y - y[rows, p, None], dz, out=np.full(dz.shape, np.inf), where=ok)
+            order = np.argsort(s, axis=1)
+            ss = np.take_along_axis(s, order, axis=1)
+            # t's segment ends at p's last crossing up to t and its first after;
+            # where a slope rounds across t, the residuals tell its side
+            crossed = ok & (((dz > 0.0) != (dr > 0.0)) | (dr == 0.0))
+            n_le, n_lt = np.count_nonzero(ss <= tt, axis=1), np.count_nonzero(ss < tt, axis=1)
+            left = np.where(np.any(crossed & (s > tt), axis=1), t, ss[rows, n_le - 1])
+            right = np.where(np.any(~crossed & (s < tt), axis=1), t, ss[rows, n_lt % width])
+            high = np.where(rising, np.fmin(np.fmax(left, low), t), high)
+            low = np.where(rising, low, np.fmin(np.fmax(right, np.nextafter(t, np.inf)), high))
+            # next test: the best slope through p, else p's last slope inside, else the middle
+            cum = np.cumsum(np.take_along_axis(np.abs(dz) * w, order, axis=1), axis=1)
+            best = np.count_nonzero(cum < (0.5 * cum[:, -1] + (tau - 0.5) * spread)[:, None], 1)
+            c = ss[rows, np.minimum(best, np.count_nonzero(ok, axis=1) - 1)]
+            prev = ss[rows, np.count_nonzero(ss < high[:, None], axis=1) - 1]
+            mid = np.fmin(0.5 * low + 0.5 * high, np.nextafter(high, -np.inf))
+            t = np.where((low < prev) & (prev < high), prev, mid)
+            t = np.where((low <= c) & (c < high), c, t)
+            slope[part[act]], keep = high, low < high
+            act, low, high, t = act[keep], low[keep], high[keep], t[keep]
+        r = y0 - slope[part, None] * z0
+        est[part] = np.take_along_axis(np.sort(r, axis=1), k0[:, None], axis=1)[:, 0]
+    return est.reshape(taus.size, nodes.size), slope.reshape(taus.size, nodes.size)
 
 
 def _fit_quantiles(data: Dataset, spec: EstimatorSpec, taus: np.ndarray) -> tuple:
@@ -625,31 +628,28 @@ def _fit_quantiles(data: Dataset, spec: EstimatorSpec, taus: np.ndarray) -> tupl
     The box kernel sorts each window once and indexes every level's order
     statistic; local linear runs _loclinear_quantiles.  Both are exact, and
     row j equals the fit at taus[j] alone bit for bit.  A series method runs
-    one IRLS batch over the levels, sharing the design and the mean-loss
-    start.  Coefficients (levels x k) are returned for the series methods
-    only.
+    one IRLS batch over the levels from the mean-loss start and also returns
+    its coefficients, levels x k.
     """
-    if spec.method == "kernel":
+    if spec.method in ("kernel", "loclinear"):
         xs, ys, lo, hi = _checked_windows(data, spec)
-        # one sort per window, padding last; each level takes sample_quantile's
-        # order statistic of every window by index
+    if spec.method == "kernel":
+        # one sort per window (padding last), then each level's order statistic
         idx, inwin = _window_rows(xs.size, lo, hi, int(np.max(hi - lo)))
         win = np.sort(np.where(inwin, ys[idx], np.inf), axis=1)
         return win[np.arange(lo.size), _order_index(taus[:, None], hi - lo)], None
     if spec.method == "loclinear":
-        xs, ys, lo, hi = _checked_windows(data, spec)
         nodes = spec.eval_axis.coords
-        # an exact scaling by 2^-s keeps every slope (at most 2 max|y| over the
-        # least gap of x) and residual finite; s is 0 at ordinary magnitudes
-        steps = np.diff(xs)
+        # scaling y by 2^-s, exact, keeps slopes and residuals finite even when
+        # z rounds a gap of x to half; s is 0 at ordinary magnitudes
         reach = max(1.0, max(xs[-1], nodes[-1]) - min(xs[0], nodes[0]))
-        shift = _headroom(float(np.max(np.abs(ys))), 4.0 * reach / np.min(steps[steps > 0.0]))
+        e = np.frexp([np.max(np.abs(ys)), reach, np.min(np.diff(np.unique(xs)))])[1]
+        shift = max(0, int(e[0] + e[1] - e[2]) - 1016)
         est = _loclinear_quantiles(xs, np.ldexp(ys, -shift), lo, hi, nodes, taus)[0]
         return np.ldexp(est, shift), None
     design = _basis_matrix(spec, data.x)
     start = np.tile(_series_lstsq(design, data.y), (taus.size, 1))
-    inwin = np.ones((1, data.n), dtype=bool)
-    coef, _ = _irls(design[None], data.y[None], inwin, taus, _irls_kappa(data.y), start)
+    coef, _ = _irls(design[None], data.y[None], taus, _irls_kappa(data.y), start)
     return coef @ _basis_matrix(spec, spec.eval_axis.coords).T, coef
 
 

@@ -1,4 +1,5 @@
 import math
+import signal
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -292,17 +293,19 @@ def _lp_optimum(design, y, tau):
     return res.fun
 
 
-def _spy_on_residual_rows(monkeypatch):
-    """Record the shape of every residual work array the local-linear search sorts."""
-    real = estimators._kth_residual
+def _spy_on_chunk_rows(monkeypatch):
+    """Record the shape of every chunk the local-linear search takes: one row
+    per (level, node) fit, one column per point of the widest window.  Every
+    work array of a chunk has at most that shape."""
+    real = estimators._window_rows
     shapes = []
 
-    def spy(z, y, b, k):
-        r, v = real(z, y, b, k)
-        shapes.append(r.shape)
-        return r, v
+    def spy(n, lo, hi, width):
+        idx, inwin = real(n, lo, hi, width)
+        shapes.append(idx.shape)
+        return idx, inwin
 
-    monkeypatch.setattr(estimators, "_kth_residual", spy)
+    monkeypatch.setattr(estimators, "_window_rows", spy)
     return shapes
 
 
@@ -326,7 +329,7 @@ def _assert_exact_lp(data, nodes, h, tau, a, b):
 
 
 def test_loclinear_quantile_attains_the_exact_lp_optimum(monkeypatch):
-    shapes = _spy_on_residual_rows(monkeypatch)
+    shapes = _spy_on_chunk_rows(monkeypatch)
     h = 0.15
     ax = _axis(9, 0.1, 0.9)
     widths = []
@@ -337,8 +340,8 @@ def test_loclinear_quantile_attains_the_exact_lp_optimum(monkeypatch):
             spec = EstimatorSpec("loclinear", Loss("quantile", tau), ax, bandwidth=h)
             shapes.clear()
             a = fit(data, spec).estimate.values
-            # the work arrays are levels x nodes x widest window, never x n
-            assert shapes and set(shapes) == {(1, ax.coords.size, max(counts))}
+            # the work arrays are fits x widest window, never x n
+            assert shapes == [(ax.coords.size, max(counts))]
             est, b = _exact_fits(data, spec, [tau])
             assert np.array_equal(est[0], a)
             _assert_exact_lp(data, ax.coords, h, tau, a, b[0])
@@ -360,23 +363,68 @@ def test_loclinear_quantile_process_rows_are_exact_fits(monkeypatch):
         assert np.array_equal(a, est)
         for j, tau in enumerate(taus):
             _assert_exact_lp(data, ax.coords, h, tau, a[j], b[j])
-        # one node per chunk
+        # one fit per chunk
         with monkeypatch.context() as patch:
             patch.setattr(estimators, "BLOCK_ELEMENTS", 1)
-            shapes = _spy_on_residual_rows(patch)
+            shapes = _spy_on_chunk_rows(patch)
             assert np.array_equal(fit_quantile_process(data, spec, taus).values, est)
-            assert {s[:2] for s in shapes} == {(len(taus), 1)}
+            assert len(shapes) == len(taus) * ax.coords.size
+            assert {s[0] for s in shapes} == {1}
+
+
+def test_loclinear_quantile_chunks_keep_work_arrays_within_the_block(monkeypatch):
+    # windows of about 300 points: with BLOCK_ELEMENTS = 4000 a chunk holds
+    # three fits, so no work array exceeds 1000 numbers, and the fits are the
+    # bits of the one-chunk search and attain the LP optimum
+    rng = np.random.default_rng(53)
+    x = np.sort(rng.uniform(0.0, 1.0, 400))
+    data = Dataset(x, np.sin(3.0 * x) + rng.normal(0.0, 0.3, 400))
+    h, taus, ax = 0.4, (0.2, 0.5, 0.8), _axis(5, 0.1, 0.9)
+    spec = EstimatorSpec("loclinear", MEAN_LOSS, ax, bandwidth=h)
+    est = fit_quantile_process(data, spec, taus).values
+    with monkeypatch.context() as patch:
+        patch.setattr(estimators, "BLOCK_ELEMENTS", 4000)
+        shapes = _spy_on_chunk_rows(patch)
+        assert np.array_equal(fit_quantile_process(data, spec, taus).values, est)
+    width = shapes[0][1]
+    assert width > 250 and {rows for rows, _ in shapes} == {3}
+    assert all(rows * width <= 1000 for rows, _ in shapes)
+    assert sum(rows for rows, _ in shapes) == len(taus) * ax.coords.size
+    a, b = _exact_fits(data, spec, taus)
+    for j, tau in enumerate(taus):
+        _assert_exact_lp(data, ax.coords, h, tau, a[j], b[j])
+
+
+def test_loclinear_quantile_fits_across_a_subnormal_gap_of_x():
+    # x = 0 and 5e-324 lie a subnormal apart, so slopes of y over that gap
+    # overflow unless the fit scales y; each intercept must still be optimal:
+    # with it fixed, the best slope attains the LP optimum of the window
+    rng = np.random.default_rng(59)
+    x = np.concatenate([[0.0, 5e-324], np.linspace(0.05, 1.0, 30)])
+    data = Dataset(x, x + rng.normal(0.0, 0.3, x.size))
+    h, ax = 0.6, _axis(3, 0.0, 1.0)
+    for tau in (0.25, 0.5):
+        spec = EstimatorSpec("loclinear", Loss("quantile", tau), ax, bandwidth=h)
+        est = fit(data, spec).estimate.values
+        assert np.all(np.isfinite(est))
+        for j, node in enumerate(ax.coords):
+            win = _window(data.x, node, h)
+            z, y = data.x[win] - node, data.y[win]
+            lp = _lp_optimum(np.column_stack([np.ones_like(z), z]), y, tau)
+            got = _lp_optimum(z[:, None], y - est[j], tau)
+            assert got <= lp * (1.0 + 1e-12) + 1e-12
 
 
 def test_loclinear_quantile_exact_on_ties_and_collinear_points():
     # x on a coarse lattice and integer y on integer-slope lines: many tied
     # x, duplicate points and collinear triples, so the pairwise slopes
-    # repeat and many windows have a flat optimum
+    # repeat, many windows have a flat optimum, and the slope of a point pair
+    # can round to the other side of a test slope than its residuals put it
     rng = np.random.default_rng(37)
     h = 0.25
     ax = _axis(7, 0.1, 0.9)
     taus = (0.1, 0.25, 0.5, 0.8)
-    for n in (40, 73):
+    for n in (40, 73) + tuple(range(20, 52, 4)):
         k = rng.integers(0, 13, n)
         y = 2.0 * k + rng.integers(-1, 2, n) * (rng.uniform(size=n) < 0.6)
         data = Dataset(k / 12.0, y)
@@ -388,6 +436,40 @@ def test_loclinear_quantile_exact_on_ties_and_collinear_points():
             row = fit(data, replace(spec, loss=Loss("quantile", tau))).estimate.values
             assert np.array_equal(est[j], row)
             _assert_exact_lp(data, ax.coords, h, tau, a[j], b[j])
+
+
+def test_loclinear_quantile_search_ends_on_nearly_tied_x():
+    # twelve x within 1e-9 of 0.5 and a node at 0: the cluster's slopes are
+    # near 1e10, and near one of them rounding noise orders the residuals of
+    # its pair over about 1e9 float steps of the slope, so the search must
+    # leave such a stretch by halving it, not one float step at a time
+    def stop(signum, frame):
+        raise TimeoutError("the local-linear search did not end")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(30)
+    try:
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            x = np.concatenate([0.5 + rng.uniform(0.0, 1e-9, 12), [0.0, 1.0]])
+            data = Dataset(x, rng.normal(size=x.size))
+            spec = EstimatorSpec("loclinear", MEAN_LOSS, _axis(5), bandwidth=0.6)
+            taus = (0.1, 0.3, 0.5, 0.7, 0.9)
+            a, b = _exact_fits(data, spec, taus)
+            assert np.array_equal(fit_quantile_process(data, spec, taus).values, a)
+            for j, tau in enumerate(taus):
+                for i, node in enumerate(spec.eval_axis.coords):
+                    win = _window(x, node, 0.6)
+                    z, y = x[win] - node, data.y[win]
+                    # the optimum is a line through two points of the window
+                    best = min(
+                        _check_loss(y - y[p] - (y[q] - y[p]) / (z[q] - z[p]) * (z - z[p]), tau)
+                        for p, q in zip(*np.nonzero(z[:, None] < z))
+                    )
+                    assert _check_loss(y - a[j, i] - b[j, i] * z, tau) <= best + 1e-4
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_loclinear_quantile_ignores_data_outside_the_window():
@@ -564,9 +646,8 @@ def test_irls_kappa_scaling_and_fallback():
 def _shared_design_irls(design, y, taus, coef0):
     """One IRLS batch over the levels taus, every fit on the same design."""
     taus = np.asarray(taus, dtype=float)
-    inwin = np.ones((1, y.size), dtype=bool)
     start = np.tile(coef0, (taus.size, 1))
-    return _irls(design[None], y[None], inwin, taus, _irls_kappa(y), start)
+    return _irls(design[None], y[None], taus, _irls_kappa(y), start)
 
 
 def test_intercept_only_median_within_tolerance():
@@ -608,15 +689,14 @@ def test_irls_singular_fit_does_not_stop_its_batch():
     design = np.ones((2, 31, 1))
     design[1] = 0.0
     coef = np.zeros((2, 1))
-    inwin = np.ones((1, 31), dtype=bool)
     done, delta, trace = estimators._irls_stage(
-        design, y, inwin, np.array([0.5, 0.5]), _irls_kappa(y[0]), coef, 1e-8, 200
+        design, y, np.array([0.5, 0.5]), _irls_kappa(y[0]), coef, 1e-8, 200
     )
     assert done.tolist() == [True, False]
     assert delta[1] == np.inf and coef[1, 0] == 0.0
     assert trace[-1, 0] < trace[0, 0] and np.all(trace[:, 1] == trace[0, 1])
     with pytest.raises(IrlsNoConvergenceError, match="1 fits unconverged"):
-        _irls(design, y, inwin, np.array([0.5, 0.5]), _irls_kappa(y[0]), coef)
+        _irls(design, y, np.array([0.5, 0.5]), _irls_kappa(y[0]), coef)
 
 
 def test_quantile_process_accepts_a_fit_stalled_at_its_optimum():
