@@ -28,7 +28,7 @@ from .errors import (
     TooFewDrawsError,
 )
 from .estimators import _real, sample_quantile
-from .grid import GriddedFunction, check_same_grid, value_tol
+from .grid import GriddedFunction, _row_tols, check_same_grid
 from .isotonic import monotonize
 
 #: Nodes whose standard error falls at or below this threshold are excluded
@@ -43,12 +43,7 @@ class Band:
 
     def __init__(self, lower: GriddedFunction, upper: GriddedFunction):
         check_same_grid(lower, upper)
-        tol = value_tol(lower.values, upper.values)
-        # an end-point plus tol may pass the float maximum; the inf it rounds
-        # to then decides as the exact sum would
-        with np.errstate(over="ignore"):
-            crossing = np.any(lower.values > upper.values + tol)
-        if crossing:
+        if _crossing(lower.values[None], upper.values[None])[0]:
             raise CrossingBandError("lower end-point exceeds upper end-point")
         self.lower = lower
         self.upper = upper
@@ -153,10 +148,24 @@ def monotonize_band(
 def covers(band: Band, f: GriddedFunction) -> bool:
     """True when f lies inside the band at every node (tolerance-padded)."""
     check_same_grid(band.lower, f)
-    tol = value_tol(band.lower.values, band.upper.values, f.values)
-    # an overflow past the float maximum decides as in Band.__init__
+    return bool(_covered(band.lower.values[None], band.upper.values[None], f.values[None])[0])
+
+
+def _crossing(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Per row, the index along a leading axis: does the band cross, as
+    Band decides it?"""
+    tol = _row_tols(lower, upper).reshape((-1,) + (1,) * (lower.ndim - 1))
+    # an end-point plus tol may pass the float maximum; the inf it rounds
+    # to then decides as the exact sum would
     with np.errstate(over="ignore"):
-        return bool(
-            np.all(band.lower.values - tol <= f.values)
-            and np.all(f.values <= band.upper.values + tol)
-        )
+        return np.any((lower > upper + tol).reshape(len(lower), -1), axis=1)
+
+
+def _covered(lower: np.ndarray, upper: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Per row, as in _crossing: does the band cover f, as covers decides it?
+    f may have length 1 along the leading axis."""
+    tol = _row_tols(lower, upper, f).reshape((-1,) + (1,) * (lower.ndim - 1))
+    # an overflow past the float maximum decides as in _crossing
+    with np.errstate(over="ignore"):
+        inside = (lower - tol <= f) & (f <= upper + tol)
+    return np.all(inside.reshape(len(lower), -1), axis=1)

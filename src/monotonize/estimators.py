@@ -7,7 +7,7 @@ evaluated on an explicit grid so the result plugs straight into the
 rearrangement and isotonization operators.
 
 Box-kernel and local-linear quantile fits minimize the check loss exactly
-(see _fit_quantiles); the series methods minimize a smoothed check loss
+(see _fit); the series methods minimize a smoothed check loss
 
     rho_{tau,kappa}(u) = tau * u + kappa * log(1 + exp(-u / kappa)),
 
@@ -23,6 +23,7 @@ iterations.
 from __future__ import annotations
 
 import contextlib
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -86,8 +87,10 @@ def _reals(name: str, value) -> np.ndarray:
         out = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         out = None
-    if out is None or out.ndim != 1 or not out.size or not all(map(_is_number, value)):
+    if out is None or out.ndim != 1 or not all(map(_is_number, value)):
         raise OutOfRangeError(f"{name} must be a list of numbers, got {value!r}")
+    if not out.size:
+        raise OutOfRangeError(f"{name} must be a non-empty list of numbers, got {value!r}")
     return out
 
 
@@ -215,7 +218,11 @@ class EstimatorSpec:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Point estimate on the evaluation grid, plus series coefficients."""
+    """Point estimate on the evaluation grid, plus series coefficients.
+
+    Near the float limit a coefficient past the float range reads +-inf,
+    even where the estimate at the nodes is finite.
+    """
 
     estimate: GriddedFunction
     coefficients: np.ndarray | None = None
@@ -622,35 +629,68 @@ def _loclinear_quantiles(xs, ys, lo, hi, nodes, taus) -> tuple:
     return est.reshape(taus.size, nodes.size), slope.reshape(taus.size, nodes.size)
 
 
-def _fit_quantiles(data: Dataset, spec: EstimatorSpec, taus: np.ndarray) -> tuple:
-    """Check-loss fits at every level of taus: (taus x nodes, coefficients).
+def _y_exponent(data: Dataset, spec: EstimatorSpec, slopes: bool) -> int:
+    """Exponent s, 0 at ordinary magnitudes, such that a fit of 2^-s y stays
+    finite.
 
-    The box kernel sorts each window once and indexes every level's order
-    statistic; local linear runs _loclinear_quantiles.  Both are exact, and
-    row j equals the fit at taus[j] alone bit for bit.  A series method runs
-    one IRLS batch over the levels from the mean-loss start and also returns
-    its coefficients, levels x k.
+    A fit adds up at most n terms of y times a moment of x of order at most
+    2, and the local-linear mean fit multiplies two such sums: 8 n^2 X^2
+    max|y| bounds them all, with X the largest of 1, |x| and |node|.  With
+    slopes, the local-linear quantile search divides differences of y by
+    gaps of x, and z may round a gap to half; max|y| reach / gap within
+    2^1016 keeps those slopes and their residuals finite.
     """
+    nodes = spec.eval_axis.coords
+    top = float(np.abs(data.y).max())
+    big = max(1.0, float(np.abs(data.x).max()), -nodes[0], nodes[-1])
+    shift = math.frexp(top)[1] + 2 * (math.frexp(data.n)[1] + math.frexp(big)[1]) + 3 - 1023
+    if slopes:
+        xs = np.unique(data.x)
+        # with one distinct x there is no slope: the fit refuses the windows
+        if xs.size > 1:
+            reach = max(1.0, max(xs[-1], nodes[-1]) - min(xs[0], nodes[0]))
+            e = np.frexp([top, reach, np.min(np.diff(xs))])[1]
+            shift = max(shift, int(e[0] + e[1] - e[2]) - 1016)
+    return max(0, shift)
+
+
+def _fit(data: Dataset, spec: EstimatorSpec, taus=None) -> tuple:
+    """The fit of y at the nodes, and its series coefficients (None for a
+    window method): the mean fit for taus None, else the check-loss fits at
+    every level of taus, levels x nodes and levels x k.
+
+    Every fit runs on 2^-s y with s from _y_exponent and is scaled back by
+    2^s; both scalings are exact.  The box kernel sorts each window once and
+    indexes every level's order statistic; local linear runs
+    _loclinear_quantiles.  Both are exact, and row j equals the fit at
+    taus[j] alone bit for bit.  A series method runs one IRLS batch over the
+    levels from the mean-loss start.
+    """
+    shift = _y_exponent(data, spec, taus is not None and spec.method == "loclinear")
+    if shift:
+        est, coef = _fit(Dataset(data.x, np.ldexp(data.y, -shift)), spec, taus)
+        if coef is not None:
+            with np.errstate(over="ignore"):
+                coef = np.ldexp(coef, shift)
+        return np.ldexp(est, shift), coef
     if spec.method in ("kernel", "loclinear"):
         xs, ys, lo, hi = _checked_windows(data, spec)
+        if taus is None:
+            return _window_means(spec, xs, ys, lo, hi, np.ones(data.n)), None
     if spec.method == "kernel":
         # one sort per window (padding last), then each level's order statistic
         idx, inwin = _window_rows(xs.size, lo, hi, int(np.max(hi - lo)))
         win = np.sort(np.where(inwin, ys[idx], np.inf), axis=1)
         return win[np.arange(lo.size), _order_index(taus[:, None], hi - lo)], None
     if spec.method == "loclinear":
-        nodes = spec.eval_axis.coords
-        # scaling y by 2^-s, exact, keeps slopes and residuals finite even when
-        # z rounds a gap of x to half; s is 0 at ordinary magnitudes
-        reach = max(1.0, max(xs[-1], nodes[-1]) - min(xs[0], nodes[0]))
-        e = np.frexp([np.max(np.abs(ys)), reach, np.min(np.diff(np.unique(xs)))])[1]
-        shift = max(0, int(e[0] + e[1] - e[2]) - 1016)
-        est = _loclinear_quantiles(xs, np.ldexp(ys, -shift), lo, hi, nodes, taus)[0]
-        return np.ldexp(est, shift), None
-    design = _basis_matrix(spec, data.x)
-    start = np.tile(_series_lstsq(design, data.y), (taus.size, 1))
+        return _loclinear_quantiles(xs, ys, lo, hi, spec.eval_axis.coords, taus)[0], None
+    design, grid = _basis_matrix(spec, data.x), _basis_matrix(spec, spec.eval_axis.coords)
+    coef = _series_lstsq(design, data.y)
+    if taus is None:
+        return grid @ coef, coef
+    start = np.tile(coef, (taus.size, 1))
     coef, _ = _irls(design[None], data.y[None], taus, _irls_kappa(data.y), start)
-    return coef @ _basis_matrix(spec, spec.eval_axis.coords).T, coef
+    return coef @ grid.T, coef
 
 
 # --- public entry points ----------------------------------------------------
@@ -658,18 +698,10 @@ def _fit_quantiles(data: Dataset, spec: EstimatorSpec, taus: np.ndarray) -> tupl
 
 def fit(data: Dataset, spec: EstimatorSpec) -> FitResult:
     """Fit one estimator and evaluate it on the spec's grid."""
-    if spec.loss.kind == "quantile":
-        est, coef = _fit_quantiles(data, spec, np.array([float(spec.loss.tau)]))
-        return FitResult(
-            GriddedFunction([spec.eval_axis], est[0]), None if coef is None else coef[0]
-        )
-    coef = None
-    if spec.method in ("kernel", "loclinear"):
-        xs, ys, lo, hi = _checked_windows(data, spec)
-        est = _window_means(spec, xs, ys, lo, hi, np.ones(data.n))
-    else:
-        coef = _series_lstsq(_basis_matrix(spec, data.x), data.y)
-        est = _basis_matrix(spec, spec.eval_axis.coords) @ coef
+    taus = None if spec.loss.kind == "mean" else np.array([float(spec.loss.tau)])
+    est, coef = _fit(data, spec, taus)
+    if taus is not None:
+        est, coef = est[0], None if coef is None else coef[0]
     return FitResult(GriddedFunction([spec.eval_axis], est), coef)
 
 
@@ -681,7 +713,7 @@ def fit_quantile_process(data: Dataset, spec: EstimatorSpec, taus) -> GriddedFun
     rounding of the batched IRLS.
     """
     taus = _levels("taus", taus)
-    est, _ = _fit_quantiles(data, spec, taus)
+    est, _ = _fit(data, spec, taus)
     return GriddedFunction([Axis(taus), spec.eval_axis], est)
 
 

@@ -18,6 +18,7 @@ neighbouring gaps, boundary nodes own the remaining half-cells.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,12 +46,18 @@ INF = math.inf
 
 def value_tol(*arrays: np.ndarray) -> float:
     """Absolute comparison tolerance for values drawn from ``arrays``."""
-    lo = min(float(np.min(a)) for a in arrays)
-    hi = max(float(np.max(a)) for a in arrays)
+    return float(_row_tols(*(np.asarray(a)[None] for a in arrays))[0])
+
+
+def _row_tols(*arrays: np.ndarray) -> np.ndarray:
+    """value_tol of each row, the index along the leading axis, of arrays
+    that share that axis or have length 1 there."""
+    lo = reduce(np.minimum, [a.reshape(len(a), -1).min(axis=1) for a in arrays])
+    hi = reduce(np.maximum, [a.reshape(len(a), -1).max(axis=1) for a in arrays])
     # halving before subtracting keeps the diameter finite near the float
     # limit; scaling by powers of two is exact, so below that range this is
     # VALUE_RTOL * max(1, hi - lo) bit for bit
-    return 2.0 * VALUE_RTOL * max(0.5, 0.5 * hi - 0.5 * lo)
+    return 2.0 * VALUE_RTOL * np.maximum(0.5, 0.5 * hi - 0.5 * lo)
 
 
 class Axis:
@@ -166,14 +173,15 @@ def check_same_grid(f: GriddedFunction, g: GriddedFunction) -> None:
         raise GridMismatchError("functions do not live on the same grid")
 
 
-def _headroom(top: float, total: float) -> int:
+def _headroom(top, total: float):
     """Exponent s that keeps sums of values up to top, with weights adding up
-    to total, finite after scaling by 2^-s.
+    to total, finite after scaling by 2^-s; one exponent per entry of an
+    array top.
 
     s is 0 below about 2^1000, and np.ldexp scaling is exact, so no bit
     changes at normal magnitudes.
     """
-    return max(0, math.frexp(top)[1] + math.frexp(total)[1] - 1023)
+    return np.maximum(0, np.frexp(top)[1] + math.frexp(total)[1] - 1023)
 
 
 def _scaled(coords: np.ndarray) -> np.ndarray:
@@ -198,35 +206,51 @@ def lp_distance(f: GriddedFunction, g: GriddedFunction, p: float) -> float:
     the p-th root; p = INF is the maximum over grid nodes.
     """
     check_same_grid(f, g)
-    p = check_p(p)
-    # near the float limit, f and g are scaled by 2^-shift before subtracting
-    # and |f-g| by 2^-power before its p-th power; both exponents are 0 unless
-    # a difference or a power would overflow, and |f-g| is divided by its
+    return float(_lp_rows(f.values[None], g.values[None], f.axes, check_p(p))[0])
+
+
+def _lp_rows(a: np.ndarray, b: np.ndarray, axes, p: float) -> np.ndarray:
+    """lp_distance between the rows of a and b, their indices along a leading
+    axis (b may have length 1 there); each row gets the bits of one call."""
+    rows = len(a)
+    b = np.broadcast_to(b, a.shape)
+    # near the float limit, a row is scaled by 2^-shift before subtracting
+    # and |a-b| by 2^-power before its p-th power; both exponents are 0 unless
+    # a difference or a power would overflow, and |a-b| is divided by its
     # largest entry only where that entry's p-th power would underflow, so no
     # bit changes while that power is a normal float
     with np.errstate(over="ignore"):
-        diff = np.abs(f.values - g.values)
-    top, shift = float(diff.max()), 0
-    if top == math.inf:
-        bound = max(float(np.abs(f.values).max()), float(np.abs(g.values).max()))
-        shift = _headroom(bound, 2.0)
-        diff = np.abs(np.ldexp(f.values, -shift) - np.ldexp(g.values, -shift))
-        top = float(diff.max())
+        diff = np.abs(a - b)
+    cell = (rows,) + (1,) * (diff.ndim - 1)
+    top = diff.reshape(rows, -1).max(axis=1)
+    shift = np.zeros(rows, dtype=int)
+    over = top == math.inf
+    if np.any(over):
+        bound = np.maximum(np.abs(a[over]), np.abs(b[over]))
+        shift[over] = _headroom(bound.reshape(len(bound), -1).max(axis=1), 2.0)
+        s = -shift[over].reshape((-1,) + cell[1:])
+        diff[over] = np.abs(np.ldexp(a[over], s) - np.ldexp(b[over], s))
+        top[over] = diff[over].reshape(len(s), -1).max(axis=1)
     if math.isinf(p):
-        return _unscale(top, shift)
-    power = max(0, math.frexp(top)[1] - math.floor(1023.0 / p))
-    unit = 1.0
-    if top > 0.0 and (math.frexp(top)[1] - power - 1) * p < -1022:
-        # the largest term |f-g|^p would fall below the normal range: divide
-        # every difference by the largest, which makes that term exactly 1
-        diff, unit, power = diff / top, top, 0
-    acc = (np.ldexp(diff, -power) if power else diff) ** p
-    for ax in f.axes:
-        # contract the leading axis against its node weights: the dot that
-        # np.tensordot(w, acc, axes=(0, 0)) makes, without its overhead
-        w = ax.node_weights()
-        acc = np.dot(w.reshape(1, -1), acc.reshape(w.size, -1)).reshape(acc.shape[1:])
-    return _unscale(float(acc) ** (1.0 / p) * unit, shift + power)
+        return np.array([_unscale(t, e) for t, e in zip(top.tolist(), shift.tolist())])
+    exp = np.frexp(top)[1]
+    power = np.maximum(0, exp - math.floor(1023.0 / p))
+    # the largest term |a-b|^p would fall below the normal range: divide every
+    # difference by the largest, which makes that term exactly 1
+    tiny = (top > 0.0) & ((exp - power - 1) * p < -1022)
+    unit = np.where(tiny, top, 1.0)
+    power[tiny] = 0
+    diff[tiny] /= top[tiny].reshape((-1,) + cell[1:])
+    acc = np.ldexp(diff, -power.reshape(cell)) ** p
+    weights = [ax.node_weights().reshape(1, -1) for ax in axes]
+    out = []
+    for row, u, e in zip(acc, unit.tolist(), (shift + power).tolist()):
+        for w in weights:
+            # contract the leading axis against its node weights: the dot that
+            # np.tensordot(w, row, axes=(0, 0)) makes, without its overhead
+            row = np.dot(w, row.reshape(w.size, -1)).reshape(row.shape[1:])
+        out.append(_unscale(float(row) ** (1.0 / p) * u, e))
+    return np.array(out)
 
 
 def _unscale(x: float, exponent: int) -> float:

@@ -16,7 +16,6 @@ blend.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -82,9 +81,8 @@ def _pava_rows(v: np.ndarray, w=None) -> np.ndarray:
         wl, wtotal = w.tolist(), float(w.sum())
     shift = None
     if _headroom(float(np.abs(v).max()), wtotal):
-        # some row needs scaling: each row gets _headroom(max|row|, wtotal)
-        top = np.frexp(np.abs(v).max(axis=1))[1]
-        shift = np.maximum(0, top + math.frexp(wtotal)[1] - 1023)[:, None]
+        # some row needs scaling: each row gets its own exponent
+        shift = _headroom(np.abs(v).max(axis=1), wtotal)[:, None]
         v = np.ldexp(v, -shift)
     # pava is the identity on a weakly increasing row: only the others pool
     work = np.any(v[:, 1:] < v[:, :-1], axis=1)
@@ -123,7 +121,7 @@ def isotonize_pi(f: GriddedFunction, pi: Sequence[int]) -> GriddedFunction:
 
 def isotonize_average(f: GriddedFunction, orderings=None) -> GriddedFunction:
     """Average of the pi-isotonizations over an ordering set."""
-    return _average(f, orderings, isotonize_pi)
+    return _average(f, orderings, isotonize_axis)
 
 
 def blend(a: GriddedFunction, b: GriddedFunction, lam: float) -> GriddedFunction:

@@ -20,9 +20,13 @@ a violation beyond floating-point tolerance aborts the run, because the
 operators guarantee improvement path by path, not just on average.
 
 Determinism: replication r draws from an RNG stream derived from (seed, r)
-and bootstrap streams are derived from (seed, r, estimator); replications
-run serially and are reduced in replication order, so a report depends only
-on the config.
+and bootstrap streams are derived from (seed, r, estimator).  Replications
+are drawn and fitted one at a time, in order; then each estimator's fits of
+a block of replications are stacked along a leading replication axis, and
+the repairs, measures and checks run on the whole block.  The axis-by-axis
+engine and the L^p, tolerance and coverage cores leave that axis alone and
+give each replication the bits of its own computation, so a report depends
+only on the config, and a violation names the lowest failing replication.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .bands import Band, assemble_band, covers, max_t, order_statistic_quantile
+from .bands import _covered, _crossing, assemble_band, max_t, order_statistic_quantile
 from .errors import (
     AllNodesDegenerateError,
     ImprovementViolationError,
@@ -41,6 +45,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .estimators import (
+    BLOCK_ELEMENTS,
     MEAN_LOSS,
     Dataset,
     EstimatorSpec,
@@ -53,9 +58,9 @@ from .estimators import (
     fit_quantile_process,
     span_axis,
 )
-from .grid import INF, Axis, GriddedFunction, lp_distance, lp_length
-from .isotonic import blend, isotonize_average
-from .rearrange import rearrange_average, rearrange_pi
+from .grid import INF, Axis, GriddedFunction, _lp_rows
+from .isotonic import blend, isotonize_axis
+from .rearrange import _average, _compose, rearrange_axis
 
 # Benchmark configuration: a growth-chart style design, height on age.
 BENCHMARK_BETA = (71.25, 8.13, -2.72, 1.78, -6.43)
@@ -229,6 +234,9 @@ class McConfig:
         lams = tuple(float(l) for l in _reals("lambda_grid", self.lambda_grid))
         if any(not 0.0 <= l <= 1.0 for l in lams):
             raise OutOfRangeError("every lambda must lie in [0, 1]")
+        if len(set(lams)) != len(lams):
+            # each weight names a report column
+            raise OutOfRangeError(f"lambda_grid repeats a weight: {list(lams)!r}")
         object.__setattr__(self, "lambda_grid", lams)
 
 
@@ -295,32 +303,57 @@ def _variant_labels(lambda_grid) -> list:
     ]
 
 
-def _require_no_worse(mono: float, orig: float, what: str, rep: int) -> None:
-    if mono > orig * (1.0 + IMPROVE_RTOL) + IMPROVE_ATOL:
-        raise ImprovementViolationError(
-            f"replication {rep}: {what} came out {float(mono)!r} > original {float(orig)!r}"
-        )
+def _blocks(cfg: McConfig, size: int) -> list:
+    """The replications in blocks: a block's fits of every estimator and
+    variants of one, on grids of at most size nodes, hold about
+    BLOCK_ELEMENTS numbers."""
+    width = size * (len(cfg.estimators) + 3 + len(cfg.lambda_grid))
+    block = max(1, BLOCK_ELEMENTS // width)
+    return [range(r, min(r + block, cfg.reps)) for r in range(0, cfg.reps, block)]
 
 
-def _monotone_variants(f: GriddedFunction, orderings, lambda_grid) -> list:
-    """The report's variant family: rearranged, isotonized, then each blend."""
-    rearranged = rearrange_average(f, orderings)
-    isotonized = isotonize_average(f, orderings)
+def _variants(f: GriddedFunction, orderings, lambda_grid) -> list:
+    """The report's variant family of each replication of the block f:
+    rearranged, isotonized, then each blend."""
+    rearranged = _average(f, orderings, rearrange_axis, lead=1)
+    isotonized = _average(f, orderings, isotonize_axis, lead=1)
     return [rearranged, isotonized] + [
         blend(rearranged, isotonized, lam) for lam in lambda_grid
     ]
 
 
-def _measure(out, original, variants, labels, measure, what: str, rep: int) -> None:
-    """Fill the (1 + variants) x p slice out with measure(g, p) for g in
-    [original] + variants, and require each variant no worse than the
-    original.  what names a failure, with {label} and {p} to fill in."""
-    for vi, g in enumerate([original] + variants):
+def _no_worse(mono, orig, what: str) -> tuple:
+    """The check that each replication's mono is no worse than its orig."""
+    bad = mono > orig * (1.0 + IMPROVE_RTOL) + IMPROVE_ATOL
+    return bad, lambda i: f"{what} came out {float(mono[i])!r} > original {float(orig[i])!r}"
+
+
+def _measured(out, funcs, measure, labels, what: str) -> list:
+    """Fill out, block rows x (1 + variants) x p, with measure(g, p) for g in
+    funcs, the original and then its variants, and return the checks that
+    each variant is no worse than the original, in the order of the
+    variants and then of p.  what names a check, with {label} and {p} to
+    fill in."""
+    checks = []
+    for vi, g in enumerate(funcs):
         for pi, p in enumerate(REPORT_PS):
-            out[vi, pi] = measure(g, p)
+            out[:, vi, pi] = measure(g, p)
             if vi:
-                what_failed = what.format(label=labels[vi - 1], p=_format_p(p))
-                _require_no_worse(out[vi, pi], out[0, pi], what_failed, rep)
+                name = what.format(label=labels[vi - 1], p=_format_p(p))
+                checks.append(_no_worse(out[:, vi, pi], out[:, 0, pi], name))
+    return checks
+
+
+def _enforce(reps: range, checks) -> None:
+    """Raise for the lowest replication of the block that fails a check,
+    naming the first check it fails in the order given.  A check is (its
+    failing rows of the block, the message for a row)."""
+    bad = np.array([rows for rows, _ in checks])
+    failing = np.flatnonzero(np.any(bad, axis=0))
+    if failing.size:
+        i = int(failing[0])
+        text = checks[int(np.argmax(bad[:, i]))][1]
+        raise ImprovementViolationError(f"replication {reps[i]}: {text(i)}")
 
 
 def _rows(specs, cells) -> list:
@@ -372,25 +405,33 @@ def _run_errors_table(cfg: McConfig, table: int) -> McReport:
 
     labels = _variant_labels(cfg.lambda_grid)
     errors = np.empty((cfg.reps, len(specs), 1 + len(labels), len(REPORT_PS)))
-    for r in range(cfg.reps):
-        data = simulate_rep(cfg, r)
+    for reps in _blocks(cfg, max(t.values.size for t in truths)):
+        fits = [[] for _ in specs]
+        for r in reps:
+            data = simulate_rep(cfg, r)
+            for est, spec in zip(fits, specs):
+                est.append(estimate(data, spec).values)
+        checks = []
         for ei, (spec, truth) in enumerate(zip(specs, truths)):
-            fhat = estimate(data, spec)
-            variants = _monotone_variants(fhat, orderings, cfg.lambda_grid)
-            distance = lambda g, p: lp_distance(g, truth, p)
+            # the replication index leads, as the draw index of bootstrap's draws does
+            fhat = GriddedFunction([Axis(reps), *truth.axes], fits[ei])
+            distance = lambda g, p: _lp_rows(g.values, truth.values[None], truth.axes, p)
+            out = errors[reps.start : reps.stop, ei]
             what = spec.method + " {label} L^{p} error"
-            _measure(errors[r, ei], fhat, variants, labels, distance, what, r)
+            funcs = [fhat] + _variants(fhat, orderings, cfg.lambda_grid)
+            checks += _measured(out, funcs, distance, labels, what)
             if len(orderings) > 1:
                 # the averaged rearrangement must also beat the mean of its members
-                members = [rearrange_pi(fhat, o) for o in orderings]
+                members = [_compose(fhat, o, rearrange_axis, lead=1) for o in orderings]
                 for pi, p in enumerate(REPORT_PS):
-                    _require_no_worse(
-                        errors[r, ei, 1, pi],
-                        float(np.mean([distance(m, p) for m in members])),
+                    mean = np.mean([distance(m, p) for m in members], axis=0)
+                    name = (
                         f"{spec.method} averaged rearrangement vs mean of "
-                        f"single-ordering L^{_format_p(p)} errors",
-                        r,
+                        f"single-ordering L^{_format_p(p)} errors"
                     )
+                    checks.append(_no_worse(out[:, 1, pi], mean, name))
+        # a replication's checks, estimator by estimator
+        _enforce(reps, checks)
 
     avg = errors.mean(axis=0)
     rows = _rows(
@@ -432,22 +473,36 @@ def _run_bands_table(cfg: McConfig) -> McReport:
                 raise AllNodesDegenerateError(f"replication {r}: {exc}") from None
         critical = order_statistic_quantile(stats, cfg.alpha)
         criticals.append(critical)
-        for r in range(cfg.reps):
-            fhat, stderr = fits[r][ei]
-            band = assemble_band(fhat, stderr, critical)
+        for reps in _blocks(cfg, truth.values.size):
+            center, stderr = (
+                GriddedFunction([Axis(reps), *truth.axes], [fits[r][ei][k].values for r in reps])
+                for k in (0, 1)
+            )
+            band = assemble_band(center, stderr, critical)
             # each end-point through the same operator, as bands.monotonize_band does
-            lowers = _monotone_variants(band.lower, _PI_1D, cfg.lambda_grid)
-            uppers = _monotone_variants(band.upper, _PI_1D, cfg.lambda_grid)
-            variants = [Band(lower, upper) for lower, upper in zip(lowers, uppers)]
-            for vi, vband in enumerate([band] + variants):
-                coverage[r, ei, vi] = covers(vband, truth)
-                if coverage[r, ei, 0] and not coverage[r, ei, vi]:
-                    raise ImprovementViolationError(
-                        f"replication {r}: {spec.method} {labels[vi - 1]} band lost "
-                        "coverage the original band had"
-                    )
+            lowers = _variants(band.lower, _PI_1D, cfg.lambda_grid)
+            uppers = _variants(band.upper, _PI_1D, cfg.lambda_grid)
+            ends = [(band.lower.values, band.upper.values)] + [
+                (lower.values, upper.values) for lower, upper in zip(lowers, uppers)
+            ]
+            # a variant band keeps its order, then any coverage the original had
+            checks = [
+                (_crossing(*vband),
+                 lambda i, lab=lab: f"{spec.method} {lab} band crossed its end-points")
+                for lab, vband in zip(labels, ends[1:])
+            ]
+            covered = np.stack([_covered(*vband, truth.values[None]) for vband in ends], axis=1)
+            coverage[reps.start : reps.stop, ei] = covered
+            checks += [
+                (covered[:, 0] & ~covered[:, vi],
+                 lambda i, lab=lab: f"{spec.method} {lab} band lost coverage the original band had")
+                for vi, lab in enumerate(labels, 1)
+            ]
+            length = lambda vband, p: _lp_rows(*vband, truth.axes, p)
             what = spec.method + " {label} band L^{p} length"
-            _measure(lengths[r, ei], band, variants, labels, lp_length, what, r)
+            out = lengths[reps.start : reps.stop, ei]
+            checks += _measured(out, ends, length, labels, what)
+            _enforce(reps, checks)
 
     cov_freq = coverage.mean(axis=0)
     len_avg = lengths.mean(axis=0)
@@ -468,8 +523,11 @@ def run_experiment(cfg: McConfig, table: int = 1) -> McReport:
     """Run one experiment and reduce it to a report table.
 
     table selects the report: 1 for mean-fit errors, 2 for quantile-process
-    errors, 3 for confidence bands.  The replications run serially, in
-    replication order.
+    errors, 3 for confidence bands.  The replications are drawn and fitted
+    one at a time, in replication order; their repairs and checks run in
+    blocks (see _blocks), each replication with the bits a computation of
+    its own gives.  A failed check raises ImprovementViolationError for the
+    lowest failing replication (in table 3, of the first method with one).
     """
     table = _integer("table", table, 1)
     if table not in (1, 2, 3):

@@ -82,14 +82,19 @@ def resolve_orderings(f: GriddedFunction, orderings=None) -> tuple:
     implicitly for d <= 3; beyond that the caller must choose a set to keep
     the cost explicit.  The set must be non-empty and free of duplicates.
     """
+    return _resolve(f.ndim, orderings)
+
+
+def _resolve(ndim: int, orderings) -> tuple:
+    """resolve_orderings for a function of ndim axes."""
     if orderings is None:
-        if f.ndim > MAX_IMPLICIT_ORDERING_DIM:
+        if ndim > MAX_IMPLICIT_ORDERING_DIM:
             raise EmptyOrderingSetError(
-                f"for d={f.ndim} > {MAX_IMPLICIT_ORDERING_DIM} an explicit "
+                f"for d={ndim} > {MAX_IMPLICIT_ORDERING_DIM} an explicit "
                 "ordering set is required"
             )
-        return all_orderings(f.ndim)
-    out = tuple(validate_ordering(pi, f.ndim) for pi in orderings)
+        return all_orderings(ndim)
+    out = tuple(validate_ordering(pi, ndim) for pi in orderings)
     if not out:
         raise EmptyOrderingSetError("the ordering set must not be empty")
     if len(set(out)) != len(out):
@@ -117,21 +122,28 @@ def _axis_pass(f: GriddedFunction, axis: int, rows) -> GriddedFunction:
     return f.with_values(out.reshape(swapped.shape).swapaxes(-1, axis - 1))
 
 
-def _compose(f: GriddedFunction, pi: Sequence[int], axis_op) -> GriddedFunction:
-    """Apply axis_op along the ordering pi: axis pi_d first, ending with pi_1."""
+def _compose(f: GriddedFunction, pi: Sequence[int], axis_op, lead: int = 0) -> GriddedFunction:
+    """Apply axis_op along the ordering pi: axis pi_d first, ending with pi_1.
+
+    The first lead axes of f, such as a replication axis, are left alone:
+    pi orders the axes after them, numbered from 1.
+    """
     out = f
-    for j in reversed(validate_ordering(pi, f.ndim)):
-        out = axis_op(out, j)
+    for j in reversed(validate_ordering(pi, f.ndim - lead)):
+        out = axis_op(out, lead + j)
     return out
 
 
-def _average(f: GriddedFunction, orderings, pi_op) -> GriddedFunction:
-    """Average of pi_op(f, pi) over an ordering set, summed in set order."""
-    pis = resolve_orderings(f, orderings)
-    shift = _headroom(float(np.abs(f.values).max()), len(pis))
+def _average(f: GriddedFunction, orderings, axis_op, lead: int = 0) -> GriddedFunction:
+    """Average of the pi-compositions of axis_op over an ordering set, summed
+    in set order; the first lead axes of f are left alone, as in _compose,
+    and each index along them is scaled as one call on its function would."""
+    pis = _resolve(f.ndim - lead, orderings)
+    top = np.abs(f.values).max(axis=tuple(range(lead, f.ndim)), keepdims=True)
+    shift = _headroom(top, len(pis))
     acc = np.zeros_like(f.values)
     for pi in pis:
-        acc = acc + np.ldexp(pi_op(f, pi).values, -shift)
+        acc = acc + np.ldexp(_compose(f, pi, axis_op, lead).values, -shift)
     return f.with_values(np.ldexp(acc / len(pis), shift))
 
 
@@ -152,7 +164,7 @@ def rearrange_average(f: GriddedFunction, orderings=None) -> GriddedFunction:
     monotone in every axis and its error never exceeds the mean error of the
     individual rearrangements.
     """
-    return _average(f, orderings, rearrange_pi)
+    return _average(f, orderings, rearrange_axis)
 
 
 def eta_p(k_interval, epsilon: float, p: float, resolution: int = 21) -> float:

@@ -16,19 +16,24 @@ window_mean_reference is the unweighted kernel and local-linear mean fit,
 kernel_quantile_process_reference takes one sample_quantile per level and
 window, and bootstrap_oracle refits every draw on its resampled rows, one
 draw at a time, and stacks the draws at the end; the weighted, blocked
-bootstrap must match it to rounding.
+bootstrap must match it to rounding.  montecarlo_reference computes the
+simulation tables one replication at a time from the public operators; the
+blocked harness must match it bit for bit.
 """
 
 import csv
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
+from monotonize.bands import Band, assemble_band, covers, max_t, order_statistic_quantile
 from monotonize.csvio import _check_header, _grid_from_columns, _read_rows
 from monotonize.errors import (
     CsvFormatError,
     EmptyInputError,
     GridMismatchError,
+    ImprovementViolationError,
     IndexOutOfRangeError,
     NumericalError,
     OutOfRangeError,
@@ -36,11 +41,31 @@ from monotonize.errors import (
     TooManyFailedDrawsError,
     ValidationError,
 )
-from monotonize.estimators import Dataset, EstimatorSpec, _integer, fit, sample_quantile
-from monotonize.grid import Axis, GriddedFunction
+from monotonize.estimators import (
+    MEAN_LOSS,
+    Dataset,
+    EstimatorSpec,
+    _integer,
+    bootstrap,
+    fit,
+    fit_quantile_process,
+    sample_quantile,
+)
+from monotonize.grid import Axis, GriddedFunction, lp_distance, lp_length
 from monotonize.grid import _headroom
-from monotonize.isotonic import _check_seq
-from monotonize.rearrange import _average, _axis_pass, _compose
+from monotonize.isotonic import _check_seq, blend, isotonize_average
+from monotonize.montecarlo import (
+    IMPROVE_ATOL,
+    IMPROVE_RTOL,
+    REPORT_PS,
+    _bootstrap_seed,
+    _format_p,
+    _variant_labels,
+    simulate_rep,
+    true_cef,
+    true_cqf,
+)
+from monotonize.rearrange import _average, _axis_pass, rearrange_average, rearrange_pi
 
 
 def rearrange_quantile_oracle(values, x: float) -> float:
@@ -112,7 +137,7 @@ def isotonize_axis_reference(f, axis):
 
 def isotonize_average_reference(f, orderings=None):
     """isotonize_average built on isotonize_axis_reference."""
-    return _average(f, orderings, lambda g, pi: _compose(g, pi, isotonize_axis_reference))
+    return _average(f, orderings, isotonize_axis_reference)
 
 
 def read_rows_reference(path, what: str) -> tuple:
@@ -250,3 +275,90 @@ def bootstrap_oracle(data: Dataset, spec: EstimatorSpec, b_draws: int, seed: int
     stacked = np.stack([e.values for e in estimates])
     stderr = GriddedFunction(estimates[0].axes, stacked.std(axis=0, ddof=1))
     return stderr, GriddedFunction([Axis(np.arange(b_draws)), *estimates[0].axes], stacked)
+
+
+def montecarlo_reference(cfg, table: int) -> dict:
+    """run_experiment's per_rep arrays, one replication, estimator, variant
+    and p at a time from the public operators and functionals, with the
+    harness's checks in the same order and with the same messages."""
+    labels = _variant_labels(cfg.lambda_grid)
+
+    def variants(f, orderings):
+        rearranged = rearrange_average(f, orderings)
+        isotonized = isotonize_average(f, orderings)
+        return [rearranged, isotonized] + [
+            blend(rearranged, isotonized, lam) for lam in cfg.lambda_grid
+        ]
+
+    def require_no_worse(mono, orig, what, r):
+        if mono > orig * (1.0 + IMPROVE_RTOL) + IMPROVE_ATOL:
+            raise ImprovementViolationError(
+                f"replication {r}: {what} came out {float(mono)!r} > original {float(orig)!r}"
+            )
+
+    def measure(out, funcs, functional, what, r):
+        for vi, g in enumerate(funcs):
+            for pi, p in enumerate(REPORT_PS):
+                out[vi, pi] = functional(g, p)
+                if vi:
+                    label = what.format(label=labels[vi - 1], p=_format_p(p))
+                    require_no_worse(out[vi, pi], out[0, pi], label, r)
+
+    if table == 2:
+        specs, orderings = list(cfg.estimators), ((1, 2), (2, 1))
+        truths = [
+            GriddedFunction([Axis(cfg.taus), s.eval_axis], true_cqf(
+                cfg.taus[:, None], s.eval_axis.coords[None, :], cfg.beta, cfg.sigma))
+            for s in specs
+        ]
+    else:
+        specs = [replace(s, loss=MEAN_LOSS) for s in cfg.estimators]
+        truths = [GriddedFunction([s.eval_axis], true_cef(s.eval_axis.coords, cfg.beta))
+                  for s in specs]
+        orderings = ((1,),)
+    shape = (cfg.reps, len(specs), 1 + len(labels))
+    if table in (1, 2):
+        errors = np.empty(shape + (len(REPORT_PS),))
+        for r in range(cfg.reps):
+            data = simulate_rep(cfg, r)
+            for ei, (spec, truth) in enumerate(zip(specs, truths)):
+                if table == 1:
+                    fhat = fit(data, spec).estimate
+                else:
+                    fhat = fit_quantile_process(data, spec, cfg.taus)
+                distance = lambda g, p: lp_distance(g, truth, p)
+                funcs = [fhat] + variants(fhat, orderings)
+                measure(errors[r, ei], funcs, distance, spec.method + " {label} L^{p} error", r)
+                if table == 2:
+                    for pi, p in enumerate(REPORT_PS):
+                        members = [distance(rearrange_pi(fhat, o), p) for o in orderings]
+                        what = (f"{spec.method} averaged rearrangement vs mean of "
+                                f"single-ordering L^{_format_p(p)} errors")
+                        require_no_worse(errors[r, ei, 1, pi], float(np.mean(members)), what, r)
+        return {"errors": errors}
+
+    fits = []
+    for r in range(cfg.reps):
+        data = simulate_rep(cfg, r)
+        fits.append([(fit(data, spec).estimate,
+                      bootstrap(data, spec, cfg.bootstrap_B, _bootstrap_seed(cfg, r, ei))[0])
+                     for ei, spec in enumerate(specs)])
+    coverage = np.empty(shape, dtype=bool)
+    lengths = np.empty(shape + (len(REPORT_PS),))
+    for ei, (spec, truth) in enumerate(zip(specs, truths)):
+        critical = order_statistic_quantile(
+            [max_t(truth, *fits[r][ei]) for r in range(cfg.reps)], cfg.alpha)
+        for r in range(cfg.reps):
+            band = assemble_band(*fits[r][ei], critical)
+            ends = zip(variants(band.lower, orderings), variants(band.upper, orderings))
+            vbands = [Band(lower, upper) for lower, upper in ends]
+            for vi, vband in enumerate([band] + vbands):
+                coverage[r, ei, vi] = covers(vband, truth)
+                if coverage[r, ei, 0] and not coverage[r, ei, vi]:
+                    raise ImprovementViolationError(
+                        f"replication {r}: {spec.method} {labels[vi - 1]} band lost "
+                        "coverage the original band had"
+                    )
+            what = spec.method + " {label} band L^{p} length"
+            measure(lengths[r, ei], [band] + vbands, lp_length, what, r)
+    return {"coverage": coverage, "lengths": lengths}

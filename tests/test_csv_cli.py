@@ -688,6 +688,8 @@ def test_cli_simulate_non_utf8_config_is_one_invalid_input_line(tmp_path, capsys
         {"estimators": [{"method": "kernel", "bandwidth": True}]},
         {"x_design": [float("nan"), 3.0, 4.0]},
         {"sigma": float("inf")},
+        {"lambda_grid": [0.5, 0.5]},
+        {"lambda_grid": []},
     ],
 )
 def test_cli_simulate_bad_config_value_is_one_invalid_input_line(tmp_path, capsys, config):
@@ -751,7 +753,7 @@ def test_cli_simulate_improvement_violation_is_one_numerical_failure_line(
     from monotonize import montecarlo
 
     monkeypatch.setattr(
-        montecarlo, "rearrange_average", lambda f, *args: f.with_values(f.values + 100.0)
+        montecarlo, "rearrange_axis", lambda f, *args: f.with_values(f.values + 100.0)
     )
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(

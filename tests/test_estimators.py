@@ -505,6 +505,33 @@ def test_loclinear_quantile_scales_exactly_near_the_float_limit():
     assert np.array_equal(huge, np.ldexp(small, 1000))
 
 
+@pytest.mark.parametrize("loss", [MEAN_LOSS, Loss("quantile", 0.3)], ids=["mean", "quantile"])
+@pytest.mark.parametrize(
+    "method, settings",
+    [
+        ("kernel", {"bandwidth": 0.3}),
+        ("loclinear", {"bandwidth": 0.3}),
+        ("bspline", {"knots": (0.3, 0.6)}),
+        ("fourier", {"n_terms": 2}),
+    ],
+)
+def test_fits_scale_y_exactly_near_the_float_limit(method, settings, loss):
+    # y up to 1.7e308 overflows the window sums and the IRLS objective unless
+    # the fit scales y first; with warnings as errors an overflow fails here
+    rng = np.random.default_rng(43)
+    x = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 48)])
+    y = 1.7e308 * rng.uniform(-1.0, 1.0, 50)
+    spec = EstimatorSpec(method, loss, _axis(10), **settings)
+    data = Dataset(x, y)
+    slopes = method == "loclinear" and loss.kind == "quantile"
+    s = estimators._y_exponent(data, spec, slopes)
+    assert s > 0
+    est = fit(data, spec).estimate.values
+    small = Dataset(x, np.ldexp(y, -s))
+    assert estimators._y_exponent(small, spec, slopes) == 0
+    assert np.array_equal(est, np.ldexp(fit(small, spec).estimate.values, s))
+
+
 def test_series_quantile_reports_unconverged_fits(monkeypatch):
     monkeypatch.setattr(estimators, "IRLS_STAGES", ())
     monkeypatch.setattr(estimators, "IRLS_MAX_ITER", 1)

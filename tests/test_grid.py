@@ -15,6 +15,7 @@ from monotonize.grid import (
     INF,
     Axis,
     GriddedFunction,
+    _lp_rows,
     check_p,
     is_monotone,
     lp_distance,
@@ -252,3 +253,23 @@ def test_axis_keeps_its_bits_at_ordinary_magnitudes():
         w[0], w[-1] = (c[1] - c[0]) / 2.0, (c[-1] - c[-2]) / 2.0
         w[1:-1] = (c[2:] - c[:-2]) / 2.0
         np.testing.assert_array_equal(Axis(c).node_weights(), w / (c[-1] - c[0]))
+
+
+def test_lp_rows_are_lp_distance_row_by_row_across_magnitudes():
+    # rows 2^1000 apart in magnitude: one needs no scaling, one scales its
+    # powers down, one divides by its largest difference, one subtracts
+    # after scaling, and one has no difference at all
+    rng = np.random.default_rng(17)
+    axes = [Axis(np.linspace(0.0, 1.0, 5)), Axis([0.0, 0.3, 1.0, 1.5])]
+    base = rng.normal(size=(2, 5, 4))
+    a = np.stack([base[0], np.ldexp(base[0], 1000), np.ldexp(base[0], -1000),
+                  np.full((5, 4), 1.7e308), base[0]])
+    b = np.stack([base[1], np.ldexp(base[1], 1000), np.ldexp(base[1], -1000),
+                  np.full((5, 4), -1.7e308), base[0]])
+    for p in (1.0, 2.0, 3.5, INF):
+        rows = _lp_rows(a, b, axes, p)
+        shared = _lp_rows(a, b[:1], axes, p)
+        for i in range(len(a)):
+            f, g = GriddedFunction(axes, a[i]), GriddedFunction(axes, b[i])
+            assert rows[i] == lp_distance(f, g, p)
+            assert shared[i] == lp_distance(f, GriddedFunction(axes, b[0]), p)

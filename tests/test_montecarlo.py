@@ -13,6 +13,7 @@ from monotonize.errors import (
 )
 from monotonize.estimators import MEAN_LOSS, EstimatorSpec
 from monotonize.grid import Axis
+from monotonize.rearrange import rearrange_axis
 from monotonize.montecarlo import (
     AGE_RANGE,
     DEFAULT_KNOTS,
@@ -32,6 +33,7 @@ from monotonize.montecarlo import (
     true_cef,
     true_cqf,
 )
+from oracles import montecarlo_reference
 
 
 def _small_axis(grid=20):
@@ -131,8 +133,11 @@ def test_config_validation():
         McConfig(bootstrap_B=1)
     with pytest.raises(OutOfRangeError):
         McConfig(lambda_grid=(1.5,))
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(OutOfRangeError, match="lambda_grid must be a non-empty list"):
         McConfig(lambda_grid=())
+    # each weight names a report column, so a repeated weight would merge two
+    with pytest.raises(OutOfRangeError, match="lambda_grid repeats a weight"):
+        McConfig(lambda_grid=(0.5, 0.25, 0.5))
 
 
 def test_config_defaults():
@@ -424,7 +429,8 @@ def test_config_rejects_non_numeric_fields_and_a_one_age_design():
 
 
 # Each per-replication improvement assertion, made to fail by replacing an
-# operator in the harness's namespace with a broken one.
+# operator in the harness's namespace with a broken one.  The harness hands
+# the operators a block of replications, the replication axis first.
 
 
 def _shifted(offset):
@@ -434,37 +440,60 @@ def _shifted(offset):
 def _widened_about_the_mean(f, *args):
     # twice as far from the true mean: a band stays ordered and covering,
     # but gets twice as long
-    truth = true_cef(f.axes[0].coords)
+    truth = true_cef(f.axes[-1].coords)
     return f.with_values(truth + 2.0 * (f.values - truth))
 
 
-def _true_quantile_surface(f, *args):
-    return f.with_values(true_cqf(f.axes[0].coords[:, None], f.axes[1].coords[None, :]))
+def _true_quantile_surface(f, *args, **kwargs):
+    surface = true_cqf(f.axes[-2].coords[:, None], f.axes[-1].coords[None, :])
+    return f.with_values(np.broadcast_to(surface, f.shape))
+
+
+_CFG = dict(n=60, seed=5, taus=np.linspace(0.25, 0.75, 3), bootstrap_B=8)
 
 
 @pytest.mark.parametrize(
     "table, operator, broken, message",
     [
-        (1, "rearrange_average", _shifted(100.0), "kernel rearranged L^1 error"),
-        (2, "rearrange_pi", _true_quantile_surface, "kernel averaged rearrangement"),
-        (3, "isotonize_average", _shifted(1e3), "kernel isotonized band lost coverage"),
-        (3, "rearrange_average", _widened_about_the_mean, "kernel rearranged band L^1"),
+        (1, "rearrange_axis", _shifted(100.0), "kernel rearranged L^1 error"),
+        (2, "_compose", _true_quantile_surface, "kernel averaged rearrangement"),
+        (3, "isotonize_axis", _shifted(1e3), "kernel isotonized band lost coverage"),
+        (3, "rearrange_axis", _widened_about_the_mean, "kernel rearranged band L^1"),
     ],
+    ids=["1-rearranged", "2-averaged", "3-isotonized-coverage", "3-rearranged-length"],
 )
 def test_a_worse_variant_aborts_the_run(monkeypatch, table, operator, broken, message):
     monkeypatch.setattr(montecarlo, operator, broken)
-    cfg = McConfig(
-        n=60,
-        reps=3,
-        seed=5,
-        taus=np.linspace(0.25, 0.75, 3),
-        bootstrap_B=8,
-        estimators=_kernel_only(grid=10, bandwidth=2.0),
-    )
+    cfg = McConfig(reps=3, estimators=_kernel_only(grid=10, bandwidth=2.0), **_CFG)
     with pytest.raises(ImprovementViolationError) as info:
         run_experiment(cfg, table=table)
     assert str(info.value).startswith("replication 0: ")
     assert message in str(info.value)
+
+
+def _broken_at_replication_2(f, axis):
+    # the leading axis of a block holds its replication indices
+    out = rearrange_axis(f, axis)
+    hit = (f.axes[0].coords == 2.0).reshape((-1,) + (1,) * (f.ndim - 1))
+    return out.with_values(out.values + np.where(hit, 1e3, 0.0))
+
+
+@pytest.mark.parametrize("table", [1, 2, 3])
+def test_a_violation_inside_a_block_names_its_replication(monkeypatch, table):
+    monkeypatch.setattr(montecarlo, "rearrange_axis", _broken_at_replication_2)
+    cfg = McConfig(reps=3, estimators=_kernel_only(grid=10, bandwidth=2.0), **_CFG)
+    assert len(montecarlo._blocks(cfg, 3 * 10)) == 1
+    with pytest.raises(ImprovementViolationError, match="^replication 2: kernel rearranged"):
+        run_experiment(cfg, table=table)
+
+
+def test_a_crossing_variant_band_aborts_the_run(monkeypatch):
+    # negated end-points put the lower one above the upper one
+    monkeypatch.setattr(montecarlo, "isotonize_axis", lambda f, *args: f.with_values(-f.values))
+    cfg = McConfig(reps=3, estimators=_kernel_only(grid=10, bandwidth=2.0), **_CFG)
+    message = "^replication 0: kernel isotonized band crossed"
+    with pytest.raises(ImprovementViolationError, match=message):
+        run_experiment(cfg, table=3)
 
 
 def test_bands_table_zero_stderr_names_the_replication(monkeypatch):
@@ -477,3 +506,21 @@ def test_bands_table_zero_stderr_names_the_replication(monkeypatch):
     cfg = McConfig(n=60, reps=2, seed=5, bootstrap_B=8, estimators=_kernel_only(grid=10))
     with pytest.raises(AllNodesDegenerateError, match="^replication 0: "):
         run_experiment(cfg, table=3)
+
+
+@pytest.mark.parametrize("table", [1, 2, 3])
+def test_blocked_tables_equal_the_one_replication_reference(monkeypatch, table):
+    # blend weights 0 and 1 repeat the isotonized and rearranged variants;
+    # blocks of two replications split five replications three ways
+    cfg = config_from_dict({
+        "n": 150, "reps": 5, "seed": 7, "grid": 12, "taus": [0.2, 0.4, 0.6, 0.8],
+        "bootstrap_B": 20, "lambda_grid": [0.0, 0.5, 1.0],
+    })
+    size = 12 * (4 if table == 2 else 1)
+    # a replication holds four fits and six variants of one of them
+    monkeypatch.setattr(montecarlo, "BLOCK_ELEMENTS", 2 * size * 10)
+    assert [len(reps) for reps in montecarlo._blocks(cfg, size)] == [2, 2, 1]
+    got = run_experiment(cfg, table=table).per_rep
+    want = montecarlo_reference(cfg, table)
+    for key, values in want.items():
+        assert np.array_equal(got[key], values), key

@@ -239,3 +239,24 @@ def test_rearrange_average_near_the_float_limit():
         np.testing.assert_array_equal(
             rearrange_average(f, orderings=[pi]).values, rearrange_pi(f, pi).values
         )
+
+
+def test_average_over_a_leading_axis_is_the_average_of_each_function():
+    # the repair of a block of functions stacked along a leading axis gives
+    # each function the bits of its own call, including the scaling that
+    # one function near the float limit needs and would cost the bits of
+    # another near the subnormal range
+    from monotonize.grid import Axis, GriddedFunction
+    from monotonize.isotonic import isotonize_average, isotonize_axis
+    from monotonize.rearrange import _average
+
+    rng = np.random.default_rng(23)
+    axes = [Axis(np.linspace(0.0, 1.0, 4)), Axis(np.linspace(0.0, 1.0, 3))]
+    base = rng.normal(size=(4, 3))
+    rows = np.stack([base, np.ldexp(base, -1021), base / np.abs(base).max() * 1.7e308])
+    block = GriddedFunction([Axis([0.0, 1.0, 2.0]), *axes], rows)
+    for axis_op, average in ((rearrange_axis, rearrange_average),
+                             (isotonize_axis, isotonize_average)):
+        out = _average(block, None, axis_op, lead=1).values
+        for i, row in enumerate(rows):
+            np.testing.assert_array_equal(out[i], average(GriddedFunction(axes, row)).values)
