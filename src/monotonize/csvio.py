@@ -29,7 +29,7 @@ import numpy as np
 from .bands import Band
 from .errors import CsvFormatError, GridMismatchError, ShapeMismatchError
 from .estimators import Dataset
-from .grid import Axis, GriddedFunction
+from .grid import Axis, GriddedFunction, _distinct
 
 
 def _not_utf8(path, exc: UnicodeDecodeError) -> str:
@@ -87,7 +87,7 @@ def _check_header(header, value_cols, path) -> int:
 
 def _node_index(coords: np.ndarray) -> tuple:
     """The axes that per-row coordinates span, and each row's C-order node."""
-    axes = [Axis(np.unique(col)) for col in coords.T]
+    axes = [Axis(_distinct(col)) for col in coords.T]
     shape = tuple(len(a) for a in axes)
     idx = np.zeros(coords.shape[0], dtype=np.intp)
     for j, axis in enumerate(axes):
@@ -105,7 +105,7 @@ def _grid_from_columns(coords: np.ndarray, values: np.ndarray, path) -> GriddedF
             f"{'x'.join(str(s) for s in shape)} grid of their coordinates"
         )
     # row count matches the grid size, so any duplicate leaves a hole
-    if np.unique(idx).size != expected:
+    if not np.all(np.bincount(idx, minlength=expected)):
         raise CsvFormatError(f"{path}: duplicate grid nodes")
     flat = np.zeros(expected, dtype=float)
     flat[idx] = values
@@ -214,7 +214,7 @@ def read_draws(path) -> GriddedFunction:
         axes, shape, idx = _node_index(coords)
         size = math.prod(shape)
         key = ids * size + idx
-        if ids.size == counts.size * size and np.unique(key).size == ids.size:
+        if ids.size == counts.size * size and np.all(np.bincount(key, minlength=ids.size)):
             flat = np.zeros(ids.size, dtype=float)
             flat[key] = values
             return GriddedFunction([Axis(range(counts.size)), *axes], flat.reshape(-1, *shape))

@@ -7,7 +7,7 @@ evaluated on an explicit grid so the result plugs straight into the
 rearrangement and isotonization operators.
 
 Box-kernel and local-linear quantile fits minimize the check loss exactly
-(see _fit); the series methods minimize a smoothed check loss
+(see _quantile_fits); the series methods minimize a smoothed check loss
 
     rho_{tau,kappa}(u) = tau * u + kappa * log(1 + exp(-u / kappa)),
 
@@ -44,7 +44,7 @@ from .errors import (
     ValidationError,
     NumericalError,
 )
-from .grid import Axis, GriddedFunction
+from .grid import Axis, GriddedFunction, _distinct
 
 METHODS = ("kernel", "loclinear", "bspline", "fourier")
 
@@ -265,20 +265,6 @@ def span_axis(x, nodes: int) -> Axis:
     return Axis(np.linspace(lo, hi, nodes))
 
 
-def _windows(data: Dataset, spec: EstimatorSpec) -> tuple:
-    """The sort order of x, sorted (x, y) and each eval node's window [lo, hi).
-
-    The window of a node holds the x with |x - node| <= bandwidth.
-    """
-    order = np.argsort(data.x, kind="stable")
-    xs, ys = data.x[order], data.y[order]
-    nodes = spec.eval_axis.coords
-    h = float(spec.bandwidth)
-    lo = np.searchsorted(xs, nodes - h, side="left")
-    hi = np.searchsorted(xs, nodes + h, side="right")
-    return order, xs, ys, lo, hi
-
-
 def _thin_windows(spec: EstimatorSpec, xs, lo, hi, w=None) -> np.ndarray:
     """Rows x nodes: the windows too thin to fit under each row of weights.
 
@@ -298,22 +284,25 @@ def _thin_windows(spec: EstimatorSpec, xs, lo, hi, w=None) -> np.ndarray:
     return runs < (1 if spec.method == "kernel" else 2)
 
 
-def _checked_windows(data: Dataset, spec: EstimatorSpec) -> tuple:
-    """_windows of the data, refusing a window too thin to fit."""
-    _, xs, ys, lo, hi = _windows(data, spec)
-    thin = _thin_windows(spec, xs, lo, hi)[0]
-    if np.any(thin):
+def _windows(x: np.ndarray, spec: EstimatorSpec, checked: bool = True) -> tuple:
+    """The sort order of x, sorted x and each node's window [lo, hi) of the x
+    within bandwidth of it; checked refuses a window too thin to fit."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    nodes, h = spec.eval_axis.coords, float(spec.bandwidth)
+    lo = np.searchsorted(xs, nodes - h, side="left")
+    hi = np.searchsorted(xs, nodes + h, side="right")
+    if checked and np.any(thin := _thin_windows(spec, xs, lo, hi)[0]):
         what = "no data" if spec.method == "kernel" else "fewer than 2 distinct x"
-        node = float(spec.eval_axis.coords[int(np.argmax(thin))])
-        h = float(spec.bandwidth)
+        node = float(nodes[int(np.argmax(thin))])
         raise EmptyWindowError(f"{what} within bandwidth {h} of node {node}")
-    return xs, ys, lo, hi
+    return order, xs, lo, hi
 
 
 def _window_means(spec: EstimatorSpec, xs, ys, lo, hi, w) -> np.ndarray:
-    """Kernel or local-linear mean fits at the nodes, one per row of weights w.
+    """Kernel or local-linear mean fits at the nodes, one per row of ys or w.
 
-    w is n or rows x n, in the order of the sorted (xs, ys).  Each window sum
+    ys and w are n or rows x n, in the order of the sorted xs.  Each window sum
     of a weighted moment is a difference of two prefix sums.  Under unit
     weights every product below is exact, so ones give the unweighted fit
     bit for bit.
@@ -629,9 +618,9 @@ def _loclinear_quantiles(xs, ys, lo, hi, nodes, taus) -> tuple:
     return est.reshape(taus.size, nodes.size), slope.reshape(taus.size, nodes.size)
 
 
-def _y_exponent(data: Dataset, spec: EstimatorSpec, slopes: bool) -> int:
-    """Exponent s, 0 at ordinary magnitudes, such that a fit of 2^-s y stays
-    finite.
+def _y_exponent(x: np.ndarray, top, spec: EstimatorSpec, slopes: bool):
+    """Exponent s, 0 at ordinary magnitudes, such that a fit on x of 2^-s y
+    with max|y| = top stays finite; one exponent per entry of an array top.
 
     A fit adds up at most n terms of y times a moment of x of order at most
     2, and the local-linear mean fit multiplies two such sums: 8 n^2 X^2
@@ -641,23 +630,46 @@ def _y_exponent(data: Dataset, spec: EstimatorSpec, slopes: bool) -> int:
     2^1016 keeps those slopes and their residuals finite.
     """
     nodes = spec.eval_axis.coords
-    top = float(np.abs(data.y).max())
-    big = max(1.0, float(np.abs(data.x).max()), -nodes[0], nodes[-1])
-    shift = math.frexp(top)[1] + 2 * (math.frexp(data.n)[1] + math.frexp(big)[1]) + 3 - 1023
+    big = max(1.0, float(np.abs(x).max()), -nodes[0], nodes[-1])
+    e = np.frexp(top)[1]
+    shift = e + 2 * (math.frexp(x.size)[1] + math.frexp(big)[1]) + 3 - 1023
     if slopes:
-        xs = np.unique(data.x)
+        xs = _distinct(x)
         # with one distinct x there is no slope: the fit refuses the windows
         if xs.size > 1:
             reach = max(1.0, max(xs[-1], nodes[-1]) - min(xs[0], nodes[0]))
-            e = np.frexp([top, reach, np.min(np.diff(xs))])[1]
-            shift = max(shift, int(e[0] + e[1] - e[2]) - 1016)
-    return max(0, shift)
+            er, eg = np.frexp([reach, np.min(np.diff(xs))])[1]
+            shift = np.maximum(shift, e + er - eg - 1016)
+    return np.maximum(0, shift)
 
 
-def _fit(data: Dataset, spec: EstimatorSpec, taus=None) -> tuple:
-    """The fit of y at the nodes, and its series coefficients (None for a
-    window method): the mean fit for taus None, else the check-loss fits at
-    every level of taus, levels x nodes and levels x k.
+def _scaled_back(est, coef, shift) -> tuple:
+    """A fit of 2^-s y scaled back by 2^s; past the float range a value is +-inf."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(est, shift), None if coef is None else np.ldexp(coef, shift)
+
+
+def _mean_fits(x: np.ndarray, Y: np.ndarray, spec: EstimatorSpec) -> tuple:
+    """Mean fits of the rows of Y on the shared x, rows x nodes, and their
+    series coefficients, rows x k (None for a window method).  A row is fit
+    to 2^-s y, s from _y_exponent of that row alone, and scaled back by 2^s.
+    x is sorted and windowed, or the bases built, once; each row gets the
+    bits of a call with that row alone."""
+    shift = _y_exponent(x, np.abs(Y).max(axis=1), spec, False)[:, None]
+    Y = np.ldexp(Y, -shift)
+    if spec.method in ("kernel", "loclinear"):
+        order, xs, lo, hi = _windows(x, spec)
+        est = _window_means(spec, xs, Y[:, order], lo, hi, np.ones(x.size))
+        return _scaled_back(est, None, shift)
+    design, grid = _basis_matrix(spec, x), _basis_matrix(spec, spec.eval_axis.coords)
+    coef = np.array([_series_lstsq(design, y) for y in Y])
+    # a matrix-vector product per row, since a matrix product rounds differently
+    return _scaled_back(np.array([grid @ c for c in coef]), coef, shift)
+
+
+def _quantile_fits(data: Dataset, spec: EstimatorSpec, taus) -> tuple:
+    """The check-loss fits of y at every level of taus, levels x nodes, and
+    their series coefficients, levels x k (None for a window method).
 
     Every fit runs on 2^-s y with s from _y_exponent and is scaled back by
     2^s; both scalings are exact.  The box kernel sorts each window once and
@@ -666,17 +678,13 @@ def _fit(data: Dataset, spec: EstimatorSpec, taus=None) -> tuple:
     taus[j] alone bit for bit.  A series method runs one IRLS batch over the
     levels from the mean-loss start.
     """
-    shift = _y_exponent(data, spec, taus is not None and spec.method == "loclinear")
+    shift = _y_exponent(data.x, np.abs(data.y).max(), spec, spec.method == "loclinear")
     if shift:
-        est, coef = _fit(Dataset(data.x, np.ldexp(data.y, -shift)), spec, taus)
-        if coef is not None:
-            with np.errstate(over="ignore"):
-                coef = np.ldexp(coef, shift)
-        return np.ldexp(est, shift), coef
+        y = np.ldexp(data.y, -shift)
+        return _scaled_back(*_quantile_fits(Dataset(data.x, y), spec, taus), shift)
     if spec.method in ("kernel", "loclinear"):
-        xs, ys, lo, hi = _checked_windows(data, spec)
-        if taus is None:
-            return _window_means(spec, xs, ys, lo, hi, np.ones(data.n)), None
+        order, xs, lo, hi = _windows(data.x, spec)
+        ys = data.y[order]
     if spec.method == "kernel":
         # one sort per window (padding last), then each level's order statistic
         idx, inwin = _window_rows(xs.size, lo, hi, int(np.max(hi - lo)))
@@ -685,10 +693,7 @@ def _fit(data: Dataset, spec: EstimatorSpec, taus=None) -> tuple:
     if spec.method == "loclinear":
         return _loclinear_quantiles(xs, ys, lo, hi, spec.eval_axis.coords, taus)[0], None
     design, grid = _basis_matrix(spec, data.x), _basis_matrix(spec, spec.eval_axis.coords)
-    coef = _series_lstsq(design, data.y)
-    if taus is None:
-        return grid @ coef, coef
-    start = np.tile(coef, (taus.size, 1))
+    start = np.tile(_series_lstsq(design, data.y), (taus.size, 1))
     coef, _ = _irls(design[None], data.y[None], taus, _irls_kappa(data.y), start)
     return coef @ grid.T, coef
 
@@ -698,11 +703,11 @@ def _fit(data: Dataset, spec: EstimatorSpec, taus=None) -> tuple:
 
 def fit(data: Dataset, spec: EstimatorSpec) -> FitResult:
     """Fit one estimator and evaluate it on the spec's grid."""
-    taus = None if spec.loss.kind == "mean" else np.array([float(spec.loss.tau)])
-    est, coef = _fit(data, spec, taus)
-    if taus is not None:
-        est, coef = est[0], None if coef is None else coef[0]
-    return FitResult(GriddedFunction([spec.eval_axis], est), coef)
+    if spec.loss.kind == "mean":
+        est, coef = _mean_fits(data.x, data.y[None], spec)
+    else:
+        est, coef = _quantile_fits(data, spec, np.array([float(spec.loss.tau)]))
+    return FitResult(GriddedFunction([spec.eval_axis], est[0]), None if coef is None else coef[0])
 
 
 def fit_quantile_process(data: Dataset, spec: EstimatorSpec, taus) -> GriddedFunction:
@@ -713,7 +718,7 @@ def fit_quantile_process(data: Dataset, spec: EstimatorSpec, taus) -> GriddedFun
     rounding of the batched IRLS.
     """
     taus = _levels("taus", taus)
-    est, _ = _fit(data, spec, taus)
+    est, _ = _quantile_fits(data, spec, taus)
     return GriddedFunction([Axis(taus), spec.eval_axis], est)
 
 
@@ -729,16 +734,23 @@ def _counts(idx: np.ndarray, n: int) -> np.ndarray:
     return np.bincount((idx + offsets).ravel(), minlength=idx.size).reshape(idx.shape) * 1.0
 
 
+def _width(spec: EstimatorSpec) -> int:
+    """Work arrays per data row of a block of mean fits: 5 moments, or k terms."""
+    if spec.method == "bspline":
+        return len(spec.knots) + 4
+    return 1 + int(spec.fourier_linear) + 2 * spec.n_terms if spec.method == "fourier" else 5
+
+
 def _draw_fitter(data: Dataset, spec: EstimatorSpec) -> tuple:
     """(fit_draws, k): fit_draws(idx) fits a block of draws, one per row of idx.
 
     It returns (draws x nodes estimates, failed draws).  Under mean loss a
-    draw is its count vector over the fixed data: the window methods weight
-    the prefix sums of one sort, and a series method forms each draw's
-    normal equations from one design.  A series draw that is not clearly
-    well conditioned, and every check-loss draw, is refit on its resampled
-    rows as fit does it.  k is the width per data row of a block's work
-    arrays, which sizes the blocks.
+    draw is its count vector over the fixed data, fit to 2^-s y as fit does:
+    the window methods weight the prefix sums of one sort, and a series
+    method forms each draw's normal equations from one design.  A series
+    draw that is not clearly well conditioned, and every check-loss draw, is
+    refit on its resampled rows as fit does it.  k (see _width) sizes the
+    blocks.
     """
     n, nodes = data.n, spec.eval_axis.coords.size
 
@@ -754,18 +766,21 @@ def _draw_fitter(data: Dataset, spec: EstimatorSpec) -> tuple:
 
     if spec.loss.kind == "quantile":
         return per_draw, 1
+    shift = _y_exponent(data.x, np.abs(data.y).max(), spec, False)
+    y = np.ldexp(data.y, -shift)
     if spec.method in ("kernel", "loclinear"):
-        order, xs, ys, lo, hi = _windows(data, spec)
+        order, xs, lo, hi = _windows(data.x, spec, checked=False)
+        ys = y[order]
         rank = np.empty(n, dtype=np.intp)
         rank[order] = np.arange(n)
 
         def window_draws(idx):
             w = _counts(rank[idx], n)
             with np.errstate(divide="ignore", invalid="ignore"):
-                est = _window_means(spec, xs, ys, lo, hi, w)
+                est = _scaled_back(_window_means(spec, xs, ys, lo, hi, w), None, shift)[0]
             return est, np.any(_thin_windows(spec, xs, lo, hi, w), axis=1)
 
-        return window_draws, 5
+        return window_draws, _width(spec)
     try:
         design = _basis_matrix(spec, data.x)
     except OutOfDomainError:
@@ -775,16 +790,16 @@ def _draw_fitter(data: Dataset, spec: EstimatorSpec) -> tuple:
 
     def series_draws(idx):
         weighted = design.T * _counts(idx, n)[:, None, :]  # X'C, draws x k x n
-        gram, rhs = weighted @ design, weighted @ data.y
+        gram, rhs = weighted @ design, weighted @ y
         eig = np.linalg.eigvalsh(gram)
         sure = eig[:, 0] > GRAM_EIG_RATIO * eig[:, -1]
         est, failed = per_draw(idx, np.flatnonzero(~sure))
         # only the sure draws: one singular system makes a batched solve raise
         coef = np.linalg.solve(gram[sure], rhs[sure][:, :, None])[:, :, 0]
-        est[sure] = coef @ grid.T
+        est[sure] = _scaled_back(coef @ grid.T, None, shift)[0]
         return est, failed
 
-    return series_draws, design.shape[1]
+    return series_draws, _width(spec)
 
 
 def bootstrap(data: Dataset, spec: EstimatorSpec, b_draws: int, seed: int):
@@ -838,5 +853,7 @@ def bootstrap(data: Dataset, spec: EstimatorSpec, b_draws: int, seed: int):
             stacklevel=2,
         )
     draws = GriddedFunction([Axis(range(b_draws)), spec.eval_axis], values)
-    stderr = GriddedFunction([spec.eval_axis], values.std(axis=0, ddof=1))
-    return stderr, draws
+    # the squared deviations of 2^-s values stay finite; s is 0 below about 2^500
+    s = max(0, math.frexp(np.abs(values).max())[1] + (math.frexp(b_draws)[1] - 1020) // 2)
+    stderr = np.ldexp(np.ldexp(values, -s).std(axis=0, ddof=1), s)
+    return GriddedFunction([spec.eval_axis], stderr), draws

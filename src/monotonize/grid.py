@@ -173,6 +173,14 @@ def check_same_grid(f: GriddedFunction, g: GriddedFunction) -> None:
         raise GridMismatchError("functions do not live on the same grid")
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """np.unique of a float array, bit for bit, without its import of numpy.ma."""
+    s = np.sort(a)
+    keep = np.ones(s.size, dtype=bool)
+    keep[1:] = (s[1:] != s[:-1]) & ~np.isnan(s[:-1])  # NaNs sort last, one for all
+    return s[keep]
+
+
 def _headroom(top, total: float):
     """Exponent s that keeps sums of values up to top, with weights adding up
     to total, finite after scaling by 2^-s; one exponent per entry of an

@@ -20,13 +20,14 @@ a violation beyond floating-point tolerance aborts the run, because the
 operators guarantee improvement path by path, not just on average.
 
 Determinism: replication r draws from an RNG stream derived from (seed, r)
-and bootstrap streams are derived from (seed, r, estimator).  Replications
-are drawn and fitted one at a time, in order; then each estimator's fits of
-a block of replications are stacked along a leading replication axis, and
-the repairs, measures and checks run on the whole block.  The axis-by-axis
-engine and the L^p, tolerance and coverage cores leave that axis alone and
-give each replication the bits of its own computation, so a report depends
-only on the config, and a violation names the lowest failing replication.
+and bootstrap streams are derived from (seed, r, estimator).  Table 1 fits
+a chunk of replications in one call per estimator; tables 2 and 3 fit one
+at a time.  Each estimator's fits of a block of replications are stacked
+along a leading replication axis for the repairs, measures and checks.
+The fitting, axis-by-axis, L^p, tolerance and coverage cores leave that
+axis alone and give each replication the bits of its own computation, so
+a report depends only on the config, and a violation names the lowest
+failing replication.
 """
 
 from __future__ import annotations
@@ -51,8 +52,10 @@ from .estimators import (
     EstimatorSpec,
     _integer,
     _levels,
+    _mean_fits,
     _real,
     _reals,
+    _width,
     bootstrap,
     fit,
     fit_quantile_process,
@@ -280,14 +283,21 @@ def _format_p(p: float) -> str:
     return "inf" if math.isinf(p) else str(int(p))
 
 
-def simulate_rep(cfg: McConfig, rep_index: int) -> Dataset:
-    """Draw one replication's dataset from the stream (seed, rep_index)."""
-    rep_index = _integer("rep_index", rep_index, 0)
+def _draw_y(cfg: McConfig, rep_index: int) -> np.ndarray:
+    """Replication rep_index's y from the stream (seed, rep_index), finite."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_STREAM_DATA, rep_index))
     )
-    y = true_cef(cfg.x_design, cfg.beta) + cfg.sigma * rng.standard_normal(cfg.n)
-    return Dataset(cfg.x_design, y)
+    with np.errstate(over="ignore"):
+        y = true_cef(cfg.x_design, cfg.beta) + cfg.sigma * rng.standard_normal(cfg.n)
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteValueError("observations must be finite")
+    return y
+
+
+def simulate_rep(cfg: McConfig, rep_index: int) -> Dataset:
+    """Draw one replication's dataset from the stream (seed, rep_index)."""
+    return Dataset(cfg.x_design, _draw_y(cfg, _integer("rep_index", rep_index, 0)))
 
 
 def _bootstrap_seed(cfg: McConfig, rep_index: int, est_index: int) -> int:
@@ -389,7 +399,9 @@ def _mean_truths(cfg: McConfig) -> tuple:
 def _run_errors_table(cfg: McConfig, table: int) -> McReport:
     if table == 1:
         specs, truths = _mean_truths(cfg)
-        estimate = lambda data, spec: fit(data, spec).estimate
+        # a chunk of replications per fit, its work arrays within BLOCK_ELEMENTS
+        chunk = max(1, BLOCK_ELEMENTS // (max(map(_width, specs)) * cfg.n))
+        estimate = lambda y, spec: _mean_fits(cfg.x_design, y, spec)[0]
         orderings = _PI_1D
     else:
         specs = list(cfg.estimators)
@@ -400,17 +412,20 @@ def _run_errors_table(cfg: McConfig, table: int) -> McReport:
             )
             for s in specs
         ]
-        estimate = lambda data, spec: fit_quantile_process(data, spec, cfg.taus)
+        chunk = 1
+        estimate = lambda y, spec: [
+            fit_quantile_process(Dataset(cfg.x_design, y[0]), spec, cfg.taus).values
+        ]
         orderings = _PI_2D
 
     labels = _variant_labels(cfg.lambda_grid)
     errors = np.empty((cfg.reps, len(specs), 1 + len(labels), len(REPORT_PS)))
     for reps in _blocks(cfg, max(t.values.size for t in truths)):
         fits = [[] for _ in specs]
-        for r in reps:
-            data = simulate_rep(cfg, r)
-            for est, spec in zip(fits, specs):
-                est.append(estimate(data, spec).values)
+        for first in range(reps.start, reps.stop, chunk):
+            y = np.array([_draw_y(cfg, r) for r in range(first, min(first + chunk, reps.stop))])
+            for out, spec in zip(fits, specs):
+                out.extend(estimate(y, spec))
         checks = []
         for ei, (spec, truth) in enumerate(zip(specs, truths)):
             # the replication index leads, as the draw index of bootstrap's draws does
@@ -523,11 +538,11 @@ def run_experiment(cfg: McConfig, table: int = 1) -> McReport:
     """Run one experiment and reduce it to a report table.
 
     table selects the report: 1 for mean-fit errors, 2 for quantile-process
-    errors, 3 for confidence bands.  The replications are drawn and fitted
-    one at a time, in replication order; their repairs and checks run in
-    blocks (see _blocks), each replication with the bits a computation of
-    its own gives.  A failed check raises ImprovementViolationError for the
-    lowest failing replication (in table 3, of the first method with one).
+    errors, 3 for confidence bands.  Table 1 fits chunks of replications in
+    one call per estimator, tables 2 and 3 one at a time; repairs and checks
+    run in blocks (see _blocks), each replication with its own bits.  A
+    failed check raises ImprovementViolationError for the lowest failing
+    replication (in table 3, of the first method with one).
     """
     table = _integer("table", table, 1)
     if table not in (1, 2, 3):

@@ -311,9 +311,9 @@ def _spy_on_chunk_rows(monkeypatch):
 
 def _exact_fits(data, spec, taus):
     """(intercepts, slopes) of the local-linear search, levels x nodes."""
-    windows = estimators._checked_windows(data, spec)
+    order, xs, lo, hi = estimators._windows(data.x, spec)
     return estimators._loclinear_quantiles(
-        *windows, spec.eval_axis.coords, np.asarray(taus, dtype=float)
+        xs, data.y[order], lo, hi, spec.eval_axis.coords, np.asarray(taus, dtype=float)
     )
 
 
@@ -524,12 +524,55 @@ def test_fits_scale_y_exactly_near_the_float_limit(method, settings, loss):
     spec = EstimatorSpec(method, loss, _axis(10), **settings)
     data = Dataset(x, y)
     slopes = method == "loclinear" and loss.kind == "quantile"
-    s = estimators._y_exponent(data, spec, slopes)
+    s = estimators._y_exponent(x, np.abs(y).max(), spec, slopes)
     assert s > 0
     est = fit(data, spec).estimate.values
     small = Dataset(x, np.ldexp(y, -s))
-    assert estimators._y_exponent(small, spec, slopes) == 0
+    assert estimators._y_exponent(x, np.abs(small.y).max(), spec, slopes) == 0
     assert np.array_equal(est, np.ldexp(fit(small, spec).estimate.values, s))
+
+
+_MEAN_SPECS = [
+    ("kernel", {"bandwidth": 0.3}),
+    ("loclinear", {"bandwidth": 0.3}),
+    ("bspline", {"knots": (0.3, 0.6)}),
+    ("fourier", {"n_terms": 2}),
+]
+
+
+@pytest.mark.parametrize("method, settings", _MEAN_SPECS)
+def test_mean_fits_rows_are_fit_bit_for_bit(method, settings):
+    # rows near the subnormal range and near the float limit, 2^1000 apart and
+    # more, and a zero row
+    rng = np.random.default_rng(47)
+    x = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 58)])
+    base = x * x + rng.normal(0.0, 0.2, (4, 60))
+    rows = np.vstack([np.ldexp(base[0], -1000), base[1], np.ldexp(base[2], 1000),
+                      1.7e308 * rng.uniform(-1.0, 1.0, 60), np.zeros(60), base[3]])
+    spec = EstimatorSpec(method, MEAN_LOSS, _axis(10), **settings)
+    est, coef = estimators._mean_fits(x, rows, spec)
+    assert (coef is None) == (method in ("kernel", "loclinear"))
+    for i, y in enumerate(rows):
+        one = fit(Dataset(x, y), spec)
+        assert np.array_equal(est[i], one.estimate.values), i
+        if coef is not None:
+            assert np.array_equal(coef[i], one.coefficients), i
+
+
+@pytest.mark.parametrize("method, settings", _MEAN_SPECS)
+def test_bootstrap_scales_y_exactly_near_the_float_limit(method, settings):
+    # the window sums and the normal equations of the draws overflow unless
+    # the draws scale y first; with warnings as errors an overflow fails here
+    rng = np.random.default_rng(53)
+    x = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 48)])
+    y = 1.7e308 * rng.uniform(-0.5, 0.5, 50)
+    spec = EstimatorSpec(method, MEAN_LOSS, _axis(10), **settings)
+    s = estimators._y_exponent(x, np.abs(y).max(), spec, False)
+    assert s > 0
+    stderr, draws = bootstrap(Dataset(x, y), spec, 20, 3)
+    small_stderr, small_draws = bootstrap(Dataset(x, np.ldexp(y, -s)), spec, 20, 3)
+    assert np.array_equal(draws.values, np.ldexp(small_draws.values, s))
+    assert np.array_equal(stderr.values, np.ldexp(small_stderr.values, s))
 
 
 def test_series_quantile_reports_unconverged_fits(monkeypatch):

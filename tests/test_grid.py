@@ -15,6 +15,7 @@ from monotonize.grid import (
     INF,
     Axis,
     GriddedFunction,
+    _distinct,
     _lp_rows,
     check_p,
     is_monotone,
@@ -273,3 +274,14 @@ def test_lp_rows_are_lp_distance_row_by_row_across_magnitudes():
             f, g = GriddedFunction(axes, a[i]), GriddedFunction(axes, b[i])
             assert rows[i] == lp_distance(f, g, p)
             assert shared[i] == lp_distance(f, GriddedFunction(axes, b[0]), p)
+
+
+def test_distinct_is_np_unique_bit_for_bit():
+    # signed zeros compare equal, and np.unique keeps the first one after
+    # its sort; NaNs count as one value
+    rng = np.random.default_rng(59)
+    for _ in range(300):
+        a = rng.choice([-0.0, 0.0, 1.0, -2.5, 3.0, np.nan, -np.inf], size=rng.integers(0, 40))
+        got, want = _distinct(a), np.unique(a)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

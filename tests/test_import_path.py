@@ -1,8 +1,9 @@
-"""scipy and concurrent.futures stay off the runtime import path.
+"""scipy, concurrent.futures and numpy.ma stay off the runtime import path.
 
-The repairs, estimate and band commands import numpy only; true_cqf, which
-table 2 of simulate needs, is the one place that loads scipy.special.
-simulate runs its replications serially and loads no concurrent.futures.
+The repairs, estimate and band commands import numpy only, and not its
+numpy.ma; true_cqf, which table 2 of simulate needs, is the one place that
+loads scipy.special.  simulate runs its replications serially and loads no
+concurrent.futures.
 Each check runs in a fresh interpreter, since this test process has
 imported scipy for its oracles.
 """
@@ -67,3 +68,24 @@ from monotonize.cli import main
 assert main(["simulate", "--config", "c.json", "--table", "1", "--out", "t.csv"]) == 0
 """
     assert _modules_after(code, tmp_path, "concurrent") == set()
+
+
+def test_repairs_bands_and_quantile_estimates_load_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma; the CLI sorts instead
+    (tmp_path / "f.csv").write_text("x1,value\n0,3\n1,1\n2,2\n", encoding="utf-8")
+    rows = "".join(f"{x},{(x - 10) ** 2 / 10 + x % 3}\n" for x in range(2, 21))
+    (tmp_path / "d.csv").write_text("x,y\n" + rows, encoding="utf-8")
+    code = """
+from monotonize.cli import main
+assert main(["rearrange", "--input", "f.csv", "--out", "r.csv"]) == 0
+assert main(["isotonize", "--input", "f.csv", "--out", "i.csv"]) == 0
+assert main(["estimate", "--data", "d.csv", "--method", "loclinear", "--bandwidth", "3",
+             "--grid", "9", "--loss", "quantile", "--tau", "0.3", "--out", "q.csv"]) == 0
+assert main(["estimate", "--data", "d.csv", "--method", "kernel", "--bandwidth", "3",
+             "--grid", "9", "--bootstrap", "20", "--out", "e.csv", "--stderr-out", "s.csv",
+             "--draws-out", "b.csv"]) == 0
+assert main(["band", "--center", "e.csv", "--stderr", "s.csv", "--draws", "b.csv",
+             "--out", "band.csv"]) == 0
+"""
+    # the prefix also matches numpy.matrixlib, which numpy itself loads
+    assert "numpy.ma" not in _modules_after(code, tmp_path, "numpy.ma")

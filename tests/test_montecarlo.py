@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from monotonize import montecarlo
+from monotonize import estimators, montecarlo
 from monotonize.errors import (
     AllNodesDegenerateError,
     EmptyInputError,
@@ -524,3 +524,47 @@ def test_blocked_tables_equal_the_one_replication_reference(monkeypatch, table):
     want = montecarlo_reference(cfg, table)
     for key, values in want.items():
         assert np.array_equal(got[key], values), key
+
+
+def _spy_on_mean_fits(monkeypatch):
+    """Record (method, rows x n) of every block fit table 1 makes."""
+    real = montecarlo._mean_fits
+    calls = []
+
+    def spy(x, y, spec):
+        calls.append((spec.method, y.shape))
+        return real(x, y, spec)
+
+    monkeypatch.setattr(montecarlo, "_mean_fits", spy)
+    return calls
+
+
+def test_table_1_fits_chunks_whose_work_arrays_stay_within_the_block_size(monkeypatch):
+    # the widest estimator, bspline on DEFAULT_KNOTS, has 13 columns: chunks
+    # of 65536 // (13 * 2500) = 2 replications; all five fit one block
+    calls = _spy_on_mean_fits(monkeypatch)
+    cfg = config_from_dict({"n": 2500, "reps": 5, "seed": 3, "grid": 20})
+    assert len(montecarlo._blocks(cfg, 20)) == 1
+    run_experiment(cfg, table=1)
+    width = max(montecarlo._width(spec) for spec in cfg.estimators)
+    assert width == 13
+    assert all(rows * n * width <= montecarlo.BLOCK_ELEMENTS for _, (rows, n) in calls)
+    for spec in cfg.estimators:
+        shapes = [shape for m, shape in calls if m == spec.method]
+        assert shapes == [(2, 2500), (2, 2500), (1, 2500)]
+
+
+def test_table_1_builds_the_series_bases_once_per_chunk(monkeypatch):
+    # 20 replications in one block, in chunks of 9, 9 and 2 (65536 // (13 * 533)):
+    # each series estimator builds its design and grid bases once per chunk
+    real, methods = estimators._basis_matrix, []
+
+    def spy(spec, x):
+        methods.append(spec.method)
+        return real(spec, x)
+
+    monkeypatch.setattr(estimators, "_basis_matrix", spy)
+    calls = _spy_on_mean_fits(monkeypatch)
+    run_experiment(config_from_dict({"reps": 20, "seed": 11}), table=1)
+    assert [shape[0] for m, shape in calls if m == "bspline"] == [9, 9, 2]
+    assert methods.count("bspline") == methods.count("fourier") == 2 * 3
