@@ -27,8 +27,7 @@ from .errors import (
     OutOfRangeError,
     TooFewDrawsError,
 )
-from .estimators import _real, sample_quantile
-from .grid import GriddedFunction, _row_tols, check_same_grid
+from .grid import GriddedFunction, _real, _row_tols, check_same_grid, sample_quantile
 from .isotonic import monotonize
 
 #: Nodes whose standard error falls at or below this threshold are excluded
@@ -70,11 +69,11 @@ def assemble_band(center: GriddedFunction, stderr: GriddedFunction, critical: fl
         raise NegativeStderrError("standard errors must be non-negative")
     if not float(critical) >= 0.0:
         raise OutOfRangeError("the critical value must be non-negative")
-    offset = float(critical) * stderr.values
-    return Band(
-        center.with_values(center.values - offset),
-        center.with_values(center.values + offset),
-    )
+    # an end-point past the float maximum rounds to +-inf, which Band refuses
+    with np.errstate(over="ignore"):
+        offset = float(critical) * stderr.values
+        lower, upper = center.values - offset, center.values + offset
+    return Band(center.with_values(lower), center.with_values(upper))
 
 
 def order_statistic_quantile(values, alpha: float) -> float:

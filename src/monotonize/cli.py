@@ -10,29 +10,20 @@ Subcommands:
 
 Exit status: 0 on success, 1 for invalid input or usage, 2 for numerical
 failure.  Diagnostics go to stderr as a single line.
+
+Beyond csvio and the repair core, each command imports the modules it runs
+when it runs, so a fresh process loads, and compiles, only what it needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import csvio
-from .bands import Band, assemble_band, critical_value_max_t, monotonize_band
 from .errors import NumericalError, OutOfRangeError, ValidationError
-from .estimators import (
-    MEAN_LOSS,
-    EstimatorSpec,
-    Loss,
-    bootstrap,
-    fit,
-    fit_quantile_process,
-    span_axis,
-)
 from .grid import INF, lp_length
 from .isotonic import monotonize
-from .montecarlo import config_from_dict, parse_tau_net, run_experiment
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,6 +150,7 @@ def _length_report(before, after) -> None:
 
 
 def _cmd_band(args) -> int:
+    from .bands import Band, assemble_band, critical_value_max_t, monotonize_band
     if args.input:
         band = csvio.read_band(args.input)
     elif args.lower and args.upper:
@@ -200,6 +192,7 @@ def _cmd_estimate(args) -> int:
         raise OutOfRangeError("--stderr-out/--draws-out/--band-out need --bootstrap")
     if args.bootstrap is not None and args.taus is not None:
         raise OutOfRangeError("--bootstrap does not apply to --taus processes")
+    from .estimators import MEAN_LOSS, EstimatorSpec, Loss, bootstrap, fit, span_axis
     data = csvio.read_dataset(args.data)
     eval_axis = span_axis(data.x, args.grid)
     tau = 0.5 if args.tau is None else args.tau  # a --taus process sets its own levels
@@ -220,6 +213,8 @@ def _cmd_estimate(args) -> int:
         fourier_linear=not args.fourier_no_linear,
     )
     if args.taus is not None:
+        from .estimators import fit_quantile_process
+        from .montecarlo import parse_tau_net
         proc = fit_quantile_process(data, spec, parse_tau_net(args.taus))
         csvio.write_grid_function(proc, args.out)
         print(f"wrote {args.out}")
@@ -229,6 +224,7 @@ def _cmd_estimate(args) -> int:
     if args.bootstrap is not None:
         stderr, draws = bootstrap(data, spec, args.bootstrap, args.seed)
         if args.band_out:
+            from .bands import assemble_band, critical_value_max_t
             critical = critical_value_max_t(result.estimate, draws, stderr, args.alpha)
             band = assemble_band(result.estimate, stderr, critical)
     csvio.write_grid_function(result.estimate, args.out)
@@ -249,6 +245,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    import json
+    from .montecarlo import config_from_dict, run_experiment
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:

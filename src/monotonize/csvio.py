@@ -15,21 +15,31 @@ function with the draw index as axis 1, and a draws file is its grid file,
 that axis written as the integer column draw.  Both directions work on whole
 columns; a reader walks the rows one by one only to name the line of a
 malformed one.
+
+Data rows are parsed by numpy's C reader (np.loadtxt) where it reads the
+text exactly as csv.reader and float would; every other file, and every
+file it refuses, goes through csv.reader and float, which decide what is
+valid and word the error.  Band and Dataset are imported where they are
+built, so reading a grid function loads neither bands nor estimators.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import math
 from itertools import chain, product
 
 import numpy as np
 
-from .bands import Band
 from .errors import CsvFormatError, GridMismatchError, ShapeMismatchError
-from .estimators import Dataset
 from .grid import Axis, GriddedFunction, _distinct
+
+#: A file holding any of these stays on the csv path: quotes and CR change
+#: where csv splits fields and records, csv before Python 3.11 refuses NUL,
+#: and np.loadtxt, unlike float, strips \x1c-\x1f around a number.
+_CSV_ONLY = '"\r\0\x1c\x1d\x1e\x1f'
 
 
 def _not_utf8(path, exc: UnicodeDecodeError) -> str:
@@ -37,13 +47,26 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> str:
 
 
 def _read_rows(path, what: str) -> tuple:
+    """The stripped header fields and a rows x fields array of the data rows."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            records = list(reader)
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise CsvFormatError(_not_utf8(path, exc)) from None
+    # with none of _CSV_ONLY, csv splits at "," and "\n" alone, as loadtxt does;
+    # no field is longer than its line; loadtxt warns on a body of blank lines
+    lines = text.split("\n")
+    header = lines[0].split(",")
+    plain = not any(map(text.__contains__, _CSV_ONLY))
+    if plain and max(map(len, lines)) <= csv.field_size_limit() and lines[0] and any(lines[1:]):
+        with contextlib.suppress(ValueError):
+            values = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2, dtype=float)
+            if values.shape[1] == len(header):
+                return [h.strip() for h in header], values
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        records = list(reader)
     except csv.Error as exc:  # such as a field beyond csv.field_size_limit()
         raise CsvFormatError(f"{path}:{reader.line_num}: {exc}") from None
     if header is None:
@@ -145,13 +168,14 @@ def read_grid_function(path) -> GriddedFunction:
     return _grid_from_columns(rows[:, :d], rows[:, d], path)
 
 
-def write_band(band: Band, path) -> None:
+def write_band(band, path) -> None:
     header = _coord_header(band.lower.ndim) + ["lower", "upper"]
     arrays = [band.lower.values, band.upper.values]
     _write_grid_rows(path, header, band.axes, arrays)
 
 
-def read_band(path) -> Band:
+def read_band(path):
+    from .bands import Band
     header, rows = _read_rows(path, "band")
     d = _check_header(header, ["lower", "upper"], path)
     if rows.size == 0:
@@ -161,13 +185,14 @@ def read_band(path) -> Band:
     return Band(lower, upper)
 
 
-def write_dataset(data: Dataset, path) -> None:
+def write_dataset(data, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,y\n")
         fh.write(_lines([map(repr, data.x.tolist()), map(repr, data.y.tolist())]))
 
 
-def read_dataset(path) -> Dataset:
+def read_dataset(path):
+    from .estimators import Dataset
     header, rows = _read_rows(path, "dataset")
     if header != ["x", "y"]:
         raise CsvFormatError(f"{path}: bad header {','.join(header)!r}, expected 'x,y'")

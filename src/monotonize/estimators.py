@@ -44,7 +44,7 @@ from .errors import (
     ValidationError,
     NumericalError,
 )
-from .grid import Axis, GriddedFunction, _distinct
+from .grid import Axis, GriddedFunction, _distinct, _integer, _levels, _order_index, _real, _reals
 
 METHODS = ("kernel", "loclinear", "bspline", "fourier")
 
@@ -57,54 +57,6 @@ BLOCK_ELEMENTS = 1 << 16
 #: A series draw whose Gram matrix has an eigenvalue ratio (smallest over
 #: largest) at or below this is refit by least squares on its rows.
 GRAM_EIG_RATIO = 1e-6
-
-
-def _is_number(value) -> bool:
-    """A number from outside is a Python or numpy int or float, never a bool."""
-    kinds = (int, float, np.integer, np.floating)
-    return isinstance(value, kinds) and not isinstance(value, bool)
-
-
-def _integer(name: str, value, least: int) -> int:
-    """value as an int of at least least; an integral float such as 3.0 counts."""
-    if _is_number(value) and value >= least:
-        if isinstance(value, (int, np.integer)) or value.is_integer():
-            return int(value)
-    raise OutOfRangeError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def _real(name: str, value) -> float:
-    """value as a float; infinities pass, the caller bounds them."""
-    if _is_number(value):
-        with contextlib.suppress(OverflowError):
-            return float(value)
-    raise OutOfRangeError(f"{name} must be a number, got {value!r}")
-
-
-def _reals(name: str, value) -> np.ndarray:
-    """value as a non-empty 1-d float array."""
-    try:
-        out = np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None or out.ndim != 1 or not all(map(_is_number, value)):
-        raise OutOfRangeError(f"{name} must be a list of numbers, got {value!r}")
-    if not out.size:
-        raise OutOfRangeError(f"{name} must be a non-empty list of numbers, got {value!r}")
-    return out
-
-
-def _levels(name: str, value) -> np.ndarray:
-    """A net of quantile levels: non-empty, strictly increasing, inside (0, 1)."""
-    if isinstance(value, (list, tuple, np.ndarray)) and not len(value):
-        raise EmptyInputError(f"{name} must not be empty")
-    taus = _reals(name, value)
-    if np.any(np.diff(taus) <= 0.0):
-        raise NonIncreasingAxisError(f"{name} must be strictly increasing")
-    # stated positively, so that a NaN level fails it
-    if not (np.all(taus > 0.0) and np.all(taus < 1.0)):
-        raise OutOfRangeError(f"every level of {name} must lie in (0, 1)")
-    return taus
 
 
 @dataclass(frozen=True)
@@ -229,22 +181,6 @@ class FitResult:
 
 
 # --- shared helpers ---------------------------------------------------------
-
-
-def _order_index(tau, m):
-    """The 0-based index of the ceil(tau * m)-th of m sorted values; the
-    slack keeps the ceiling exact when tau * m lands a hair above an integer."""
-    return np.minimum(np.maximum(np.ceil(tau * m - 1e-9), 1), m).astype(np.intp) - 1
-
-
-def sample_quantile(values: np.ndarray, tau: float) -> float:
-    """Exact tau-th sample quantile: the ceil(tau * m)-th order statistic.
-
-    Always a minimizer of the check loss; when the minimizers form an
-    interval this is its lower end-point among the data values.
-    """
-    k = _order_index(tau, values.size)
-    return float(np.partition(values, k)[k])
 
 
 def _irls_kappa(y: np.ndarray) -> float:

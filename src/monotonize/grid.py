@@ -13,10 +13,14 @@ non-equidistant axes for the same reason.  Non-equidistant axes are still
 valid for storage and for L^p computations and use the piecewise-constant
 cell rule: interior nodes own the cell between the midpoints of their
 neighbouring gaps, boundary nodes own the remaining half-cells.
+
+The module also holds the rules for numbers from outside (_integer, _real,
+_reals, _levels) and sample_quantile, which the other modules share.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from functools import reduce
 from typing import Iterable, Sequence
@@ -24,6 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    EmptyInputError,
     GridMismatchError,
     NonFiniteValueError,
     NonIncreasingAxisError,
@@ -282,3 +287,70 @@ def is_monotone(f: GriddedFunction, tol: float | None = None) -> bool:
     # exact step would
     with np.errstate(over="ignore"):
         return not any(np.any(np.diff(f.values, axis=a) < -tol) for a in range(f.ndim))
+
+
+# --- number rules and order statistics -------------------------------------
+
+
+def _is_number(value) -> bool:
+    """A number from outside is a Python or numpy int or float, never a bool."""
+    kinds = (int, float, np.integer, np.floating)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _integer(name: str, value, least: int) -> int:
+    """value as an int of at least least; an integral float such as 3.0 counts."""
+    if _is_number(value) and value >= least:
+        if isinstance(value, (int, np.integer)) or value.is_integer():
+            return int(value)
+    raise OutOfRangeError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _real(name: str, value) -> float:
+    """value as a float; infinities pass, the caller bounds them."""
+    if _is_number(value):
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise OutOfRangeError(f"{name} must be a number, got {value!r}")
+
+
+def _reals(name: str, value) -> np.ndarray:
+    """value as a non-empty 1-d float array."""
+    try:
+        out = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or out.ndim != 1 or not all(map(_is_number, value)):
+        raise OutOfRangeError(f"{name} must be a list of numbers, got {value!r}")
+    if not out.size:
+        raise OutOfRangeError(f"{name} must be a non-empty list of numbers, got {value!r}")
+    return out
+
+
+def _levels(name: str, value) -> np.ndarray:
+    """A net of quantile levels: non-empty, strictly increasing, inside (0, 1)."""
+    if isinstance(value, (list, tuple, np.ndarray)) and not len(value):
+        raise EmptyInputError(f"{name} must not be empty")
+    taus = _reals(name, value)
+    if np.any(np.diff(taus) <= 0.0):
+        raise NonIncreasingAxisError(f"{name} must be strictly increasing")
+    # stated positively, so that a NaN level fails it
+    if not (np.all(taus > 0.0) and np.all(taus < 1.0)):
+        raise OutOfRangeError(f"every level of {name} must lie in (0, 1)")
+    return taus
+
+
+def _order_index(tau, m):
+    """The 0-based index of the ceil(tau * m)-th of m sorted values; the
+    slack keeps the ceiling exact when tau * m lands a hair above an integer."""
+    return np.minimum(np.maximum(np.ceil(tau * m - 1e-9), 1), m).astype(np.intp) - 1
+
+
+def sample_quantile(values: np.ndarray, tau: float) -> float:
+    """Exact tau-th sample quantile: the ceil(tau * m)-th order statistic.
+
+    Always a minimizer of the check loss; when the minimizers form an
+    interval this is its lower end-point among the data values.
+    """
+    k = _order_index(tau, values.size)
+    return float(np.partition(values, k)[k])

@@ -50,18 +50,14 @@ from .estimators import (
     MEAN_LOSS,
     Dataset,
     EstimatorSpec,
-    _integer,
-    _levels,
     _mean_fits,
-    _real,
-    _reals,
     _width,
     bootstrap,
     fit,
     fit_quantile_process,
     span_axis,
 )
-from .grid import INF, Axis, GriddedFunction, _lp_rows
+from .grid import INF, Axis, GriddedFunction, _integer, _levels, _lp_rows, _real, _reals
 from .isotonic import blend, isotonize_axis
 from .rearrange import _average, _compose, rearrange_axis
 
@@ -283,13 +279,20 @@ def _format_p(p: float) -> str:
     return "inf" if math.isinf(p) else str(int(p))
 
 
-def _draw_y(cfg: McConfig, rep_index: int) -> np.ndarray:
-    """Replication rep_index's y from the stream (seed, rep_index), finite."""
+def _mean_y(cfg: McConfig) -> np.ndarray:
+    """Every replication's mean of y; _draw_y refuses an overflow to +-inf."""
+    with np.errstate(over="ignore"):
+        return true_cef(cfg.x_design, cfg.beta)
+
+
+def _draw_y(cfg: McConfig, rep_index: int, mean: np.ndarray) -> np.ndarray:
+    """Replication rep_index's y from the stream (seed, rep_index), finite;
+    mean is _mean_y(cfg)."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_STREAM_DATA, rep_index))
     )
     with np.errstate(over="ignore"):
-        y = true_cef(cfg.x_design, cfg.beta) + cfg.sigma * rng.standard_normal(cfg.n)
+        y = mean + cfg.sigma * rng.standard_normal(cfg.n)
     if not np.all(np.isfinite(y)):
         raise NonFiniteValueError("observations must be finite")
     return y
@@ -297,7 +300,8 @@ def _draw_y(cfg: McConfig, rep_index: int) -> np.ndarray:
 
 def simulate_rep(cfg: McConfig, rep_index: int) -> Dataset:
     """Draw one replication's dataset from the stream (seed, rep_index)."""
-    return Dataset(cfg.x_design, _draw_y(cfg, _integer("rep_index", rep_index, 0)))
+    rep_index = _integer("rep_index", rep_index, 0)
+    return Dataset(cfg.x_design, _draw_y(cfg, rep_index, _mean_y(cfg)))
 
 
 def _bootstrap_seed(cfg: McConfig, rep_index: int, est_index: int) -> int:
@@ -420,10 +424,12 @@ def _run_errors_table(cfg: McConfig, table: int) -> McReport:
 
     labels = _variant_labels(cfg.lambda_grid)
     errors = np.empty((cfg.reps, len(specs), 1 + len(labels), len(REPORT_PS)))
+    y_mean = _mean_y(cfg)
     for reps in _blocks(cfg, max(t.values.size for t in truths)):
         fits = [[] for _ in specs]
         for first in range(reps.start, reps.stop, chunk):
-            y = np.array([_draw_y(cfg, r) for r in range(first, min(first + chunk, reps.stop))])
+            last = min(first + chunk, reps.stop)
+            y = np.array([_draw_y(cfg, r, y_mean) for r in range(first, last)])
             for out, spec in zip(fits, specs):
                 out.extend(estimate(y, spec))
         checks = []

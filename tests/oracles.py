@@ -11,7 +11,9 @@ whole arrays: pava_reference repairs one fiber per call,
 read_rows_reference and write_rows_reference parse and format one CSV line
 at a time, and read_draws_reference assembles one draw at a time and
 stacks the draws at the end.  The batched code must match them bit for bit
-and byte for byte.
+and byte for byte.  read_rows_reference is csv.reader and float alone, so
+csvio._read_rows, which hands what it can to numpy's C reader, must also
+raise its errors word for word.
 window_mean_reference is the unweighted kernel and local-linear mean fit,
 kernel_quantile_process_reference takes one sample_quantile per level and
 window, and bootstrap_oracle refits every draw on its resampled rows, one
@@ -45,14 +47,12 @@ from monotonize.estimators import (
     MEAN_LOSS,
     Dataset,
     EstimatorSpec,
-    _integer,
     bootstrap,
     fit,
     fit_quantile_process,
-    sample_quantile,
 )
-from monotonize.grid import Axis, GriddedFunction, lp_distance, lp_length
-from monotonize.grid import _headroom
+from monotonize.grid import Axis, GriddedFunction, _integer, lp_distance, lp_length
+from monotonize.grid import _headroom, sample_quantile
 from monotonize.isotonic import _check_seq, blend, isotonize_average
 from monotonize.montecarlo import (
     IMPROVE_ATOL,
@@ -141,27 +141,31 @@ def isotonize_average_reference(f, orderings=None):
 
 
 def read_rows_reference(path, what: str) -> tuple:
-    """Header fields and a rows x fields array, one line parsed at a time."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    """Header fields and a rows x fields array by csv.reader and float, one
+    line parsed at a time, with the errors and their wording of csvio."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            records = list(reader)
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason}: byte 0x{byte:02x})") from None
+    except csv.Error as exc:
+        raise CsvFormatError(f"{path}:{reader.line_num}: {exc}") from None
+    if not records:
+        raise CsvFormatError(f"{path}: empty file, expected a {what} header")
+    header, rows = records[0], []
+    for lineno, row in enumerate(records[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise CsvFormatError(
+                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+            )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file, expected a {what} header") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}:{lineno}: non-numeric field in {row!r}"
-                ) from None
+            rows.append([float(c) for c in row])
+        except ValueError:
+            raise CsvFormatError(f"{path}:{lineno}: non-numeric field in {row!r}") from None
     return [h.strip() for h in header], np.asarray(rows, dtype=float)
 
 

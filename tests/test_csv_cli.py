@@ -229,6 +229,22 @@ def test_oversized_csv_field_is_one_invalid_input_line(tmp_path, capsys):
     assert err.startswith("monotonize: invalid input: ") and err.count("\n") == 1
 
 
+def test_cli_band_past_the_float_maximum_is_one_invalid_input_line(tmp_path, capsys):
+    # warnings are errors here: the end-point center + critical * stderr
+    # overflows to inf, which Band refuses without an overflow warning
+    u = np.random.default_rng(0).random(50)
+    xy = zip(np.linspace(0.0, 1.0, 50).tolist(), (1.7e308 * u).tolist())
+    data = _write(tmp_path / "d.csv", "x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in xy))
+    out = tmp_path / "e.csv"
+    rc = main(["estimate", "--data", data, "--method", "fourier", "--nterms", "2",
+               "--bootstrap", "20", "--seed", "1", "--out", str(out),
+               "--band-out", str(tmp_path / "b.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "monotonize: invalid input: function values must be finite\n"
+    assert not out.exists()
+
+
 def test_draws_grid_mismatch_rejected(tmp_path):
     text = "draw,x1,value\n0,0.0,1.0\n0,1.0,2.0\n1,0.0,1.0\n1,2.0,2.0\n"
     path = _write(tmp_path / "e.csv", text)

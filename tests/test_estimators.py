@@ -37,9 +37,8 @@ from monotonize.estimators import (
     bootstrap,
     fit,
     fit_quantile_process,
-    sample_quantile,
 )
-from monotonize.grid import Axis, GriddedFunction
+from monotonize.grid import Axis, GriddedFunction, sample_quantile
 from monotonize.montecarlo import (
     AGE_RANGE,
     DEFAULT_KNOTS,

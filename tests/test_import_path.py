@@ -1,11 +1,17 @@
-"""scipy, concurrent.futures and numpy.ma stay off the runtime import path.
+"""Each command loads only the modules it runs.
 
-The repairs, estimate and band commands import numpy only, and not its
-numpy.ma; true_cqf, which table 2 of simulate needs, is the one place that
-loads scipy.special.  simulate runs its replications serially and loads no
+`import monotonize` loads the repair core (errors, grid, rearrange,
+isotonic) and numpy; the names of bands, estimators and montecarlo resolve
+on first access to the same objects as in their modules.  `python -m
+monotonize` with rearrange, isotonize or band loads neither estimators nor
+montecarlo, and estimate loads montecarlo only for a --taus process.
+scipy, concurrent.futures and numpy.ma stay off the runtime import path: the
+repairs, estimate and band commands import numpy only, and not its numpy.ma;
+true_cqf, which table 2 of simulate needs, is the one place that loads
+scipy.special.  simulate runs its replications serially and loads no
 concurrent.futures.
 Each check runs in a fresh interpreter, since this test process has
-imported scipy for its oracles.
+imported scipy for its oracles and every module of the package.
 """
 
 import json
@@ -13,6 +19,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import monotonize
 
@@ -89,3 +97,75 @@ assert main(["band", "--center", "e.csv", "--stderr", "s.csv", "--draws", "b.csv
 """
     # the prefix also matches numpy.matrixlib, which numpy itself loads
     assert "numpy.ma" not in _modules_after(code, tmp_path, "numpy.ma")
+
+
+def _command(argv) -> str:
+    """Code that runs `python -m monotonize argv` and requires exit status 0."""
+    return f"""
+import runpy, sys
+sys.argv = ["monotonize", *{argv!r}]
+try:
+    runpy.run_module("monotonize", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rearrange", "--input", "f.csv", "--out", "r.csv"],
+        ["isotonize", "--input", "f.csv", "--orderings", "all", "--out", "i.csv"],
+        ["band", "--center", "f.csv", "--stderr", "s.csv", "--draws", "b.csv", "--out", "o.csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_repair_commands_load_neither_estimators_nor_montecarlo(tmp_path, argv):
+    (tmp_path / "f.csv").write_text("x1,value\n0,3\n1,1\n2,2\n", encoding="utf-8")
+    (tmp_path / "s.csv").write_text("x1,value\n0,1\n1,1\n2,1\n", encoding="utf-8")
+    draws = "".join(f"{b},{x},{b + x}\n" for b in range(4) for x in range(3))
+    (tmp_path / "b.csv").write_text("draw,x1,value\n" + draws, encoding="utf-8")
+    loaded = _modules_after(_command(argv), tmp_path, "monotonize")
+    assert {"monotonize.csvio", "monotonize.isotonic"} <= loaded
+    assert not loaded & {"monotonize.estimators", "monotonize.montecarlo"}
+
+
+@pytest.mark.parametrize("loss", [["--loss", "mean"], ["--loss", "quantile", "--tau", "0.3"]])
+def test_estimate_loads_no_montecarlo(tmp_path, loss):
+    rows = "".join(f"{x},{(x - 10) ** 2 / 10 + x % 3}\n" for x in range(2, 21))
+    (tmp_path / "d.csv").write_text("x,y\n" + rows, encoding="utf-8")
+    argv = ["estimate", "--data", "d.csv", "--method", "kernel", "--bandwidth", "3",
+            "--grid", "9", "--bootstrap", "20", "--out", "e.csv", "--band-out", "b.csv", *loss]
+    loaded = _modules_after(_command(argv), tmp_path, "monotonize")
+    assert {"monotonize.estimators", "monotonize.bands"} <= loaded
+    assert "monotonize.montecarlo" not in loaded
+
+
+def test_package_names_resolve_to_their_modules_objects(tmp_path):
+    code = """
+import importlib, sys
+import monotonize
+core = {m for m in sys.modules if m.startswith("monotonize.")}
+assert core == {f"monotonize.{m}" for m in ("errors", "grid", "rearrange", "isotonic")}, core
+names = {}
+exec("from monotonize import *", names)
+assert set(monotonize.__all__) <= set(names) <= set(monotonize.__all__) | {"__builtins__"}
+core |= {f"monotonize.{m}" for m in ("bands", "estimators", "montecarlo")}
+for name in set(monotonize.__all__) - {"__version__"}:
+    value = names[name]
+    assert getattr(monotonize, name) is value, name
+    home = getattr(value, "__module__", "")
+    if home.startswith("monotonize."):
+        assert getattr(sys.modules[home], name) is value, name
+    assert any(getattr(importlib.import_module(m), name, None) is value for m in core), name
+try:
+    monotonize.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("an unknown name resolved")
+"""
+    assert _modules_after(code, tmp_path, "monotonize.") == {
+        f"monotonize.{m}"
+        for m in ("errors", "grid", "rearrange", "isotonic", "bands", "estimators", "montecarlo")
+    }

@@ -7,6 +7,7 @@ from monotonize.errors import (
     AllNodesDegenerateError,
     EmptyInputError,
     ImprovementViolationError,
+    NonFiniteValueError,
     NonIncreasingAxisError,
     OutOfRangeError,
     ShapeMismatchError,
@@ -244,6 +245,20 @@ def test_errors_table_shape_and_ratios():
     assert errors.shape == (3, 2, 4, 3)
     orig = errors[:, :, :1, :]
     assert np.all(errors[:, :, 1:, :] <= orig * (1 + 1e-10) + 1e-14)
+
+
+def test_draws_past_the_float_maximum_are_refused_without_a_warning():
+    # warnings are errors here, so an overflow warning fails the test; the
+    # mean 1.7e308 (1 + x) overflows, the mean 1.79e308 does not but its draws do
+    big_mean = McConfig(beta=(1.7e308, 1.7e308, 0.0, 0.0, 0.0), sigma=0.0, n=30)
+    big_noise = McConfig(
+        beta=(1.79e308, 0.0, 0.0, 0.0, 0.0), sigma=1e306, n=30, reps=2, estimators=_kernel_only()
+    )
+    calls = [lambda: simulate_rep(big_mean, 1), lambda: simulate_rep(big_noise, 1)]
+    calls += [lambda t=t: run_experiment(big_noise, table=t) for t in (1, 3)]
+    for call in calls:
+        with pytest.raises(NonFiniteValueError, match="observations must be finite"):
+            call()
 
 
 def test_errors_table_degenerate_noise_reports_unit_ratios():

@@ -8,9 +8,11 @@ and the CSV readers must match their row-by-row references in tests/oracles
 bit for bit, byte for byte, and error for error.
 """
 
+import csv
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -277,11 +279,19 @@ def _assert_same_rows(new, ref):
         assert new[1] == ref[1]
 
 
+# pieces that take numpy's C reader and pieces that keep csv on its own path:
+# quotes, underscores, CR, full-width digits, NUL, \x1c-\x1f, a BOM, and
+# \x0c, \x0b and \u2028, at which str.splitlines would split a line but csv does not
 NUMBER_FIELDS = (
     "0", "1.5", "-0.0", "5e-324", "1.7e308", " 2.5", "3.0 ", "nan", "-inf", "inf",
-    "1_0", '"4.5"',
+    "1_0", '"4.5"', "\uff11.5", "2\x0c", "\x0b3", "4\u2028", "1e999", "+NaN",
 )
-OTHER_FIELDS = ("", "abc", "1,5", "1e", '"1,5"', '"7\n8"', '""', "0x10")
+OTHER_FIELDS = (
+    "", "abc", "1,5", "1e", '"1,5"', '"7\n8"', '""', "0x10",
+    "1\x1c", "\x1f2", "1\x00", "1\x0c2", "1\u20282", "1\x0b2",
+)
+BLANK_LINES = ("", " ", "\t", "\x0c")
+FIELD_LIMITS = (csv.field_size_limit(), 12)
 
 
 @st.composite
@@ -298,25 +308,87 @@ def csv_texts(draw):
     lines = [header]
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.integers(0, 5)) == 0:
-            lines.append("")
+            lines.append(draw(st.sampled_from(BLANK_LINES)))
             continue
         n = width if draw(st.integers(0, 3)) else draw(st.integers(1, 4))
         field = anything if draw(st.integers(0, 3)) == 0 else number
-        lines.append(",".join(draw(st.lists(field, min_size=n, max_size=n))))
-    end = draw(st.sampled_from(["\n", "\r\n"]))
-    return end.join(lines) + (end if draw(st.booleans()) else "")
+        trailing = "," if draw(st.integers(0, 9)) == 0 else ""
+        lines.append(",".join(draw(st.lists(field, min_size=n, max_size=n))) + trailing)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    bom = "\ufeff" if draw(st.integers(0, 9)) == 0 else ""
+    return bom + end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+def _same_read(path, text):
+    if isinstance(text, str):
+        text = text.encode("utf-8")
+    path.write_bytes(text)
+    new = _outcome(lambda p: csvio._read_rows(p, "grid function"), path)
+    ref = _outcome(lambda p: read_rows_reference(p, "grid function"), path)
+    _assert_same_rows(new, ref)
 
 
 @PROPERTY
-@given(st.lists(csv_texts(), min_size=5, max_size=5))
-def test_csv_reader_matches_the_row_by_row_reference(tmp_path_factory, texts):
+@given(st.lists(csv_texts(), min_size=5, max_size=5), st.sampled_from(FIELD_LIMITS))
+def test_csv_reader_matches_the_row_by_row_reference(tmp_path_factory, texts, limit):
     path = tmp_path_factory.getbasetemp() / "fuzz.csv"
-    for text in texts:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        new = _outcome(lambda p: csvio._read_rows(p, "grid function"), path)
-        ref = _outcome(lambda p: read_rows_reference(p, "grid function"), path)
-        _assert_same_rows(new, ref)
+    default = csv.field_size_limit(limit)
+    try:
+        for text in texts:
+            _same_read(path, text)
+    finally:
+        csv.field_size_limit(default)
+
+
+# files that numpy's C reader parses otherwise than csv and float, or not at all
+CSV_TRAPS = {
+    "oversized field, inf": "x1,value\n0.0,1.0\n1.0," + "1" * 200_000 + "\n",
+    "oversized field, finite": "x1,value\n0.0,1.0\n1.0,1." + "0" * 200_000 + "\n",
+    "quoted numbers": 'x1,value\n"0",1\n1,"2.5"\n',
+    "quoted line break": 'x1,value\n0,"1\n2"\n',
+    "quoted header": '"x1",value\n0,1\n',
+    "underscores": "x1,value\n0,1_0\n1,2_000.5\n",
+    "CR line ends": "x1,value\r0,1\r1,2\r",
+    "CRLF line ends": "x1,value\r\n0,1\r\n1,2\r\n",
+    "CR inside the header": "x1,value\r2\n0,1\n",
+    "full-width digits": "x1,value\n0,\uff11\n1,\uff12.5\n",
+    "form feed": "x1,value\n0,1\x0c1,2\n",
+    "form feed around a number": "x1,value\n0,1\x0c\n\x0c1,2\n",
+    "vertical tab": "x1,value\n0,1\x0b1,2\n",
+    "line separator": "x1,value\n0,1\u20281,2\n",
+    "line separator around a number": "x1,value\n0,1\u2028\n1,\u20282\n",
+    "file separator": "x1,value\n0,1\x1c\n1,2\n",
+    "unit separator": "x1,value\n0,\x1f1\n1,2\n",
+    "NUL in a field": "x1,value\n0,1\x00\n1,2\n",
+    "NUL in the header": "x1\x00,value\n0,1\n",
+    "empty file": "",
+    "blank header": "\n0,1\n",
+    "header without line end": "x1,value",
+    "empty body": "x1,value\n",
+    "blank body": "x1,value\n\n\n",
+    "whitespace body": "x1,value\n \n",
+    "blank lines": "x1,value\n\n0,1\n\n1,2\n\n",
+    "whitespace-only line": "x1,value\n0,1\n   \n1,2\n",
+    "whitespace-only line, one column": "value\n1\n \t\n2\n",
+    "spaces around numbers": "x1,value\n 0 , 1 \n\t1\t,\t2\t\n",
+    "trailing commas": "x1,value\n0,1,\n1,2,\n",
+    "trailing comma in the header": "x1,value,\n0,1,\n",
+    "empty field": "x1,value\n0,\n1,2\n",
+    "BOM": "\ufeffx1,value\n0,1\n",
+    "nan and inf": "x1,value\n0,nan\n1,-inf\n2,inf\n3,-nan\n4,Infinity\n5,+NaN\n",
+    "beyond the float range": "x1,value\n0,1e999\n1,-1e999\n2,5e-324\n3,1e-400\n",
+    "ragged rows": "x1,value\n0,1\n1\n2,3,4\n",
+    "non-numeric field": "x1,value\n0,1\n1,abc\n",
+    "hex": "x1,value\n0,0x10\n",
+    "not UTF-8": b"x1,value\n0,\xff\n",
+    "UTF-16": "x1,value\n0.0,1.0\n".encode("utf-16"),
+    "truncated UTF-8": b"x1,value\n0,1\xe2\x82",
+}
+
+
+@pytest.mark.parametrize("text", CSV_TRAPS.values(), ids=CSV_TRAPS)
+def test_csv_reader_matches_the_reference_on_each_trap(tmp_path, text):
+    _same_read(tmp_path / "trap.csv", text)
 
 
 BREAKS = ("none", "drop", "repeat", "coord", "relabel", "index", "nan")
