@@ -1,3 +1,7 @@
+import csv
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -583,3 +587,24 @@ def test_table_1_builds_the_series_bases_once_per_chunk(monkeypatch):
     run_experiment(config_from_dict({"reps": 20, "seed": 11}), table=1)
     assert [shape[0] for m, shape in calls if m == "bspline"] == [9, 9, 2]
     assert methods.count("bspline") == methods.count("fourier") == 2 * 3
+
+
+REPORTS = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("table", [1, 2, 3])
+def test_reports_match_their_checked_in_values(table):
+    # tests/data holds `simulate --table t --config reports.json` for t = 1, 2, 3;
+    # a change that moves a report updates its file and declares the move
+    cfg = config_from_dict(json.loads((REPORTS / "reports.json").read_text()))
+    fresh = list(csv.reader(run_experiment(cfg, table).to_csv_text().splitlines()))
+    with open(REPORTS / f"table{table}.csv", newline="", encoding="utf-8") as fh:
+        kept = list(csv.reader(fh))
+    assert fresh[0] == kept[0]
+    assert len(fresh) == len(kept)
+    for got, want in zip(fresh[1:], kept[1:]):
+        assert got[:2] == want[:2]
+        # last-bit differences of numpy's SIMD math on other CPUs only
+        np.testing.assert_allclose(
+            np.array(got[2:], dtype=float), np.array(want[2:], dtype=float), rtol=1e-12, atol=0.0
+        )
