@@ -105,10 +105,6 @@ class RankDeficientDesignError(NumericalError):
     """A series design matrix does not have full column rank."""
 
 
-class IrlsNoConvergenceError(NumericalError):
-    """The smoothed-check IRLS of a series quantile fit hit its iteration cap."""
-
-
 class AllNodesDegenerateError(NumericalError):
     """Every grid node has a near-zero standard error."""
 

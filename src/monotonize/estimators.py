@@ -6,23 +6,14 @@ either squared-error loss or the check loss of quantile regression, and each
 evaluated on an explicit grid so the result plugs straight into the
 rearrangement and isotonization operators.
 
-Box-kernel and local-linear quantile fits minimize the check loss exactly
-(see _quantile_fits); the series methods minimize a smoothed check loss
-
-    rho_{tau,kappa}(u) = tau * u + kappa * log(1 + exp(-u / kappa)),
-
-with kappa = 1e-3 times the interquartile range of y, by a damped IRLS core
-that runs one fit per quantile level at once, all sharing one basis matrix.
-Each iteration solves the weighted least-squares majorizer of every fit's
-objective and halves a fit's step until its objective does not increase, so
-each objective is non-increasing across iterations by construction.  A fit
-leaves the batch at coefficient change 1e-8 (relative), with a cap of 200
-iterations.
+Every quantile fit minimizes the check loss exactly (see _quantile_fits):
+the box kernel by order statistics of its windows, local linear by a search
+over slopes, and the series methods by a descent over the vertices of the
+check loss, all quantile levels at once.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -32,7 +23,6 @@ import numpy as np
 from .errors import (
     EmptyInputError,
     EmptyWindowError,
-    IrlsNoConvergenceError,
     NonFiniteValueError,
     NonIncreasingAxisError,
     OutOfDomainError,
@@ -47,10 +37,6 @@ from .errors import (
 from .grid import Axis, GriddedFunction, _distinct, _integer, _levels, _order_index, _real, _reals
 
 METHODS = ("kernel", "loclinear", "bspline", "fourier")
-
-IRLS_TOL = 1e-8
-IRLS_MAX_ITER = 200
-IRLS_KAPPA_SCALE = 1e-3
 
 #: The work arrays of one block of bootstrap draws hold about this many numbers.
 BLOCK_ELEMENTS = 1 << 16
@@ -181,13 +167,6 @@ class FitResult:
 
 
 # --- shared helpers ---------------------------------------------------------
-
-
-def _irls_kappa(y: np.ndarray) -> float:
-    iqr = float(np.percentile(y, 75.0) - np.percentile(y, 25.0))
-    if iqr > 0.0:
-        return IRLS_KAPPA_SCALE * iqr
-    return 1e-9 * max(1.0, float(np.max(np.abs(y))))
 
 
 def span_axis(x, nodes: int) -> Axis:
@@ -323,145 +302,6 @@ def basis_eval(spec: EstimatorSpec, x: float) -> np.ndarray:
     return _basis_matrix(spec, np.array([float(x)]))[0]
 
 
-# --- IRLS for the smoothed check loss ---------------------------------------
-
-
-def _check_objective(u: np.ndarray, tau: float, kappa: float) -> np.ndarray:
-    # tau*u + kappa*log(1+exp(-u/kappa)) written overflow-safe via
-    # (tau - 1/2)*u + kappa*log(2*cosh(u/(2*kappa)))
-    a = np.abs(u) / (2.0 * kappa)
-    return (tau - 0.5) * u + kappa * (a + np.log1p(np.exp(-2.0 * a)))
-
-
-def _irls_weights(absu: np.ndarray, kappa: float) -> tuple:
-    """Per-residual weights (curvature, majorizer) of the smoothed check.
-
-    The curvature sech^2(u/(2k))/(4k) gives Newton-quality steps near the
-    optimum; the quadratic-majorizer weight tanh(u/(2k))/(4u) (limit 1/(8k)
-    at zero) keeps the system positive definite when every residual dwarfs
-    the smoothing scale.  The solvers mix them with an adaptive damping
-    factor on the majorizer term.
-    """
-    t = absu / (2.0 * kappa)
-    e = np.exp(-2.0 * t)
-    curvature = e / (kappa * (1.0 + e) ** 2)
-    majorizer = np.where(
-        absu > 1e-6 * kappa,
-        np.tanh(t) / np.maximum(4.0 * absu, 1e-300),
-        1.0 / (8.0 * kappa),
-    )
-    return curvature, majorizer
-
-
-#: Warm-start continuation: pre-solve with inflated smoothing so the final
-#: pass starts inside the quadratic basin of the target objective.
-IRLS_STAGES = ((100.0, 1e-4, 60), (10.0, 1e-6, 60))
-
-
-def _rows(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    # idx is sorted and unique, so at full size it selects every row; a
-    # leading axis of length 1 is shared by every fit of the batch
-    return arr if arr.shape[0] in (1, idx.size) else arr[idx]
-
-
-def _solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Batched solve; a singular system gives its fit a NaN step to reject."""
-    try:
-        return np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        step = np.full_like(rhs, np.nan)
-        for i in range(rhs.shape[0]):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                step[i] = np.linalg.solve(system[i], rhs[i])
-        return step
-
-
-def _irls_stage(design, y, tau, kappa, coef, tol, max_iter):
-    """One damped IRLS pass over P independent fits; updates coef in place.
-
-    design is P x n x k, y is P x n, tau holds one level per fit and coef is
-    P x k; a leading axis of length 1 in design or y is shared by all fits.
-    Each fit keeps its own damping factor nu, halves its own step until its
-    objective does not increase, and drops out of the work set once its
-    coefficient change reaches tol.  Returns (done, last delta, objectives:
-    iterations+1 x P).
-    """
-
-    def objective(idx, c):
-        u = _rows(y, idx) - (_rows(design, idx) @ c[:, :, None])[:, :, 0]
-        return np.sum(_check_objective(u, tau[idx, None], kappa), axis=1)
-
-    p = coef.shape[0]
-    obj = objective(np.arange(p), coef)
-    trace = [obj.copy()]
-    done = np.zeros(p, dtype=bool)
-    last_delta = np.full(p, np.inf)
-    nu = np.ones(p)
-    for _ in range(max_iter):
-        act = np.flatnonzero(~done)
-        x = _rows(design, act)
-        c, obja, nua = coef[act], obj[act], nu[act]
-        u = _rows(y, act) - (x @ c[:, :, None])[:, :, 0]
-        curvature, majorizer = _irls_weights(np.abs(u), kappa)
-        w = curvature + nua[:, None] * majorizer
-        rp = (tau[act, None] - 0.5) + 0.5 * np.tanh(u / (2.0 * kappa))
-        xt = np.swapaxes(x, 1, 2)
-        cn = c + _solve(xt @ (w[:, :, None] * x), (xt @ rp[:, :, None])[:, :, 0])
-        objn = objective(act, cn)
-        slack = 1e-12 * np.maximum(1.0, np.abs(obja))
-        # nan-safe comparisons: a non-finite candidate counts as a bad step
-        damped = ~(objn <= obja + slack)
-        for _ in range(30):
-            bad = np.flatnonzero(~(objn <= obja + slack))
-            if bad.size == 0:
-                break
-            cn[bad] = 0.5 * (cn[bad] + c[bad])
-            objn[bad] = objective(act[bad], cn[bad])
-        rejected = ~(objn <= obja + slack)
-        cn[rejected] = c[rejected]
-        objn[rejected] = obja[rejected]
-        delta = np.where(rejected, np.inf, np.max(np.abs(cn - c), axis=1))
-        coef[act], obj[act], last_delta[act] = cn, objn, delta
-        nu[act] = np.where(
-            damped | rejected,
-            np.minimum(1.0, np.maximum(nua, 1e-8) * 4.0),
-            np.maximum(0.25 * nua, 1e-14),
-        )
-        done[act] = delta <= tol * np.maximum(1.0, np.max(np.abs(cn), axis=1))
-        trace.append(obj.copy())
-        if np.all(done):
-            break
-    return done, last_delta, np.stack(trace)
-
-
-def _irls(design, y, tau, kappa, coef0) -> tuple:
-    """Annealed damped IRLS for a batch of fits (shapes as in _irls_stage).
-
-    Runs IRLS_STAGES, then the final pass at kappa; returns (coef,
-    final-pass objectives) or raises IrlsNoConvergenceError.
-    """
-    coef = np.array(coef0, dtype=float)
-    for mult, tol, cap in IRLS_STAGES:
-        _irls_stage(design, y, tau, kappa * mult, coef, tol, cap)
-    done, delta, trace = _irls_stage(design, y, tau, kappa, coef, IRLS_TOL, IRLS_MAX_ITER)
-    if not np.all(done):
-        u = y - (design @ coef[:, :, None])[:, :, 0]
-        rp = (tau[:, None] - 0.5) + 0.5 * np.tanh(u / (2.0 * kappa))
-        grad = np.linalg.norm((np.swapaxes(design, 1, 2) @ rp[:, :, None])[:, :, 0], axis=1)
-        # the objective is convex, so a fit whose last step was accepted and
-        # whose gradient vanishes has stalled at its optimum
-        settled = np.isfinite(delta) & (grad <= IRLS_TOL * y.shape[1])
-        stuck = ~done & ~settled
-        if np.any(stuck):
-            raise IrlsNoConvergenceError(
-                f"IRLS left {int(np.count_nonzero(stuck))} fits unconverged after "
-                f"{IRLS_MAX_ITER} iterations; max coefficient change "
-                f"{float(delta[stuck].max()):.3e}, gradient norm "
-                f"{float(grad[stuck].max()):.3e}"
-            )
-    return coef, trace
-
-
 # --- series -----------------------------------------------------------------
 
 
@@ -472,6 +312,118 @@ def _series_lstsq(design: np.ndarray, y: np.ndarray) -> np.ndarray:
             f"series design has rank {rank} < {design.shape[1]} columns"
         )
     return coef
+
+
+def _start_basis(design: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The k rows of least |least-squares residual| whose design rows are
+    independent, by greedy Gram-Schmidt in that order: a row joins when more
+    than 1e-6 of its norm lies outside the rows taken, and the row taken is
+    orthogonalized a second time."""
+    k = design.shape[1]
+    rest = np.argsort(np.abs(y - design @ _series_lstsq(design, y)), kind="stable")
+    q, basis = np.zeros((0, k)), []
+    while len(basis) < k:
+        v = design[rest] - design[rest] @ q.T @ q
+        v -= v @ q.T @ q
+        norm = np.linalg.norm(v, axis=1)
+        ok = np.flatnonzero(norm > 1e-6 * np.linalg.norm(design[rest], axis=1))
+        if not ok.size:
+            raise RankDeficientDesignError(f"series design has no {k} well-separated rows")
+        q = np.vstack([q, v[ok[0]] / norm[ok[0]]])
+        basis.append(rest[ok[0]])
+        rest = rest[ok[0] + 1 :]
+    return np.array(basis)
+
+
+def _pivot_cap(n: int, k: int) -> int:
+    """Pivots allowed to one descent over n rows and k coefficients."""
+    return n * k
+
+
+def _series_quantiles(design: np.ndarray, y: np.ndarray, taus) -> np.ndarray:
+    """Exact check-loss coefficients on design at every level of taus, levels x k.
+
+    A descent over vertices (Barrodale & Roberts 1974; Koenker & d'Orey
+    1987), every level in lockstep from _start_basis.  A vertex is a basis h
+    of k rows fit with zero residual; each other row sits on a side, that of
+    its residual's sign, and a zero residual keeps its side.  With psi = tau
+    on the upper side and tau - 1 on the lower one, xi = X_h^-T sum psi_i x_i,
+    and the vertex is optimal when [(1 - tau) - xi, tau + xi] >= 0, entries
+    compared within their rounding (n eps |X_h^-T| sum |x_i|).  Otherwise h_j
+    leaves along the most negative entry (after a step of length 0, the
+    lowest h_j with a negative entry, Bland's rule), direction d = +-X_h^-1 e_j.
+    Along d each row whose residual r_i - t x_i'd changes side at t_i >= 0
+    adds |x_i'd| to the slope; rows with |x_i'd| <= 1e-10 max|x| max|d| count
+    as parallel.  In order of (t_i, row), rows pass (change side) until the
+    slope turns non-negative, and the row where it turns enters.  X_h^-1
+    follows each pivot by a rank-one update, and the coefficients are one
+    solve on the final basis in row order.  Every operation works row by row,
+    so each level gets the bits of a call with that level alone.
+    """
+    n, k = design.shape
+    start = _start_basis(design, y)
+    out = np.empty((taus.size, k), dtype=np.intp)
+    act, h = np.arange(taus.size), np.tile(start, (taus.size, 1))
+    inv = np.tile(np.linalg.inv(design[start]), (taus.size, 1, 1))
+    r = np.tile(y - design @ np.linalg.solve(design[start], y[start]), (taus.size, 1))
+    up, bland = r >= 0.0, np.zeros(taus.size, dtype=bool)
+    size, top, index = np.abs(design).sum(axis=0), np.abs(design).max(), np.arange(n)
+    for _ in range(_pivot_cap(n, k)):
+        tau = taus[act, None]
+        np.put_along_axis(r, h, 0.0, axis=1)
+        psi = tau - 1.0 + up
+        np.put_along_axis(psi, h, 0.0, axis=1)
+        xi = (psi[:, None, :] @ design @ inv)[:, 0]
+        entries = np.hstack([(1.0 - tau) - xi, tau + xi])
+        neg = entries < -n * np.finfo(float).eps * np.tile(size @ np.abs(inv), 2)
+        go = np.any(neg, axis=1)
+        if not np.all(go):
+            out[act[~go]] = h[~go]
+            act, h, inv, r, up, bland, entries, neg = (
+                v[go] for v in (act, h, inv, r, up, bland, entries, neg)
+            )
+            if not act.size:
+                break
+        rows = np.arange(act.size)
+        c = np.argmin(np.where(neg, np.where(bland[:, None], np.tile(h, 2), entries), np.inf), axis=1)
+        j = c % k
+        col = inv[rows, :, j]
+        d = np.where(c < k, 1.0, -1.0)[:, None] * col
+        a = (design @ d[:, :, None])[:, :, 0]
+        thr = 1e-10 * top * np.abs(d).max(axis=1, keepdims=True)
+        cross = ((a > thr) & up) | ((a < -thr) & ~up)
+        np.put_along_axis(cross, h, False, axis=1)
+        # a = 0 (no crossing) divides by 1; r rounded across its side crosses at t = 0
+        t, w = np.maximum(r / (a + (a == 0.0)), 0.0), np.abs(a) * cross
+        order = np.argsort(t, axis=1) + (n * rows)[:, None]
+        cum = np.cumsum(np.take(w, order), axis=1)
+        target = np.minimum(-entries[rows, c], cum[:, -1])
+        if not np.all(target > 0.0):
+            raise NumericalError("a check-loss descent direction crosses no row")
+        step = np.take(t, order[rows, np.count_nonzero(cum < target[:, None], axis=1)])
+        tied, passed = cross & (t == step[:, None]), cross & (t < step[:, None])
+        enter = np.argmax(tied, axis=1)
+        many = np.flatnonzero(np.count_nonzero(tied, axis=1) > 1)
+        if many.size:
+            # rows tied at the step pass in row order until the slope turns
+            sums = np.sum(w[many] * passed[many], axis=1)[:, None]
+            reach = tied[many] & (sums + np.cumsum(w[many] * tied[many], axis=1) >= target[many, None])
+            last = n - 1 - np.argmax(tied[many, ::-1], axis=1)
+            enter[many] = np.where(np.any(reach, axis=1), np.argmax(reach, axis=1), last)
+            passed[many] |= tied[many] & (index < enter[many, None])
+        up ^= passed
+        up[rows, h[rows, j]] = c >= k
+        r -= step[:, None] * a
+        r[tied] = 0.0
+        h[rows, j], bland = enter, step == 0.0
+        row = (design[enter][:, None, :] @ inv)[:, 0]
+        row[rows, j] -= 1.0
+        inv -= (col / (row[rows, j] + 1.0)[:, None])[:, :, None] * row[:, None, :]
+    else:
+        cap = _pivot_cap(n, k)
+        raise NumericalError(f"check-loss descent: {act.size} levels unsolved after {cap} pivots")
+    h = np.sort(out, axis=1)
+    return np.linalg.solve(design[h], y[h][:, :, None])[:, :, 0]
 
 
 # --- quantile fits ----------------------------------------------------------
@@ -610,11 +562,15 @@ def _quantile_fits(data: Dataset, spec: EstimatorSpec, taus) -> tuple:
     Every fit runs on 2^-s y with s from _y_exponent and is scaled back by
     2^s; both scalings are exact.  The box kernel sorts each window once and
     indexes every level's order statistic; local linear runs
-    _loclinear_quantiles.  Both are exact, and row j equals the fit at
-    taus[j] alone bit for bit.  A series method runs one IRLS batch over the
-    levels from the mean-loss start.
+    _loclinear_quantiles and a series method _series_quantiles.  All are
+    exact, and row j equals the fit at taus[j] alone bit for bit.
     """
-    shift = _y_exponent(data.x, np.abs(data.y).max(), spec, spec.method == "loclinear")
+    top = np.abs(data.y).max()
+    shift = _y_exponent(data.x, top, spec, spec.method == "loclinear")
+    if spec.method in ("bspline", "fourier"):
+        # the descent divides residuals by steps down to 1e-10 of their scale:
+        # max|y| within 2^895 leaves it 2^128 of headroom
+        shift = max(shift, math.frexp(top)[1] - 895)
     if shift:
         y = np.ldexp(data.y, -shift)
         return _scaled_back(*_quantile_fits(Dataset(data.x, y), spec, taus), shift)
@@ -629,9 +585,9 @@ def _quantile_fits(data: Dataset, spec: EstimatorSpec, taus) -> tuple:
     if spec.method == "loclinear":
         return _loclinear_quantiles(xs, ys, lo, hi, spec.eval_axis.coords, taus)[0], None
     design, grid = _basis_matrix(spec, data.x), _basis_matrix(spec, spec.eval_axis.coords)
-    start = np.tile(_series_lstsq(design, data.y), (taus.size, 1))
-    coef, _ = _irls(design[None], data.y[None], taus, _irls_kappa(data.y), start)
-    return coef @ grid.T, coef
+    coef = _series_quantiles(design, data.y, taus)
+    # a matrix-vector product per row, since a matrix product rounds differently
+    return np.array([grid @ c for c in coef]), coef
 
 
 # --- public entry points ----------------------------------------------------
@@ -649,9 +605,8 @@ def fit(data: Dataset, spec: EstimatorSpec) -> FitResult:
 def fit_quantile_process(data: Dataset, spec: EstimatorSpec, taus) -> GriddedFunction:
     """Stack per-tau quantile fits into a 2-d function (axis 1: tau, axis 2: x).
 
-    The spec's own loss is ignored.  Row j is fit() at level taus[j]: for
-    kernel and local linear bit for bit, for a series method up to the
-    rounding of the batched IRLS.
+    The spec's own loss is ignored.  Row j is fit() at level taus[j] bit for
+    bit.
     """
     taus = _levels("taus", taus)
     est, _ = _quantile_fits(data, spec, taus)

@@ -579,6 +579,22 @@ def test_cli_estimate_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", [["bspline", "--knots", "0.3,0.6"], ["fourier", "--nterms", "2"]])
+def test_cli_estimate_pivot_cap_is_one_numerical_failure_line(tmp_path, capsys, monkeypatch, method):
+    from monotonize import estimators
+
+    monkeypatch.setattr(estimators, "_pivot_cap", lambda n, k: 1)
+    data = _dataset_csv(tmp_path)
+    out = tmp_path / "f.csv"
+    rc = main(["estimate", "--data", data, "--method", *method, "--loss", "quantile",
+               "--tau", "0.1", "--grid", "8", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("monotonize: numerical failure: check-loss descent: 1 levels unsolved")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_invalid_input_exit_code(tmp_path, capsys):
     rc = main(
         ["rearrange", "--input", str(tmp_path / "missing.csv"),

@@ -7,13 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
-from scipy.optimize import linprog, minimize_scalar
+from scipy.optimize import linprog
 
 from monotonize import estimators
 from monotonize.errors import (
     EmptyInputError,
     EmptyWindowError,
-    IrlsNoConvergenceError,
     NonFiniteValueError,
     NonIncreasingAxisError,
     OutOfDomainError,
@@ -30,9 +29,6 @@ from monotonize.estimators import (
     Loss,
     _basis_matrix,
     _bspline_design,
-    _check_objective,
-    _irls,
-    _irls_kappa,
     basis_eval,
     bootstrap,
     fit,
@@ -515,7 +511,7 @@ def test_loclinear_quantile_scales_exactly_near_the_float_limit():
     ],
 )
 def test_fits_scale_y_exactly_near_the_float_limit(method, settings, loss):
-    # y up to 1.7e308 overflows the window sums and the IRLS objective unless
+    # y up to 1.7e308 overflows the window sums and the series descent unless
     # the fit scales y first; with warnings as errors an overflow fails here
     rng = np.random.default_rng(43)
     x = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 48)])
@@ -572,20 +568,6 @@ def test_bootstrap_scales_y_exactly_near_the_float_limit(method, settings):
     small_stderr, small_draws = bootstrap(Dataset(x, np.ldexp(y, -s)), spec, 20, 3)
     assert np.array_equal(draws.values, np.ldexp(small_draws.values, s))
     assert np.array_equal(stderr.values, np.ldexp(small_stderr.values, s))
-
-
-def test_series_quantile_reports_unconverged_fits(monkeypatch):
-    monkeypatch.setattr(estimators, "IRLS_STAGES", ())
-    monkeypatch.setattr(estimators, "IRLS_MAX_ITER", 1)
-    rng = np.random.default_rng(31)
-    x = rng.uniform(0.0, 1.0, 80)
-    data = Dataset(x, x + rng.normal(0.0, 0.5, 80))
-    for spec in (
-        EstimatorSpec("fourier", Loss("quantile", 0.25), _axis(5), n_terms=2),
-        EstimatorSpec("bspline", Loss("quantile", 0.25), _axis(5), knots=(0.4, 0.7)),
-    ):
-        with pytest.raises(IrlsNoConvergenceError, match="fits unconverged after 1 iterations"):
-            fit(data, spec)
 
 
 def test_bspline_basis_partition_of_unity():
@@ -680,92 +662,94 @@ def test_series_rank_deficiency_detected():
         fit(Dataset(x, rng.normal(size=5)), spec)
 
 
+def _assert_series_fits_exact(data, spec, taus):
+    """Each level's series fit attains the LP optimum of the check loss over
+    all n points, HiGHS's value rounding too, and is its row of the quantile
+    process bit for bit."""
+    design = np.stack([basis_eval(spec, float(v)) for v in data.x])
+    process = fit_quantile_process(data, spec, taus).values
+    for j, tau in enumerate(taus):
+        res = fit(data, replace(spec, loss=Loss("quantile", tau)))
+        assert np.array_equal(res.estimate.values, process[j]), tau
+        lp = _lp_optimum(design, data.y, tau)
+        got = _check_loss(data.y - design @ res.coefficients, tau)
+        assert lp * (1.0 - 1e-12) <= got <= lp * (1.0 + 1e-12), tau
+
+
+_SERIES_SPECS = [
+    EstimatorSpec("bspline", MEAN_LOSS, _axis(), knots=(0.3, 0.6)),
+    EstimatorSpec("fourier", MEAN_LOSS, _axis(), n_terms=2),
+]
+
+
 def test_series_quantile_within_smoothing_bound_of_exact_lp():
-    # the series analogue of the local-linear oracle, over all n points:
-    # exact loss of the fit <= LP optimum + n kappa log 2.  A single-level fit
-    # must also reproduce its row of the batched quantile process.
+    # the series analogue of the local-linear oracle: no smoothing, so the
+    # bound is the LP optimum itself
     rng = np.random.default_rng(61)
     x = rng.uniform(0.0, 1.0, 60)
     data = Dataset(x, np.sin(3.0 * x) + rng.normal(0.0, 0.3, x.size))
-    kappa = _irls_kappa(data.y)
-    taus = (0.1, 0.5, 0.9)
-    for spec in (
-        EstimatorSpec("bspline", MEAN_LOSS, _axis(), knots=(0.3, 0.6)),
-        EstimatorSpec("fourier", MEAN_LOSS, _axis(), n_terms=2),
+    for spec in _SERIES_SPECS:
+        _assert_series_fits_exact(data, spec, (0.1, 0.5, 0.9))
+
+
+@pytest.mark.parametrize("spec", _SERIES_SPECS, ids=["bspline", "fourier"])
+def test_series_quantile_exact_on_lattice_and_duplicated_data(spec):
+    # residuals tied at zero make degenerate vertices, where a descent without
+    # an anti-cycling rule can pivot forever
+    rng = np.random.default_rng(67)
+    taus = (0.05, 0.2, 0.5, 0.75, 0.95)
+    lattice = np.repeat(np.linspace(0.0, 1.0, 11), 5)
+    x = np.concatenate([[0.0, 1.0], np.repeat(rng.uniform(0.0, 1.0, 14), 4)])
+    y = np.sin(3.0 * x) + rng.normal(0.0, 0.3, x.size)
+    x0 = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 18)])
+    for data in (
+        Dataset(lattice, rng.integers(-2, 3, lattice.size).astype(float)),
+        Dataset(x, y),
+        Dataset(np.tile(x0, 3), np.tile(np.sin(3.0 * x0) + rng.normal(0.0, 0.3, 20), 3)),
+        Dataset(np.linspace(0.0, 1.0, 60), np.round(4.0 * np.sin(np.linspace(0.0, 3.0, 60)))),
     ):
-        design = np.stack([basis_eval(spec, float(v)) for v in x])
-        process = fit_quantile_process(data, spec, taus).values
-        for j, tau in enumerate(taus):
-            res = fit(data, replace(spec, loss=Loss("quantile", tau)))
-            np.testing.assert_allclose(res.estimate.values, process[j], rtol=1e-12, atol=0.0)
-            lp = _lp_optimum(design, data.y, tau)
-            got = _check_loss(data.y - design @ res.coefficients, tau)
-            bound = lp + data.n * kappa * math.log(2.0)
-            assert got >= lp - 1e-9 * max(1.0, lp)
-            assert got <= bound + 1e-9 * max(1.0, bound)
-
-
-def test_irls_kappa_scaling_and_fallback():
-    y = np.array([0.0, 1.0, 2.0, 3.0])
-    assert _irls_kappa(y) == pytest.approx(1e-3 * 1.5)
-    assert _irls_kappa(np.full(10, 7.0)) == pytest.approx(7e-9)
-    assert _irls_kappa(np.zeros(10)) == pytest.approx(1e-9)
-
-
-def _shared_design_irls(design, y, taus, coef0):
-    """One IRLS batch over the levels taus, every fit on the same design."""
-    taus = np.asarray(taus, dtype=float)
-    start = np.tile(coef0, (taus.size, 1))
-    return _irls(design[None], y[None], taus, _irls_kappa(y), start)
+        _assert_series_fits_exact(data, spec, taus)
 
 
 def test_intercept_only_median_within_tolerance():
-    # well-separated values keep the smoothing bias exponentially small, so
-    # the IRLS minimizer must land on the sample median
+    # with one constant column the exact fit is the sample quantile; 25
+    # points keep tau * m fractional, so the minimizer is unique
     rng = np.random.default_rng(43)
     y = rng.permutation(np.linspace(0.0, 3.0, 25) + rng.uniform(0, 0.01, 25))
-    design = np.ones((y.size, 1))
-    coef, _ = _shared_design_irls(design, y, [0.5], np.array([y.mean()]))
-    assert coef[0, 0] == pytest.approx(np.median(y), abs=1e-6)
+    taus = np.array([0.1, 0.25, 0.5, 0.75, 0.9])
+    coef = estimators._series_quantiles(np.ones((y.size, 1)), y, taus)
+    assert coef[:, 0].tolist() == [sample_quantile(y, tau) for tau in taus]
 
 
-def test_series_irls_matches_scalar_minimizer():
-    # 41 points keep tau * m fractional, so the minimizer is unique; an
-    # integer tau * m leaves a flat valley between two order statistics.
-    rng = np.random.default_rng(47)
-    y = rng.normal(size=41)
-    kappa = _irls_kappa(y)
-    design = np.ones((y.size, 1))
-    taus = (0.1, 0.5, 0.9)
-    coef, _ = _shared_design_irls(design, y, taus, np.array([y.mean()]))
-    for j, tau in enumerate(taus):
-
-        def scalar_obj(c):
-            return float(np.sum(_check_objective(y - c, tau, kappa)))
-
-        ref = minimize_scalar(
-            scalar_obj, bounds=(y.min() - 1.0, y.max() + 1.0), method="bounded",
-            options={"xatol": 1e-10},
-        )
-        assert coef[j, 0] == pytest.approx(ref.x, abs=1e-6)
-
-
-def test_irls_singular_fit_does_not_stop_its_batch():
-    # an all-zero design makes one fit's normal equations singular: its steps
-    # are rejected while the other fit of the batch still converges
+@pytest.mark.parametrize("n", [20, 40])
+def test_series_quantile_exact_on_a_flat_optimum(n):
+    # tau * n is an integer at every level, so the check loss is flat between
+    # two order statistics (intercept only) or along an edge; tied y add
+    # degenerate vertices
     rng = np.random.default_rng(71)
-    y = rng.normal(size=(1, 31))
-    design = np.ones((2, 31, 1))
-    design[1] = 0.0
-    coef = np.zeros((2, 1))
-    done, delta, trace = estimators._irls_stage(
-        design, y, np.array([0.5, 0.5]), _irls_kappa(y[0]), coef, 1e-8, 200
-    )
-    assert done.tolist() == [True, False]
-    assert delta[1] == np.inf and coef[1, 0] == 0.0
-    assert trace[-1, 0] < trace[0, 0] and np.all(trace[:, 1] == trace[0, 1])
-    with pytest.raises(IrlsNoConvergenceError, match="1 fits unconverged"):
-        _irls(design, y, np.array([0.5, 0.5]), _irls_kappa(y[0]), coef)
+    taus = np.array([0.05, 0.25, 0.5, 0.75, 0.95])
+    for y in (rng.normal(size=n), rng.integers(0, 4, n).astype(float)):
+        coef = estimators._series_quantiles(np.ones((n, 1)), y, taus)
+        for j, tau in enumerate(taus):
+            lo = sample_quantile(y, tau)
+            hi = np.sort(y)[int(round(tau * n))]
+            assert coef[j, 0] in (lo, hi)
+        x = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, n - 2)])
+        for spec in _SERIES_SPECS:
+            _assert_series_fits_exact(Dataset(x, y), spec, taus)
+
+
+def test_series_quantile_process_on_table_2_data_is_exact():
+    # every level of the desk net is fit() bit for bit, and a few attain the LP
+    cfg = McConfig(reps=1, seed=11)
+    data = simulate_rep(cfg, 0)
+    taus = desk_tau_net()
+    for spec in cfg.estimators[2:]:
+        process = fit_quantile_process(data, spec, taus).values
+        for j, tau in enumerate(taus):
+            row = fit(data, replace(spec, loss=Loss("quantile", tau))).estimate.values
+            assert np.array_equal(process[j], row), (spec.method, tau)
+        _assert_series_fits_exact(data, spec, taus[[0, 9, 18]])
 
 
 def test_quantile_process_accepts_a_fit_stalled_at_its_optimum():
@@ -777,20 +761,6 @@ def test_quantile_process_accepts_a_fit_stalled_at_its_optimum():
     taus = desk_tau_net()
     est = fit_quantile_process(simulate_rep(cfg, 0), spec, taus)
     assert est.shape == (taus.size, spec.eval_axis.coords.size)
-
-
-def test_irls_objective_never_increases():
-    rng = np.random.default_rng(53)
-    x = rng.uniform(0, 1, 120)
-    y = np.sin(2 * np.pi * x) + rng.normal(0, 0.5, 120)
-    spec = EstimatorSpec("fourier", MEAN_LOSS, _axis(), n_terms=3)
-    design = np.stack([basis_eval(spec, float(v)) for v in x])
-    coef0 = np.linalg.lstsq(design, y, rcond=None)[0]
-    taus = (0.05, 0.5, 0.95)
-    trace = _shared_design_irls(design, y, taus, coef0)[1]
-    assert trace.shape[0] > 1 and trace.shape[1] == 3
-    slack = 1e-12 * np.maximum(1.0, np.abs(trace[:-1]))
-    assert np.all(np.diff(trace, axis=0) <= slack)
 
 
 def test_quantile_fits_converge_across_methods_and_levels():
