@@ -66,10 +66,6 @@ class NonPositiveWeightError(ValidationError):
     """Weights must be strictly positive."""
 
 
-class IndexOutOfRangeError(ValidationError):
-    """A sequence index is outside 0..n-1."""
-
-
 class LambdaOutOfRangeError(ValidationError):
     """A blending weight must lie in [0, 1]."""
 

@@ -75,18 +75,10 @@ def all_orderings(ndim: int) -> tuple:
     return tuple(permutations(range(1, ndim + 1)))
 
 
-def resolve_orderings(f: GriddedFunction, orderings=None) -> tuple:
-    """Normalize an ordering-set argument.
-
-    None means every ordering of the function's axes, which is only generated
-    implicitly for d <= 3; beyond that the caller must choose a set to keep
-    the cost explicit.  The set must be non-empty and free of duplicates.
-    """
-    return _resolve(f.ndim, orderings)
-
-
 def _resolve(ndim: int, orderings) -> tuple:
-    """resolve_orderings for a function of ndim axes."""
+    """Normalize an ordering-set argument for a function of ndim axes: None
+    means every ordering, generated implicitly only for d <= 3 to keep the
+    cost explicit; a set must be non-empty and free of duplicates."""
     if orderings is None:
         if ndim > MAX_IMPLICIT_ORDERING_DIM:
             raise EmptyOrderingSetError(

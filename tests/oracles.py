@@ -36,7 +36,6 @@ from monotonize.errors import (
     EmptyInputError,
     GridMismatchError,
     ImprovementViolationError,
-    IndexOutOfRangeError,
     NumericalError,
     OutOfRangeError,
     TooFewDrawsError,
@@ -66,6 +65,10 @@ from monotonize.montecarlo import (
     true_cqf,
 )
 from monotonize.rearrange import _average, _axis_pass, rearrange_average, rearrange_pi
+
+
+class IndexOutOfRangeError(ValidationError):
+    """A sequence index is outside 0..n-1."""
 
 
 def rearrange_quantile_oracle(values, x: float) -> float:

@@ -5,7 +5,6 @@ import pytest
 
 from monotonize.errors import (
     EmptyInputError,
-    IndexOutOfRangeError,
     LambdaOutOfRangeError,
     NonEquidistantAxisError,
     NonFiniteValueError,
@@ -24,7 +23,7 @@ from monotonize.isotonic import (
 )
 from monotonize.rearrange import rearrange_average
 
-from oracles import isotonic_maxmin_oracle
+from oracles import IndexOutOfRangeError, isotonic_maxmin_oracle
 
 UNIT = [0.0, 1.0]
 
