@@ -131,13 +131,14 @@ def design_vector(x):
 
 
 def true_cef(x, beta=BENCHMARK_BETA):
-    """True conditional mean at age x."""
-    out = design_vector(x) @ np.asarray(beta, dtype=float)
+    """True conditional mean at age x; past the float range a value is +-inf."""
+    with np.errstate(over="ignore"):
+        out = design_vector(x) @ np.asarray(beta, dtype=float)
     return float(out) if np.isscalar(x) else out
 
 
 def true_cqf(u, x, beta=BENCHMARK_BETA, sigma=DEFAULT_SIGMA):
-    """True conditional u-quantile at age x under gaussian noise."""
+    """True conditional u-quantile at age x under gaussian noise; +-inf past the float range."""
     u = np.asarray(u, dtype=float)
     if not (np.all(u > 0.0) and np.all(u < 1.0)):
         raise OutOfRangeError("quantile levels must lie in (0, 1)")
@@ -145,7 +146,8 @@ def true_cqf(u, x, beta=BENCHMARK_BETA, sigma=DEFAULT_SIGMA):
     # scipy.stats.norm.ppf bit for bit
     from scipy.special import ndtri
 
-    out = true_cef(x, beta) + float(sigma) * ndtri(u)
+    with np.errstate(over="ignore"):
+        out = true_cef(x, beta) + float(sigma) * ndtri(u)
     return float(out) if np.isscalar(x) and u.ndim == 0 else out
 
 
@@ -281,8 +283,7 @@ def _format_p(p: float) -> str:
 
 def _mean_y(cfg: McConfig) -> np.ndarray:
     """Every replication's mean of y; _draw_y refuses an overflow to +-inf."""
-    with np.errstate(over="ignore"):
-        return true_cef(cfg.x_design, cfg.beta)
+    return true_cef(cfg.x_design, cfg.beta)
 
 
 def _draw_y(cfg: McConfig, rep_index: int, mean: np.ndarray) -> np.ndarray:

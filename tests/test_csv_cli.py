@@ -749,6 +749,19 @@ def test_cli_simulate_overflowing_draw_is_one_invalid_input_line(tmp_path, capsy
     assert capsys.readouterr().err == "monotonize: invalid input: observations must be finite\n"
 
 
+@pytest.mark.parametrize("table", ["1", "2", "3"])
+def test_cli_simulate_overflowing_truth_is_one_invalid_input_line(tmp_path, capsys, table):
+    # the true curve passes the float maximum; with warnings as errors a numpy
+    # overflow warning would end the run before the finiteness check
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"reps": 2, "beta": [1.7e308, 1.7e308, 0, 0, 0]}),
+                        encoding="utf-8")
+    rc = main(["simulate", "--config", str(cfg_path), "--table", table,
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "monotonize: invalid input: function values must be finite\n"
+
+
 @pytest.mark.parametrize(
     "extra", [["--bootstrap", "5", "--seed", "-1"], ["--grid", "1"]]
 )
