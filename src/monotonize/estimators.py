@@ -345,20 +345,19 @@ def _series_quantiles(design: np.ndarray, y: np.ndarray, taus) -> np.ndarray:
 
     A descent over vertices (Barrodale & Roberts 1974; Koenker & d'Orey
     1987), every level in lockstep from _start_basis.  A vertex is a basis h
-    of k rows fit with zero residual; each other row sits on a side, that of
-    its residual's sign, and a zero residual keeps its side.  With psi = tau
-    on the upper side and tau - 1 on the lower one, xi = X_h^-T sum psi_i x_i,
-    and the vertex is optimal when [(1 - tau) - xi, tau + xi] >= 0, entries
-    compared within their rounding (n eps |X_h^-T| sum |x_i|).  Otherwise h_j
-    leaves along the most negative entry (after a step of length 0, the
-    lowest h_j with a negative entry, Bland's rule), direction d = +-X_h^-1 e_j.
-    Along d each row whose residual r_i - t x_i'd changes side at t_i >= 0
-    adds |x_i'd| to the slope; rows with |x_i'd| <= 1e-10 max|x| max|d| count
-    as parallel.  In order of (t_i, row), rows pass (change side) until the
-    slope turns non-negative, and the row where it turns enters.  X_h^-1
-    follows each pivot by a rank-one update, and the coefficients are one
-    solve on the final basis in row order.  Every operation works row by row,
-    so each level gets the bits of a call with that level alone.
+    of k rows fit with zero residual; every other row sits on the side of its
+    residual's sign, a zero residual keeping its side.  With psi = tau on the
+    upper side and tau - 1 on the lower, xi = X_h^-T sum psi_i x_i, and the
+    vertex is optimal when [(1 - tau) - xi, tau + xi] >= 0 within rounding
+    (n eps |X_h^-T| sum |x_i|).  Otherwise h_j leaves along the most negative
+    entry, direction d = +-X_h^-1 e_j.  Along d a row whose residual
+    r_i - t x_i'd changes side at t_i >= 0 adds |x_i'd| to the slope
+    (|x_i'd| <= 1e-10 max|x| max|d| is parallel).  In order of (t_i, row),
+    rows pass until the slope turns non-negative, and the row where it turns
+    enters; that order and the kept sides keep degenerate vertices from
+    cycling.  X_h^-1 follows by rank-one updates; the coefficients are one
+    solve on the final basis in row order.  Every operation works row by
+    row, so each level gets the bits of a call with that level alone.
     """
     n, k = design.shape
     start = _start_basis(design, y)
@@ -366,35 +365,36 @@ def _series_quantiles(design: np.ndarray, y: np.ndarray, taus) -> np.ndarray:
     act, h = np.arange(taus.size), np.tile(start, (taus.size, 1))
     inv = np.tile(np.linalg.inv(design[start]), (taus.size, 1, 1))
     r = np.tile(y - design @ np.linalg.solve(design[start], y[start]), (taus.size, 1))
-    up, bland = r >= 0.0, np.zeros(taus.size, dtype=bool)
+    side = np.where(r >= 0.0, 1.0, -1.0)
     size, top, index = np.abs(design).sum(axis=0), np.abs(design).max(), np.arange(n)
     for _ in range(_pivot_cap(n, k)):
-        tau = taus[act, None]
-        np.put_along_axis(r, h, 0.0, axis=1)
-        psi = tau - 1.0 + up
-        np.put_along_axis(psi, h, 0.0, axis=1)
+        tau, rows = taus[act, None], np.arange(act.size)
+        r[rows[:, None], h] = 0.0
+        psi = (tau - 0.5) + 0.5 * side
+        psi[rows[:, None], h] = 0.0
         xi = (psi[:, None, :] @ design @ inv)[:, 0]
         entries = np.hstack([(1.0 - tau) - xi, tau + xi])
         neg = entries < -n * np.finfo(float).eps * np.tile(size @ np.abs(inv), 2)
         go = np.any(neg, axis=1)
         if not np.all(go):
             out[act[~go]] = h[~go]
-            act, h, inv, r, up, bland, entries, neg = (
-                v[go] for v in (act, h, inv, r, up, bland, entries, neg)
+            act, h, inv, r, side, entries, neg = (
+                v[go] for v in (act, h, inv, r, side, entries, neg)
             )
             if not act.size:
                 break
-        rows = np.arange(act.size)
-        c = np.argmin(np.where(neg, np.where(bland[:, None], np.tile(h, 2), entries), np.inf), axis=1)
+            rows = np.arange(act.size)
+        c = np.argmin(np.where(neg, entries, np.inf), axis=1)
         j = c % k
         col = inv[rows, :, j]
         d = np.where(c < k, 1.0, -1.0)[:, None] * col
         a = (design @ d[:, :, None])[:, :, 0]
-        thr = 1e-10 * top * np.abs(d).max(axis=1, keepdims=True)
-        cross = ((a > thr) & up) | ((a < -thr) & ~up)
-        np.put_along_axis(cross, h, False, axis=1)
-        # a = 0 (no crossing) divides by 1; r rounded across its side crosses at t = 0
-        t, w = np.maximum(r / (a + (a == 0.0)), 0.0), np.abs(a) * cross
+        # sa > 0 where a residual moves toward its other side; r rounded across
+        # its side crosses at t = 0, and a row that does not cross has weight 0
+        sa, thr = side * a, 1e-10 * top * np.abs(d).max(axis=1, keepdims=True)
+        sa[rows[:, None], h] = 0.0
+        cross = sa > thr
+        t, w = np.maximum(side * r, 0.0) / np.maximum(sa, thr), sa * cross
         order = np.argsort(t, axis=1) + (n * rows)[:, None]
         cum = np.cumsum(np.take(w, order), axis=1)
         target = np.minimum(-entries[rows, c], cum[:, -1])
@@ -406,16 +406,16 @@ def _series_quantiles(design: np.ndarray, y: np.ndarray, taus) -> np.ndarray:
         many = np.flatnonzero(np.count_nonzero(tied, axis=1) > 1)
         if many.size:
             # rows tied at the step pass in row order until the slope turns
-            sums = np.sum(w[many] * passed[many], axis=1)[:, None]
-            reach = tied[many] & (sums + np.cumsum(w[many] * tied[many], axis=1) >= target[many, None])
+            sums = np.sum(w[many] * passed[many], axis=1)[:, None] - target[many, None]
+            reach = tied[many] & (sums + np.cumsum(w[many] * tied[many], axis=1) >= 0.0)
             last = n - 1 - np.argmax(tied[many, ::-1], axis=1)
             enter[many] = np.where(np.any(reach, axis=1), np.argmax(reach, axis=1), last)
             passed[many] |= tied[many] & (index < enter[many, None])
-        up ^= passed
-        up[rows, h[rows, j]] = c >= k
+        np.negative(side, out=side, where=passed)
+        side[rows, h[rows, j]] = np.where(c < k, -1.0, 1.0)
         r -= step[:, None] * a
         r[tied] = 0.0
-        h[rows, j], bland = enter, step == 0.0
+        h[rows, j] = enter
         row = (design[enter][:, None, :] @ inv)[:, 0]
         row[rows, j] -= 1.0
         inv -= (col / (row[rows, j] + 1.0)[:, None])[:, :, None] * row[:, None, :]

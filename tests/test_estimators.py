@@ -276,8 +276,9 @@ def _check_loss(u, tau):
     return float(np.sum(u * (tau - (u < 0.0))))
 
 
-def _lp_optimum(design, y, tau):
-    """Exact min over coef of sum rho_tau(y - design @ coef), as an LP."""
+def _lp_optimum(design, y, tau, coef=False):
+    """Exact min over coef of sum rho_tau(y - design @ coef), as an LP; with
+    coef, also HiGHS's coefficients."""
     m, k = design.shape
     eye = np.eye(m)
     a_eq = np.hstack([design, eye, -eye])
@@ -285,7 +286,7 @@ def _lp_optimum(design, y, tau):
     bounds = [(None, None)] * k + [(0.0, None)] * (2 * m)
     res = linprog(cost, A_eq=a_eq, b_eq=y, bounds=bounds, method="highs")
     assert res.status == 0
-    return res.fun
+    return (res.fun, res.x[:k]) if coef else res.fun
 
 
 def _spy_on_chunk_rows(monkeypatch):
@@ -664,16 +665,20 @@ def test_series_rank_deficiency_detected():
 
 def _assert_series_fits_exact(data, spec, taus):
     """Each level's series fit attains the LP optimum of the check loss over
-    all n points, HiGHS's value rounding too, and is its row of the quantile
-    process bit for bit."""
+    all n points, and is its row of the quantile process bit for bit.
+
+    HiGHS's value may lie about 1e-11 off the check loss its own coefficients
+    attain, either way, so the fit's loss is held within 1e-12 of the latter
+    and above the former within HiGHS's tolerance."""
     design = np.stack([basis_eval(spec, float(v)) for v in data.x])
     process = fit_quantile_process(data, spec, taus).values
     for j, tau in enumerate(taus):
         res = fit(data, replace(spec, loss=Loss("quantile", tau)))
         assert np.array_equal(res.estimate.values, process[j]), tau
-        lp = _lp_optimum(design, data.y, tau)
+        lp, coef = _lp_optimum(design, data.y, tau, coef=True)
         got = _check_loss(data.y - design @ res.coefficients, tau)
-        assert lp * (1.0 - 1e-12) <= got <= lp * (1.0 + 1e-12), tau
+        attained = _check_loss(data.y - design @ coef, tau)
+        assert lp * (1.0 - 1e-9) <= got <= attained * (1.0 + 1e-12), tau
 
 
 _SERIES_SPECS = [
@@ -695,7 +700,7 @@ def test_series_quantile_within_smoothing_bound_of_exact_lp():
 @pytest.mark.parametrize("spec", _SERIES_SPECS, ids=["bspline", "fourier"])
 def test_series_quantile_exact_on_lattice_and_duplicated_data(spec):
     # residuals tied at zero make degenerate vertices, where a descent without
-    # an anti-cycling rule can pivot forever
+    # an anti-cycling rule can pivot forever; y = 0 ties every residual
     rng = np.random.default_rng(67)
     taus = (0.05, 0.2, 0.5, 0.75, 0.95)
     lattice = np.repeat(np.linspace(0.0, 1.0, 11), 5)
@@ -704,6 +709,7 @@ def test_series_quantile_exact_on_lattice_and_duplicated_data(spec):
     x0 = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 18)])
     for data in (
         Dataset(lattice, rng.integers(-2, 3, lattice.size).astype(float)),
+        Dataset(lattice, np.zeros(lattice.size)),
         Dataset(x, y),
         Dataset(np.tile(x0, 3), np.tile(np.sin(3.0 * x0) + rng.normal(0.0, 0.3, 20), 3)),
         Dataset(np.linspace(0.0, 1.0, 60), np.round(4.0 * np.sin(np.linspace(0.0, 3.0, 60)))),
@@ -721,13 +727,14 @@ def test_intercept_only_median_within_tolerance():
     assert coef[:, 0].tolist() == [sample_quantile(y, tau) for tau in taus]
 
 
-@pytest.mark.parametrize("n", [20, 40])
+@pytest.mark.parametrize("n", [20, 30, 40, 60])
 def test_series_quantile_exact_on_a_flat_optimum(n):
     # tau * n is an integer at every level, so the check loss is flat between
-    # two order statistics (intercept only) or along an edge; tied y add
-    # degenerate vertices
+    # two order statistics (intercept only) or along an edge, where a rounded
+    # directional derivative of either sign would pivot back and forth; tied y
+    # add degenerate vertices
     rng = np.random.default_rng(71)
-    taus = np.array([0.05, 0.25, 0.5, 0.75, 0.95])
+    taus = np.array([0.1, 0.2, 0.3, 0.5, 0.7, 0.9])
     for y in (rng.normal(size=n), rng.integers(0, 4, n).astype(float)):
         coef = estimators._series_quantiles(np.ones((n, 1)), y, taus)
         for j, tau in enumerate(taus):
