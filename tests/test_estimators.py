@@ -663,6 +663,17 @@ def test_series_rank_deficiency_detected():
         fit(Dataset(x, rng.normal(size=5)), spec)
 
 
+def test_series_quantile_refuses_a_design_without_k_separated_rows():
+    # x within 1e-4 of the first interior knot or beyond leaves the first
+    # B-spline below 4e-8 on every row: least squares still finds full rank,
+    # but no start basis of 6 rows is independent to 1e-6
+    rng = np.random.default_rng(3)
+    x = np.concatenate([[0.2999, 1.0], rng.uniform(0.2999, 1.0, 40)])
+    spec = EstimatorSpec("bspline", Loss("quantile", 0.5), _axis(), knots=(0.3, 0.6))
+    with pytest.raises(RankDeficientDesignError, match="no 6 well-separated rows"):
+        fit(Dataset(x, rng.normal(size=x.size)), spec)
+
+
 def _assert_series_fits_exact(data, spec, taus):
     """Each level's series fit attains the LP optimum of the check loss over
     all n points, and is its row of the quantile process bit for bit.
