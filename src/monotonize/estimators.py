@@ -7,9 +7,9 @@ evaluated on an explicit grid so the result plugs straight into the
 rearrangement and isotonization operators.
 
 Every quantile fit minimizes the check loss exactly (see _quantile_fits):
-the box kernel by order statistics of its windows, local linear by a search
-over slopes, and the series methods by a descent over the vertices of the
-check loss, all quantile levels at once.
+the box kernel by order statistics of its windows, and local linear and the
+series methods by one descent over the vertices of the check loss
+(_descent), all quantile levels, and all local-linear windows, at once.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
     NumericalError,
 )
-from .grid import Axis, GriddedFunction, _distinct, _integer, _levels, _order_index, _real, _reals
+from .grid import Axis, GriddedFunction, _integer, _levels, _order_index, _real, _reals
 
 METHODS = ("kernel", "loclinear", "bspline", "fourier")
 
@@ -306,33 +306,54 @@ def basis_eval(spec: EstimatorSpec, x: float) -> np.ndarray:
 
 
 def _series_lstsq(design: np.ndarray, y: np.ndarray) -> np.ndarray:
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < design.shape[1]:
+    """Least-squares coefficients; a design whose smallest singular value is
+    at most 1e-6 of its largest is refused."""
+    coef, _, _, sv = np.linalg.lstsq(design, y, rcond=None)
+    k = design.shape[1]
+    if sv.size < k or not sv[-1] > 1e-6 * sv[0]:
         raise RankDeficientDesignError(
-            f"series design has rank {rank} < {design.shape[1]} columns"
+            f"series design of {k} columns is singular to 1e-6 of its largest singular value"
         )
     return coef
 
 
-def _start_basis(design: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The k rows of least |least-squares residual| whose design rows are
-    independent, by greedy Gram-Schmidt in that order: a row joins when more
-    than 1e-6 of its norm lies outside the rows taken, and the row taken is
-    orthogonalized a second time."""
-    k = design.shape[1]
-    rest = np.argsort(np.abs(y - design @ _series_lstsq(design, y)), kind="stable")
-    q, basis = np.zeros((0, k)), []
-    while len(basis) < k:
-        v = design[rest] - design[rest] @ q.T @ q
-        v -= v @ q.T @ q
-        norm = np.linalg.norm(v, axis=1)
-        ok = np.flatnonzero(norm > 1e-6 * np.linalg.norm(design[rest], axis=1))
-        if not ok.size:
-            raise RankDeficientDesignError(f"series design has no {k} well-separated rows")
-        q = np.vstack([q, v[ok[0]] / norm[ok[0]]])
-        basis.append(rest[ok[0]])
-        rest = rest[ok[0] + 1 :]
-    return np.array(basis)
+def _series_quantiles(design: np.ndarray, y: np.ndarray, taus) -> np.ndarray:
+    """Exact check-loss coefficients on design at every level of taus, levels
+    x k: one _descent per level from the least-squares start, on one design
+    that every level shares as a view."""
+    (n, k), m = design.shape, taus.size
+    start = _start_bases(design[None], (y - design @ _series_lstsq(design, y))[None])
+    inside = np.broadcast_to(True, (m, n))
+    h = _descent(np.broadcast_to(design, (m, n, k)), np.broadcast_to(y, (m, n)), inside,
+                 taus, np.tile(start, (m, 1)))
+    return np.linalg.solve(design[h], y[h][:, :, None])[:, :, 0]
+
+
+# --- check-loss descent -------------------------------------------------------
+
+
+def _start_bases(D: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Per problem (D: problems x rows x k), the k rows of least |R| whose rows
+    of D are independent, by greedy Gram-Schmidt in that order: a row joins
+    when more than 1e-6 of its norm lies outside the rows taken, and the row
+    taken is orthogonalized a second time.  Zero rows never join."""
+    m, n, k = D.shape
+    order = np.argsort(np.abs(R), axis=1, kind="stable")
+    rows, index = np.arange(m), np.arange(n)
+    cand = np.take_along_axis(D, order[:, :, None], axis=1)
+    scale = 1e-6 * np.linalg.norm(cand, axis=2)
+    q, basis, after = np.zeros((m, 0, k)), np.empty((m, k), dtype=np.intp), np.zeros((m, 1))
+    for j in range(k):
+        v = cand - cand @ q.transpose(0, 2, 1) @ q
+        v -= v @ q.transpose(0, 2, 1) @ q
+        norm = np.linalg.norm(v, axis=2)
+        ok = (norm > scale) & (index >= after)
+        if not np.all(np.any(ok, axis=1)):
+            raise RankDeficientDesignError(f"design has no {k} well-separated rows")
+        first = np.argmax(ok, axis=1)
+        q = np.concatenate([q, (v[rows, first] / norm[rows, first, None])[:, None]], axis=1)
+        basis[:, j], after = order[rows, first], first[:, None] + 1
+    return basis
 
 
 def _pivot_cap(n: int, k: int) -> int:
@@ -340,46 +361,55 @@ def _pivot_cap(n: int, k: int) -> int:
     return n * k
 
 
-def _series_quantiles(design: np.ndarray, y: np.ndarray, taus) -> np.ndarray:
-    """Exact check-loss coefficients on design at every level of taus, levels x k.
+def _descent(D: np.ndarray, y: np.ndarray, inside: np.ndarray, taus, start) -> np.ndarray:
+    """The optimal bases of check-loss problems, problems x k, sorted.
 
-    A descent over vertices (Barrodale & Roberts 1974; Koenker & d'Orey
-    1987), every level in lockstep from _start_basis.  A vertex is a basis h
-    of k rows fit with zero residual; every other row sits on the side of its
-    residual's sign, a zero residual keeping its side.  With psi = tau on the
-    upper side and tau - 1 on the lower, xi = X_h^-T sum psi_i x_i, and the
-    vertex is optimal when [(1 - tau) - xi, tau + xi] >= 0 within rounding
-    (n eps |X_h^-T| sum |x_i|).  Otherwise h_j leaves along the most negative
-    entry, direction d = +-X_h^-1 e_j.  Along d a row whose residual
-    r_i - t x_i'd changes side at t_i >= 0 adds |x_i'd| to the slope
-    (|x_i'd| <= 1e-10 max|x| max|d| is parallel).  In order of (t_i, row),
-    rows pass until the slope turns non-negative, and the row where it turns
-    enters; that order and the kept sides keep degenerate vertices from
-    cycling.  X_h^-1 follows by rank-one updates; the coefficients are one
-    solve on the final basis in row order.  Every operation works row by
-    row, so each level gets the bits of a call with that level alone.
+    Problem p fits y[p] on the rows of D[p] (problems x rows x k) that
+    inside[p] marks, at level taus[p], from the k rows start[p].  A descent
+    over vertices (Barrodale & Roberts 1974; Koenker & d'Orey 1987), every
+    problem in lockstep.  A vertex is a basis h of k rows fit with zero
+    residual; every other row sits on the side of its residual's sign, a zero
+    residual keeping its side.  With psi = tau on the upper side and tau - 1
+    on the lower, xi = X_h^-T sum psi_i x_i, and the vertex is optimal when
+    [(1 - tau) - xi, tau + xi] >= 0 within rounding (n eps |X_h^-T| sum |x_i|).
+    Otherwise h_j leaves along the most negative entry, direction d = +-X_h^-1
+    e_j.  Along d a row whose residual r_i - t x_i'd changes side at t_i >= 0
+    adds |x_i'd| to the slope (|x_i'd| <= 1e-10 max|x| max|d| is parallel).
+    In order of (t_i, row), rows pass until the slope turns non-negative, and
+    the row where it turns enters; that order and the kept sides keep
+    degenerate vertices from cycling.  X_h^-1 follows by rank-one updates.
+    A row outside a problem has psi = 0 and t = inf, and counts in neither n
+    nor the sums and maxima over x.  Every operation works problem by
+    problem, so each gets the bits of a call with that problem alone.  A D
+    that every problem shares (a stride-0 view) is never copied.
     """
-    n, k = design.shape
-    start = _start_basis(design, y)
-    out = np.empty((taus.size, k), dtype=np.intp)
-    act, h = np.arange(taus.size), np.tile(start, (taus.size, 1))
-    inv = np.tile(np.linalg.inv(design[start]), (taus.size, 1, 1))
-    r = np.tile(y - design @ np.linalg.solve(design[start], y[start]), (taus.size, 1))
+    m, n, k = D.shape
+    rows, index = np.arange(m), np.arange(n)
+    # problems that share D share inside too, and their sums are taken once
+    lead = slice(0, 1) if D.strides[0] == 0 else slice(None)
+    mag = np.where(inside[lead, :, None], np.abs(D[lead]), 0.0)
+    size, top = np.broadcast_to(mag.sum(axis=1), (m, k)), np.broadcast_to(mag.max(axis=(1, 2)), m)
+    slack = -np.count_nonzero(inside, axis=1) * np.finfo(float).eps
+    basis = D[rows[:, None], start]
+    inv = np.linalg.inv(basis)
+    r = y - (D @ np.linalg.solve(basis, y[rows[:, None], start][:, :, None]))[:, :, 0]
     side = np.where(r >= 0.0, 1.0, -1.0)
-    size, top, index = np.abs(design).sum(axis=0), np.abs(design).max(), np.arange(n)
+    out = np.empty((m, k), dtype=np.intp)
+    act, h = rows, start.copy()
     for _ in range(_pivot_cap(n, k)):
         tau, rows = taus[act, None], np.arange(act.size)
         r[rows[:, None], h] = 0.0
-        psi = (tau - 0.5) + 0.5 * side
+        psi = np.where(inside, (tau - 0.5) + 0.5 * side, 0.0)
         psi[rows[:, None], h] = 0.0
-        xi = (psi[:, None, :] @ design @ inv)[:, 0]
+        xi = (psi[:, None, :] @ D @ inv)[:, 0]
         entries = np.hstack([(1.0 - tau) - xi, tau + xi])
-        neg = entries < -n * np.finfo(float).eps * np.tile(size @ np.abs(inv), 2)
+        neg = entries < slack[:, None] * np.tile((size[:, None, :] @ np.abs(inv))[:, 0], 2)
         go = np.any(neg, axis=1)
         if not np.all(go):
             out[act[~go]] = h[~go]
-            act, h, inv, r, side, entries, neg = (
-                v[go] for v in (act, h, inv, r, side, entries, neg)
+            D = D[: np.count_nonzero(go)] if D.strides[0] == 0 else D[go]
+            act, h, inv, r, side, inside, size, top, slack, entries, neg = (
+                v[go] for v in (act, h, inv, r, side, inside, size, top, slack, entries, neg)
             )
             if not act.size:
                 break
@@ -388,13 +418,14 @@ def _series_quantiles(design: np.ndarray, y: np.ndarray, taus) -> np.ndarray:
         j = c % k
         col = inv[rows, :, j]
         d = np.where(c < k, 1.0, -1.0)[:, None] * col
-        a = (design @ d[:, :, None])[:, :, 0]
+        a = (D @ d[:, :, None])[:, :, 0]
         # sa > 0 where a residual moves toward its other side; r rounded across
         # its side crosses at t = 0, and a row that does not cross has weight 0
-        sa, thr = side * a, 1e-10 * top * np.abs(d).max(axis=1, keepdims=True)
+        sa, thr = side * a, 1e-10 * top[:, None] * np.abs(d).max(axis=1, keepdims=True)
         sa[rows[:, None], h] = 0.0
-        cross = sa > thr
-        t, w = np.maximum(side * r, 0.0) / np.maximum(sa, thr), sa * cross
+        cross = (sa > thr) & inside
+        t = np.where(inside, np.maximum(side * r, 0.0) / np.maximum(sa, thr), np.inf)
+        w = sa * cross
         order = np.argsort(t, axis=1) + (n * rows)[:, None]
         cum = np.cumsum(np.take(w, order), axis=1)
         target = np.minimum(-entries[rows, c], cum[:, -1])
@@ -416,14 +447,13 @@ def _series_quantiles(design: np.ndarray, y: np.ndarray, taus) -> np.ndarray:
         r -= step[:, None] * a
         r[tied] = 0.0
         h[rows, j] = enter
-        row = (design[enter][:, None, :] @ inv)[:, 0]
+        row = (D[rows, enter][:, None, :] @ inv)[:, 0]
         row[rows, j] -= 1.0
         inv -= (col / (row[rows, j] + 1.0)[:, None])[:, :, None] * row[:, None, :]
     else:
         cap = _pivot_cap(n, k)
         raise NumericalError(f"check-loss descent: {act.size} levels unsolved after {cap} pivots")
-    h = np.sort(out, axis=1)
-    return np.linalg.solve(design[h], y[h][:, :, None])[:, :, 0]
+    return np.sort(out, axis=1)
 
 
 # --- quantile fits ----------------------------------------------------------
@@ -439,95 +469,51 @@ def _window_rows(n: int, lo, hi, width: int) -> tuple:
 def _loclinear_quantiles(xs, ys, lo, hi, nodes, taus) -> tuple:
     """Exact local-linear check-loss fits: (intercepts, slopes), levels x nodes.
 
-    With the slope b fixed, the best intercept is sample_quantile's order
-    statistic of the residuals y - b z (z = x - node), so the window's loss
-    g(b) is convex and piecewise linear.  Just right of a test slope t one
-    point p sorts at that order, and g is linear until another point crosses
-    p; one sort of the residuals gives the sign of g' there.  A fit brackets
-    the leftmost slope whose right-hand segment has g' >= 0 and moves one end
-    past t to the end of t's segment.  It tests the least-squares slope, then
-    the best slope of a line through p (a weighted quantile of p's slopes).
-    All fits run at once, in chunks of BLOCK_ELEMENTS / 4 numbers per array.
+    Each (level, node) is a _descent on the node's window, with rows (1, u),
+    u = 2^-e (x - x_first) measured from the window's first x and scaled
+    exactly so that max u lies in [1/2, 1).  Every level of a window starts
+    from the rows of least |least-squares residual|.  Windows are gathered,
+    and problems run, in chunks of BLOCK_ELEMENTS / 4 numbers per work array.
+    The line through the final basis is solved in node coordinates
+    (1, 2^-e (x - node)), scaled as u is, so that its slope stays finite
+    where a slope in x would not.
     """
     width = int(np.max(hi - lo))
-    level, node = np.divmod(np.arange(taus.size * nodes.size), nodes.size)
     chunk = max(1, BLOCK_ELEMENTS // (4 * width))
-    (est, slope), top = np.empty((2, level.size)), 2.0 * np.max(np.abs(ys))
-    for part in np.split(np.arange(level.size), range(chunk, level.size, chunk)):
-        j = node[part]
+    e, h = np.empty(nodes.size, dtype=int), np.empty((taus.size, nodes.size, 2), dtype=np.intp)
+    for j in np.split(np.arange(nodes.size), range(chunk, nodes.size, chunk)):
         idx, inwin = _window_rows(xs.size, lo[j], hi[j], width)
-        z0, y0 = np.where(inwin, xs[idx] - nodes[j, None], 0.0), np.where(inwin, ys[idx], np.inf)
-        tau0, k0 = taus[level[part], None], _order_index(taus[level[part]], hi[j] - lo[j])
-        # every slope lies within +-(2 max|y| over the least gap of z)
-        gap = np.diff(z0, axis=1)
-        high = top / np.min(gap, axis=1, where=inwin[:, 1:] & (gap > 0.0), initial=np.inf)
-        slope[part], act = high, np.flatnonzero(high > 0.0)
-        zc = np.where(inwin, z0 - np.mean(z0, axis=1, where=inwin, keepdims=True), 0.0)[act]
-        with np.errstate(all="ignore"):
-            t = np.einsum("ij,ij->i", zc, np.where(inwin, y0, 0.0)[act]) / np.sum(zc * zc, axis=1)
-        low, high = -high[act], high[act]
-        t = np.where(t < high, np.fmax(t, low), low)
-        while act.size:
-            z, y, w, k, tau = z0[act], y0[act], inwin[act], k0[act], tau0[act, 0]
-            rows, tt = np.arange(act.size), t[:, None]
-            r = y - tt * z
-            v = np.take_along_axis(np.sort(r, axis=1), k[:, None], axis=1)
-            below, at, ties = r < v, r == v, np.count_nonzero(r <= v, axis=1) - k
-            # p sorts k-th just right of t, where residuals tied at t order by falling z
-            p = np.argmax(np.cumsum(at, axis=1, dtype=np.int32) >= ties[:, None], axis=1)
-            dz, dr = z - z[rows, p, None], r - r[rows, p, None]
-            below |= at & (dz > 0.0)
-            spread = np.einsum("ij,ij->i", dz, w)
-            rising = np.einsum("ij,ij->i", dz, below) >= tau * spread
-            ok = w & (dz != 0.0)
-            s = np.divide(y - y[rows, p, None], dz, out=np.full(dz.shape, np.inf), where=ok)
-            order = np.argsort(s, axis=1)
-            ss = np.take_along_axis(s, order, axis=1)
-            # t's segment ends at p's last crossing up to t and its first after;
-            # where a slope rounds across t, the residuals tell its side
-            crossed = ok & (((dz > 0.0) != (dr > 0.0)) | (dr == 0.0))
-            n_le, n_lt = np.count_nonzero(ss <= tt, axis=1), np.count_nonzero(ss < tt, axis=1)
-            left = np.where(np.any(crossed & (s > tt), axis=1), t, ss[rows, n_le - 1])
-            right = np.where(np.any(~crossed & (s < tt), axis=1), t, ss[rows, n_lt % width])
-            high = np.where(rising, np.fmin(np.fmax(left, low), t), high)
-            low = np.where(rising, low, np.fmin(np.fmax(right, np.nextafter(t, np.inf)), high))
-            # next test: the best slope through p, else p's last slope inside, else the middle
-            cum = np.cumsum(np.take_along_axis(np.abs(dz) * w, order, axis=1), axis=1)
-            best = np.count_nonzero(cum < (0.5 * cum[:, -1] + (tau - 0.5) * spread)[:, None], 1)
-            c = ss[rows, np.minimum(best, np.count_nonzero(ok, axis=1) - 1)]
-            prev = ss[rows, np.count_nonzero(ss < high[:, None], axis=1) - 1]
-            mid = np.fmin(0.5 * low + 0.5 * high, np.nextafter(high, -np.inf))
-            t = np.where((low < prev) & (prev < high), prev, mid)
-            t = np.where((low <= c) & (c < high), c, t)
-            slope[part[act]], keep = high, low < high
-            act, low, high, t = act[keep], low[keep], high[keep], t[keep]
-        r = y0 - slope[part, None] * z0
-        est[part] = np.take_along_axis(np.sort(r, axis=1), k0[:, None], axis=1)[:, 0]
-    return est.reshape(taus.size, nodes.size), slope.reshape(taus.size, nodes.size)
+        dx = np.where(inwin, xs[idx] - xs[lo[j], None], 0.0)
+        e[j] = np.frexp(dx.max(axis=1))[1]
+        u = np.ldexp(dx, -e[j, None])
+        D, y = np.stack([1.0 * inwin, u], axis=2), np.where(inwin, ys[idx], 0.0)
+        count = (hi - lo)[j, None]
+        uc = np.where(inwin, u - u.sum(axis=1, keepdims=True) / count, 0.0)
+        yc = y - y.sum(axis=1, keepdims=True) / count
+        b = np.sum(uc * yc, axis=1, keepdims=True) / np.sum(uc * uc, axis=1, keepdims=True)
+        start = _start_bases(D, np.where(inwin, yc - b * uc, np.inf))
+        level, win = np.divmod(np.arange(taus.size * j.size), j.size)
+        for part in np.split(np.arange(level.size), range(chunk, level.size, chunk)):
+            w = win[part]
+            h[level[part], j[w]] = _descent(D[w], y[w], inwin[w], taus[level[part]], start[w])
+    h += lo[:, None]
+    line = np.stack([np.ones(h.shape), np.ldexp(xs[h] - nodes[:, None], -e[:, None])], axis=3)
+    coef = np.linalg.solve(line, ys[h][..., None])[..., 0]
+    with np.errstate(over="ignore"):
+        return coef[..., 0], np.ldexp(coef[..., 1], -e)
 
 
-def _y_exponent(x: np.ndarray, top, spec: EstimatorSpec, slopes: bool):
+def _y_exponent(x: np.ndarray, top, spec: EstimatorSpec):
     """Exponent s, 0 at ordinary magnitudes, such that a fit on x of 2^-s y
     with max|y| = top stays finite; one exponent per entry of an array top.
 
     A fit adds up at most n terms of y times a moment of x of order at most
     2, and the local-linear mean fit multiplies two such sums: 8 n^2 X^2
-    max|y| bounds them all, with X the largest of 1, |x| and |node|.  With
-    slopes, the local-linear quantile search divides differences of y by
-    gaps of x, and z may round a gap to half; max|y| reach / gap within
-    2^1016 keeps those slopes and their residuals finite.
+    max|y| bounds them all, with X the largest of 1, |x| and |node|.
     """
     nodes = spec.eval_axis.coords
     big = max(1.0, float(np.abs(x).max()), -nodes[0], nodes[-1])
-    e = np.frexp(top)[1]
-    shift = e + 2 * (math.frexp(x.size)[1] + math.frexp(big)[1]) + 3 - 1023
-    if slopes:
-        xs = _distinct(x)
-        # with one distinct x there is no slope: the fit refuses the windows
-        if xs.size > 1:
-            reach = max(1.0, max(xs[-1], nodes[-1]) - min(xs[0], nodes[0]))
-            er, eg = np.frexp([reach, np.min(np.diff(xs))])[1]
-            shift = np.maximum(shift, e + er - eg - 1016)
+    shift = np.frexp(top)[1] + 2 * (math.frexp(x.size)[1] + math.frexp(big)[1]) + 3 - 1023
     return np.maximum(0, shift)
 
 
@@ -543,7 +529,7 @@ def _mean_fits(x: np.ndarray, Y: np.ndarray, spec: EstimatorSpec) -> tuple:
     to 2^-s y, s from _y_exponent of that row alone, and scaled back by 2^s.
     x is sorted and windowed, or the bases built, once; each row gets the
     bits of a call with that row alone."""
-    shift = _y_exponent(x, np.abs(Y).max(axis=1), spec, False)[:, None]
+    shift = _y_exponent(x, np.abs(Y).max(axis=1), spec)[:, None]
     Y = np.ldexp(Y, -shift)
     if spec.method in ("kernel", "loclinear"):
         order, xs, lo, hi = _windows(x, spec)
@@ -566,8 +552,8 @@ def _quantile_fits(data: Dataset, spec: EstimatorSpec, taus) -> tuple:
     exact, and row j equals the fit at taus[j] alone bit for bit.
     """
     top = np.abs(data.y).max()
-    shift = _y_exponent(data.x, top, spec, spec.method == "loclinear")
-    if spec.method in ("bspline", "fourier"):
+    shift = _y_exponent(data.x, top, spec)
+    if spec.method != "kernel":
         # the descent divides residuals by steps down to 1e-10 of their scale:
         # max|y| within 2^895 leaves it 2^128 of headroom
         shift = max(shift, math.frexp(top)[1] - 895)
@@ -657,7 +643,7 @@ def _draw_fitter(data: Dataset, spec: EstimatorSpec) -> tuple:
 
     if spec.loss.kind == "quantile":
         return per_draw, 1
-    shift = _y_exponent(data.x, np.abs(data.y).max(), spec, False)
+    shift = _y_exponent(data.x, np.abs(data.y).max(), spec)
     y = np.ldexp(data.y, -shift)
     if spec.method in ("kernel", "loclinear"):
         order, xs, lo, hi = _windows(data.x, spec, checked=False)

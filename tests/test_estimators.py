@@ -290,27 +290,39 @@ def _lp_optimum(design, y, tau, coef=False):
 
 
 def _spy_on_chunk_rows(monkeypatch):
-    """Record the shape of every chunk the local-linear search takes: one row
-    per (level, node) fit, one column per point of the widest window.  Every
-    work array of a chunk has at most that shape."""
-    real = estimators._window_rows
+    """Record the shape of every batch of problems the local-linear fits hand
+    to the descent: one row per (level, node) fit, one column per point of
+    the widest window.  Every work array of a batch has at most that shape,
+    times the two columns of the design."""
+    real = estimators._descent
     shapes = []
 
-    def spy(n, lo, hi, width):
-        idx, inwin = real(n, lo, hi, width)
-        shapes.append(idx.shape)
-        return idx, inwin
+    def spy(D, y, inside, taus, start):
+        shapes.append(y.shape)
+        return real(D, y, inside, taus, start)
 
-    monkeypatch.setattr(estimators, "_window_rows", spy)
+    monkeypatch.setattr(estimators, "_descent", spy)
     return shapes
 
 
 def _exact_fits(data, spec, taus):
-    """(intercepts, slopes) of the local-linear search, levels x nodes."""
+    """(intercepts, slopes) of the local-linear fits, levels x nodes."""
     order, xs, lo, hi = estimators._windows(data.x, spec)
     return estimators._loclinear_quantiles(
         xs, data.y[order], lo, hi, spec.eval_axis.coords, np.asarray(taus, dtype=float)
     )
+
+
+def _assert_attains_lp(design, y, tau, coef):
+    """The check loss of coef is the LP optimum of (design, y) at tau.
+
+    HiGHS's value may lie about 1e-11 off the check loss its own coefficients
+    attain, either way, so the loss is held within 1e-12 of the latter and
+    above the former within HiGHS's tolerance."""
+    lp, best = _lp_optimum(design, y, tau, coef=True)
+    got = _check_loss(y - design @ coef, tau)
+    attained = _check_loss(y - design @ best, tau)
+    assert lp * (1.0 - 1e-9) <= got <= attained * (1.0 + 1e-12), tau
 
 
 def _assert_exact_lp(data, nodes, h, tau, a, b):
@@ -318,10 +330,7 @@ def _assert_exact_lp(data, nodes, h, tau, a, b):
     for j, node in enumerate(nodes):
         win = _window(data.x, node, h)
         xi, y = data.x[win] - node, data.y[win]
-        lp = _lp_optimum(np.column_stack([np.ones_like(xi), xi]), y, tau)
-        got = _check_loss(y - a[j] - b[j] * xi, tau)
-        assert got >= lp - 1e-9 * max(1.0, lp)
-        assert got <= lp * (1.0 + 1e-12) + 1e-12
+        _assert_attains_lp(np.column_stack([np.ones_like(xi), xi]), y, tau, np.array([a[j], b[j]]))
 
 
 def test_loclinear_quantile_attains_the_exact_lp_optimum(monkeypatch):
@@ -369,9 +378,9 @@ def test_loclinear_quantile_process_rows_are_exact_fits(monkeypatch):
 
 
 def test_loclinear_quantile_chunks_keep_work_arrays_within_the_block(monkeypatch):
-    # windows of about 300 points: with BLOCK_ELEMENTS = 4000 a chunk holds
-    # three fits, so no work array exceeds 1000 numbers, and the fits are the
-    # bits of the one-chunk search and attain the LP optimum
+    # windows of about 300 points: with BLOCK_ELEMENTS = 4000 a batch holds
+    # three fits, so no work array exceeds 1000 rows of the design, and the
+    # fits are the bits of the one-batch descent and attain the LP optimum
     rng = np.random.default_rng(53)
     x = np.sort(rng.uniform(0.0, 1.0, 400))
     data = Dataset(x, np.sin(3.0 * x) + rng.normal(0.0, 0.3, 400))
@@ -409,6 +418,10 @@ def test_loclinear_quantile_fits_across_a_subnormal_gap_of_x():
             lp = _lp_optimum(np.column_stack([np.ones_like(z), z]), y, tau)
             got = _lp_optimum(z[:, None], y - est[j], tau)
             assert got <= lp * (1.0 + 1e-12) + 1e-12
+    # the one line through two points 5e-324 apart has a slope past the float
+    # range, yet the value 2024 at the node 1e-320 away
+    spec = EstimatorSpec("loclinear", Loss("quantile", 0.5), Axis([0.0, 1e-320]), bandwidth=1e-300)
+    assert fit(Dataset([0.0, 5e-324], [0.0, 1.0]), spec).estimate.values.tolist() == [0.0, 2024.0]
 
 
 def test_loclinear_quantile_exact_on_ties_and_collinear_points():
@@ -436,26 +449,29 @@ def test_loclinear_quantile_exact_on_ties_and_collinear_points():
 
 def test_loclinear_quantile_search_ends_on_nearly_tied_x():
     # twelve x within 1e-9 of 0.5 and a node at 0: the cluster's slopes are
-    # near 1e10, and near one of them rounding noise orders the residuals of
-    # its pair over about 1e9 float steps of the slope, so the search must
-    # leave such a stretch by halving it, not one float step at a time
+    # near 1e10, and rounding noise orders the residuals of a pair near one
+    # of them; the descent must still end on an optimal line.  In the last
+    # case each window holds the cluster alone, whose rows (1, x - node) are
+    # parallel to 1e-9: the fit needs rows centred on the window and scaled
+    # to it, and the intercepts lie near -+4.7e7 at the outer nodes
     def stop(signum, frame):
-        raise TimeoutError("the local-linear search did not end")
+        raise TimeoutError("the local-linear fit did not end")
 
+    cases = [(seed, _axis(5), 0.6, (0.1, 0.3, 0.5, 0.7, 0.9)) for seed in range(4)]
+    cases.append((0, Axis([0.3, 0.5, 0.7]), 0.25, (0.3,)))
     previous = signal.signal(signal.SIGALRM, stop)
     signal.alarm(30)
     try:
-        for seed in range(4):
+        for seed, ax, h, taus in cases:
             rng = np.random.default_rng(seed)
             x = np.concatenate([0.5 + rng.uniform(0.0, 1e-9, 12), [0.0, 1.0]])
             data = Dataset(x, rng.normal(size=x.size))
-            spec = EstimatorSpec("loclinear", MEAN_LOSS, _axis(5), bandwidth=0.6)
-            taus = (0.1, 0.3, 0.5, 0.7, 0.9)
+            spec = EstimatorSpec("loclinear", MEAN_LOSS, ax, bandwidth=h)
             a, b = _exact_fits(data, spec, taus)
             assert np.array_equal(fit_quantile_process(data, spec, taus).values, a)
             for j, tau in enumerate(taus):
                 for i, node in enumerate(spec.eval_axis.coords):
-                    win = _window(x, node, 0.6)
+                    win = _window(x, node, h)
                     z, y = x[win] - node, data.y[win]
                     # the optimum is a line through two points of the window
                     best = min(
@@ -463,6 +479,10 @@ def test_loclinear_quantile_search_ends_on_nearly_tied_x():
                         for p, q in zip(*np.nonzero(z[:, None] < z))
                     )
                     assert _check_loss(y - a[j, i] - b[j, i] * z, tau) <= best + 1e-4
+        np.testing.assert_allclose(a[0], [-4.71942592e7, -0.73616741, 4.71942578e7], rtol=1e-6)
+        z = x[_window(x, 0.3, h)] - 0.3
+        with pytest.raises(RankDeficientDesignError, match="no 2 well-separated rows"):
+            estimators._start_bases(np.stack([np.ones_like(z), z], axis=1)[None], z[None])
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -519,12 +539,11 @@ def test_fits_scale_y_exactly_near_the_float_limit(method, settings, loss):
     y = 1.7e308 * rng.uniform(-1.0, 1.0, 50)
     spec = EstimatorSpec(method, loss, _axis(10), **settings)
     data = Dataset(x, y)
-    slopes = method == "loclinear" and loss.kind == "quantile"
-    s = estimators._y_exponent(x, np.abs(y).max(), spec, slopes)
+    s = estimators._y_exponent(x, np.abs(y).max(), spec)
     assert s > 0
     est = fit(data, spec).estimate.values
     small = Dataset(x, np.ldexp(y, -s))
-    assert estimators._y_exponent(x, np.abs(small.y).max(), spec, slopes) == 0
+    assert estimators._y_exponent(x, np.abs(small.y).max(), spec) == 0
     assert np.array_equal(est, np.ldexp(fit(small, spec).estimate.values, s))
 
 
@@ -563,7 +582,7 @@ def test_bootstrap_scales_y_exactly_near_the_float_limit(method, settings):
     x = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 48)])
     y = 1.7e308 * rng.uniform(-0.5, 0.5, 50)
     spec = EstimatorSpec(method, MEAN_LOSS, _axis(10), **settings)
-    s = estimators._y_exponent(x, np.abs(y).max(), spec, False)
+    s = estimators._y_exponent(x, np.abs(y).max(), spec)
     assert s > 0
     stderr, draws = bootstrap(Dataset(x, y), spec, 20, 3)
     small_stderr, small_draws = bootstrap(Dataset(x, np.ldexp(y, -s)), spec, 20, 3)
@@ -663,33 +682,28 @@ def test_series_rank_deficiency_detected():
         fit(Dataset(x, rng.normal(size=5)), spec)
 
 
-def test_series_quantile_refuses_a_design_without_k_separated_rows():
+@pytest.mark.parametrize("loss", [MEAN_LOSS, Loss("quantile", 0.5)], ids=["mean", "quantile"])
+def test_series_quantile_refuses_a_design_without_k_separated_rows(loss):
     # x within 1e-4 of the first interior knot or beyond leaves the first
     # B-spline below 4e-8 on every row: least squares still finds full rank,
-    # but no start basis of 6 rows is independent to 1e-6
+    # but the smallest singular value is 8.8e-12 of the largest, and a mean
+    # fit would read about -6.8e10 at the nodes left of the data
     rng = np.random.default_rng(3)
     x = np.concatenate([[0.2999, 1.0], rng.uniform(0.2999, 1.0, 40)])
-    spec = EstimatorSpec("bspline", Loss("quantile", 0.5), _axis(), knots=(0.3, 0.6))
-    with pytest.raises(RankDeficientDesignError, match="no 6 well-separated rows"):
+    spec = EstimatorSpec("bspline", loss, _axis(), knots=(0.3, 0.6))
+    with pytest.raises(RankDeficientDesignError, match="6 columns is singular to 1e-6"):
         fit(Dataset(x, rng.normal(size=x.size)), spec)
 
 
 def _assert_series_fits_exact(data, spec, taus):
     """Each level's series fit attains the LP optimum of the check loss over
-    all n points, and is its row of the quantile process bit for bit.
-
-    HiGHS's value may lie about 1e-11 off the check loss its own coefficients
-    attain, either way, so the fit's loss is held within 1e-12 of the latter
-    and above the former within HiGHS's tolerance."""
+    all n points, and is its row of the quantile process bit for bit."""
     design = np.stack([basis_eval(spec, float(v)) for v in data.x])
     process = fit_quantile_process(data, spec, taus).values
     for j, tau in enumerate(taus):
         res = fit(data, replace(spec, loss=Loss("quantile", tau)))
         assert np.array_equal(res.estimate.values, process[j]), tau
-        lp, coef = _lp_optimum(design, data.y, tau, coef=True)
-        got = _check_loss(data.y - design @ res.coefficients, tau)
-        attained = _check_loss(data.y - design @ coef, tau)
-        assert lp * (1.0 - 1e-9) <= got <= attained * (1.0 + 1e-12), tau
+        _assert_attains_lp(design, data.y, tau, res.coefficients)
 
 
 _SERIES_SPECS = [
