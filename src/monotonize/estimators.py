@@ -6,10 +6,11 @@ either squared-error loss or the check loss of quantile regression, and each
 evaluated on an explicit grid so the result plugs straight into the
 rearrangement and isotonization operators.
 
-Every quantile fit minimizes the check loss exactly (see _quantile_fits):
-the box kernel by order statistics of its windows, and local linear and the
-series methods by one descent over the vertices of the check loss
-(_descent), all quantile levels, and all local-linear windows, at once.
+Every fit runs through one core, _fits, on rows of y that share x.  Every
+quantile fit minimizes the check loss exactly: the box kernel by order
+statistics of its windows, and local linear and the series methods by one
+descent over the vertices of the check loss (_descent), all quantile
+levels, and all local-linear windows, at once.
 """
 
 from __future__ import annotations
@@ -177,7 +178,9 @@ def span_axis(x, nodes: int) -> Axis:
         raise OutOfRangeError(
             f"an evaluation grid needs at least two distinct x values; every x is {lo!r}"
         )
-    return Axis(np.linspace(lo, hi, nodes))
+    # where max - min overflows, halving the ends and doubling the nodes is exact
+    scale = 2.0 if hi - lo == math.inf else 1.0
+    return Axis(scale * np.linspace(lo / scale, hi / scale, nodes))
 
 
 def _thin_windows(spec: EstimatorSpec, xs, lo, hi, w=None) -> np.ndarray:
@@ -205,8 +208,10 @@ def _windows(x: np.ndarray, spec: EstimatorSpec, checked: bool = True) -> tuple:
     order = np.argsort(x, kind="stable")
     xs = x[order]
     nodes, h = spec.eval_axis.coords, float(spec.bandwidth)
-    lo = np.searchsorted(xs, nodes - h, side="left")
-    hi = np.searchsorted(xs, nodes + h, side="right")
+    with np.errstate(over="ignore"):
+        # a bound past the float range is -+inf, which decides as the exact bound
+        lo = np.searchsorted(xs, nodes - h, side="left")
+        hi = np.searchsorted(xs, nodes + h, side="right")
     if checked and np.any(thin := _thin_windows(spec, xs, lo, hi)[0]):
         what = "no data" if spec.method == "kernel" else "fewer than 2 distinct x"
         node = float(nodes[int(np.argmax(thin))])
@@ -231,10 +236,14 @@ def _window_means(spec: EstimatorSpec, xs, ys, lo, hi, w) -> np.ndarray:
     s0, t0 = window_sums(w), window_sums(w * ys)
     if spec.method == "kernel":
         return t0 / s0
+    # x and the nodes scaled by 2^-e keep the moments finite; a power of two
+    # leaves the fit's bits alone unless it makes an x subnormal
+    nodes = spec.eval_axis.coords
+    e = max(0, math.frexp(max(np.abs(xs).max(), -nodes[0], nodes[-1]))[1] - 256)
+    xs, nodes = np.ldexp(xs, -e), np.ldexp(nodes, -e)
     wx = w * xs
     s1, s2, t1 = window_sums(wx), window_sums(wx * xs), window_sums(wx * ys)
     # center the design at each node: regress y on (1, x - node)
-    nodes = spec.eval_axis.coords
     sx = s1 - nodes * s0
     sxx = s2 - 2.0 * nodes * s1 + nodes * nodes * s0
     sxy = t1 - nodes * t0
@@ -509,11 +518,12 @@ def _y_exponent(x: np.ndarray, top, spec: EstimatorSpec):
 
     A fit adds up at most n terms of y times a moment of x of order at most
     2, and the local-linear mean fit multiplies two such sums: 8 n^2 X^2
-    max|y| bounds them all, with X the largest of 1, |x| and |node|.
+    max|y| bounds them all, with X the largest of 1, |x| and |node|, and
+    below 2^256, to which _window_means scales x down.
     """
     nodes = spec.eval_axis.coords
-    big = max(1.0, float(np.abs(x).max()), -nodes[0], nodes[-1])
-    shift = np.frexp(top)[1] + 2 * (math.frexp(x.size)[1] + math.frexp(big)[1]) + 3 - 1023
+    big = math.frexp(max(1.0, float(np.abs(x).max()), -nodes[0], nodes[-1]))[1]
+    shift = np.frexp(top)[1] + 2 * (math.frexp(x.size)[1] + min(big, 256)) + 3 - 1023
     return np.maximum(0, shift)
 
 
@@ -523,57 +533,59 @@ def _scaled_back(est, coef, shift) -> tuple:
         return np.ldexp(est, shift), None if coef is None else np.ldexp(coef, shift)
 
 
-def _mean_fits(x: np.ndarray, Y: np.ndarray, spec: EstimatorSpec) -> tuple:
-    """Mean fits of the rows of Y on the shared x, rows x nodes, and their
-    series coefficients, rows x k (None for a window method).  A row is fit
-    to 2^-s y, s from _y_exponent of that row alone, and scaled back by 2^s.
-    x is sorted and windowed, or the bases built, once; each row gets the
-    bits of a call with that row alone."""
-    shift = _y_exponent(x, np.abs(Y).max(axis=1), spec)[:, None]
-    Y = np.ldexp(Y, -shift)
-    if spec.method in ("kernel", "loclinear"):
-        order, xs, lo, hi = _windows(x, spec)
-        est = _window_means(spec, xs, Y[:, order], lo, hi, np.ones(x.size))
-        return _scaled_back(est, None, shift)
-    design, grid = _basis_matrix(spec, x), _basis_matrix(spec, spec.eval_axis.coords)
-    coef = np.array([_series_lstsq(design, y) for y in Y])
-    # a matrix-vector product per row, since a matrix product rounds differently
-    return _scaled_back(np.array([grid @ c for c in coef]), coef, shift)
+def _kernel_quantiles(ys, lo, hi, taus) -> np.ndarray:
+    """Box-kernel check-loss fits of the rows of ys (ordered as sorted x),
+    rows x levels x nodes: each window sorted once, padding last, then every
+    level's order statistic; windows are gathered BLOCK_ELEMENTS at a time."""
+    width = int(np.max(hi - lo))
+    chunk = max(1, BLOCK_ELEMENTS // width)
+    rank = _order_index(taus[:, None], hi - lo)
+    out = np.empty((ys.shape[0], taus.size, lo.size))
+    row, node = np.divmod(np.arange(ys.shape[0] * lo.size), lo.size)
+    for part in np.split(np.arange(row.size), range(chunk, row.size, chunk)):
+        r, j = row[part], node[part]
+        idx, inwin = _window_rows(ys.shape[1], lo[j], hi[j], width)
+        win = np.sort(np.where(inwin, ys[r[:, None], idx], np.inf), axis=1)
+        out[r, :, j] = np.take_along_axis(win, rank[:, j].T, axis=1)
+    return out
 
 
-def _quantile_fits(data: Dataset, spec: EstimatorSpec, taus) -> tuple:
-    """The check-loss fits of y at every level of taus, levels x nodes, and
-    their series coefficients, levels x k (None for a window method).
+def _fits(x: np.ndarray, Y: np.ndarray, spec: EstimatorSpec, taus=None) -> tuple:
+    """Fits of the rows of Y on the shared x, and their series coefficients
+    (None for a window method): rows x nodes and rows x k under mean loss
+    (taus None), rows x levels x nodes and rows x levels x k under the check
+    loss at each level of taus; the spec's own loss is ignored.
 
-    Every fit runs on 2^-s y with s from _y_exponent and is scaled back by
-    2^s; both scalings are exact.  The box kernel sorts each window once and
-    indexes every level's order statistic; local linear runs
-    _loclinear_quantiles and a series method _series_quantiles.  All are
-    exact, and row j equals the fit at taus[j] alone bit for bit.
+    A row is fit to 2^-s y, s from _y_exponent of that row, and scaled back
+    by 2^s, both exactly.  x is windowed, or the bases built, once; only the
+    solver depends on the loss.  Each row and level gets the bits of a call
+    with it alone.
     """
-    top = np.abs(data.y).max()
-    shift = _y_exponent(data.x, top, spec)
-    if spec.method != "kernel":
+    top = np.abs(Y).max(axis=1)
+    shift = _y_exponent(x, top, spec)
+    if taus is not None and spec.method != "kernel":
         # the descent divides residuals by steps down to 1e-10 of their scale:
         # max|y| within 2^895 leaves it 2^128 of headroom
-        shift = max(shift, math.frexp(top)[1] - 895)
-    if shift:
-        y = np.ldexp(data.y, -shift)
-        return _scaled_back(*_quantile_fits(Dataset(data.x, y), spec, taus), shift)
+        shift = np.maximum(shift, np.frexp(top)[1] - 895)
+    Y = np.ldexp(Y, -shift[:, None])
+    shift = shift.reshape((-1,) + (1,) * (1 if taus is None else 2))
+    nodes = spec.eval_axis.coords
     if spec.method in ("kernel", "loclinear"):
-        order, xs, lo, hi = _windows(data.x, spec)
-        ys = data.y[order]
-    if spec.method == "kernel":
-        # one sort per window (padding last), then each level's order statistic
-        idx, inwin = _window_rows(xs.size, lo, hi, int(np.max(hi - lo)))
-        win = np.sort(np.where(inwin, ys[idx], np.inf), axis=1)
-        return win[np.arange(lo.size), _order_index(taus[:, None], hi - lo)], None
-    if spec.method == "loclinear":
-        return _loclinear_quantiles(xs, ys, lo, hi, spec.eval_axis.coords, taus)[0], None
-    design, grid = _basis_matrix(spec, data.x), _basis_matrix(spec, spec.eval_axis.coords)
-    coef = _series_quantiles(design, data.y, taus)
-    # a matrix-vector product per row, since a matrix product rounds differently
-    return np.array([grid @ c for c in coef]), coef
+        order, xs, lo, hi = _windows(x, spec)
+        Y = Y[:, order]
+        if taus is None:
+            est = _window_means(spec, xs, Y, lo, hi, np.ones(x.size))
+        elif spec.method == "kernel":
+            est = _kernel_quantiles(Y, lo, hi, taus)
+        else:
+            est = np.array([_loclinear_quantiles(xs, y, lo, hi, nodes, taus)[0] for y in Y])
+        return _scaled_back(est, None, shift)
+    design, grid = _basis_matrix(spec, x), _basis_matrix(spec, nodes)
+    solve = _series_lstsq if taus is None else lambda d, y: _series_quantiles(d, y, taus)
+    coef = np.array([solve(design, y) for y in Y])
+    # a matrix-vector product per fit, since a matrix product rounds differently
+    est = np.array([grid @ c for c in coef.reshape(-1, coef.shape[-1])])
+    return _scaled_back(est.reshape(coef.shape[:-1] + (-1,)), coef, shift)
 
 
 # --- public entry points ----------------------------------------------------
@@ -581,11 +593,11 @@ def _quantile_fits(data: Dataset, spec: EstimatorSpec, taus) -> tuple:
 
 def fit(data: Dataset, spec: EstimatorSpec) -> FitResult:
     """Fit one estimator and evaluate it on the spec's grid."""
-    if spec.loss.kind == "mean":
-        est, coef = _mean_fits(data.x, data.y[None], spec)
-    else:
-        est, coef = _quantile_fits(data, spec, np.array([float(spec.loss.tau)]))
-    return FitResult(GriddedFunction([spec.eval_axis], est[0]), None if coef is None else coef[0])
+    taus = None if spec.loss.kind == "mean" else np.array([float(spec.loss.tau)])
+    # one row, at one level under check loss
+    est, coef = _fits(data.x, data.y[None], spec, taus)
+    return FitResult(GriddedFunction([spec.eval_axis], est.ravel()),
+                     None if coef is None else coef.ravel())
 
 
 def fit_quantile_process(data: Dataset, spec: EstimatorSpec, taus) -> GriddedFunction:
@@ -595,8 +607,8 @@ def fit_quantile_process(data: Dataset, spec: EstimatorSpec, taus) -> GriddedFun
     bit.
     """
     taus = _levels("taus", taus)
-    est, _ = _quantile_fits(data, spec, taus)
-    return GriddedFunction([Axis(taus), spec.eval_axis], est)
+    est, _ = _fits(data.x, data.y[None], spec, taus)
+    return GriddedFunction([Axis(taus), spec.eval_axis], est[0])
 
 
 def _resample(seed: int, draw: int, retry: int, n: int) -> np.ndarray:

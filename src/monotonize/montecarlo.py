@@ -20,8 +20,8 @@ a violation beyond floating-point tolerance aborts the run, because the
 operators guarantee improvement path by path, not just on average.
 
 Determinism: replication r draws from an RNG stream derived from (seed, r)
-and bootstrap streams are derived from (seed, r, estimator).  Table 1 fits
-a chunk of replications in one call per estimator; tables 2 and 3 fit one
+and bootstrap streams are derived from (seed, r, estimator).  Tables 1 and
+2 fit a chunk of replications in one call per estimator; table 3 fits one
 at a time.  Each estimator's fits of a block of replications are stacked
 along a leading replication axis for the repairs, measures and checks.
 The fitting, axis-by-axis, L^p, tolerance and coverage cores leave that
@@ -50,11 +50,10 @@ from .estimators import (
     MEAN_LOSS,
     Dataset,
     EstimatorSpec,
-    _mean_fits,
+    _fits,
     _width,
     bootstrap,
     fit,
-    fit_quantile_process,
     span_axis,
 )
 from .grid import INF, Axis, GriddedFunction, _integer, _levels, _lp_rows, _real, _reals
@@ -403,26 +402,14 @@ def _mean_truths(cfg: McConfig) -> tuple:
 
 def _run_errors_table(cfg: McConfig, table: int) -> McReport:
     if table == 1:
-        specs, truths = _mean_truths(cfg)
-        # a chunk of replications per fit, its work arrays within BLOCK_ELEMENTS
-        chunk = max(1, BLOCK_ELEMENTS // (max(map(_width, specs)) * cfg.n))
-        estimate = lambda y, spec: _mean_fits(cfg.x_design, y, spec)[0]
-        orderings = _PI_1D
+        (specs, truths), taus, orderings = _mean_truths(cfg), None, _PI_1D
     else:
-        specs = list(cfg.estimators)
-        truths = [
-            GriddedFunction(
-                [Axis(cfg.taus), s.eval_axis],
-                true_cqf(cfg.taus[:, None], s.eval_axis.coords[None, :], cfg.beta, cfg.sigma),
-            )
-            for s in specs
-        ]
-        chunk = 1
-        estimate = lambda y, spec: [
-            fit_quantile_process(Dataset(cfg.x_design, y[0]), spec, cfg.taus).values
-        ]
-        orderings = _PI_2D
-
+        specs, taus, orderings = cfg.estimators, cfg.taus, _PI_2D
+        truth = lambda s: true_cqf(taus[:, None], s.eval_axis.coords[None, :], cfg.beta, cfg.sigma)
+        truths = [GriddedFunction([Axis(taus), s.eval_axis], truth(s)) for s in specs]
+    # a chunk of replications per fit, its work arrays within BLOCK_ELEMENTS
+    width = max(map(_width, specs)) * (1 if taus is None else taus.size) * cfg.n
+    chunk = max(1, BLOCK_ELEMENTS // width)
     labels = _variant_labels(cfg.lambda_grid)
     errors = np.empty((cfg.reps, len(specs), 1 + len(labels), len(REPORT_PS)))
     y_mean = _mean_y(cfg)
@@ -432,7 +419,7 @@ def _run_errors_table(cfg: McConfig, table: int) -> McReport:
             last = min(first + chunk, reps.stop)
             y = np.array([_draw_y(cfg, r, y_mean) for r in range(first, last)])
             for out, spec in zip(fits, specs):
-                out.extend(estimate(y, spec))
+                out.extend(_fits(cfg.x_design, y, spec, taus)[0])
         checks = []
         for ei, (spec, truth) in enumerate(zip(specs, truths)):
             # the replication index leads, as the draw index of bootstrap's draws does
@@ -545,11 +532,11 @@ def run_experiment(cfg: McConfig, table: int = 1) -> McReport:
     """Run one experiment and reduce it to a report table.
 
     table selects the report: 1 for mean-fit errors, 2 for quantile-process
-    errors, 3 for confidence bands.  Table 1 fits chunks of replications in
-    one call per estimator, tables 2 and 3 one at a time; repairs and checks
-    run in blocks (see _blocks), each replication with its own bits.  A
-    failed check raises ImprovementViolationError for the lowest failing
-    replication (in table 3, of the first method with one).
+    errors, 3 for confidence bands.  Tables 1 and 2 fit chunks of
+    replications in one call per estimator, table 3 one at a time; repairs
+    and checks run in blocks (see _blocks), each replication with its own
+    bits.  A failed check raises ImprovementViolationError for the lowest
+    failing replication (in table 3, of the first method with one).
     """
     table = _integer("table", table, 1)
     if table not in (1, 2, 3):

@@ -245,6 +245,26 @@ def test_cli_band_past_the_float_maximum_is_one_invalid_input_line(tmp_path, cap
     assert not out.exists()
 
 
+def test_cli_estimate_on_x_across_the_float_range_warns_nothing(tmp_path, capsys):
+    # warnings are errors here: the grid's max - min and the window bounds
+    # overflow unless the fit guards them.  A fit ends in its estimate or in
+    # one invalid-input line, never in a numpy warning
+    data = _write(tmp_path / "d.csv", "x,y\n-1e308,1\n1e308,2\n0,3\n")
+    out = tmp_path / "e.csv"
+    args = ["estimate", "--data", data, "--method", "loclinear", "--grid", "2", "--out", str(out)]
+    assert main(args + ["--bandwidth", "1.7e308"]) == 0
+    assert capsys.readouterr().err == ""
+    f = csvio.read_grid_function(str(out))
+    assert f.axes[0].coords.tolist() == [-1e308, 1e308]
+    np.testing.assert_allclose(f.values, [1.0, 2.0], rtol=1e-15)
+    out.unlink()
+    assert main(args + ["--bandwidth", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "monotonize: invalid input: fewer than 2 distinct x within bandwidth 1.0 of node -1e+308\n"
+    )
+    assert not out.exists()
+
+
 def test_draws_grid_mismatch_rejected(tmp_path):
     text = "draw,x1,value\n0,0.0,1.0\n0,1.0,2.0\n1,0.0,1.0\n1,2.0,2.0\n"
     path = _write(tmp_path / "e.csv", text)

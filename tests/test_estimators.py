@@ -33,6 +33,7 @@ from monotonize.estimators import (
     bootstrap,
     fit,
     fit_quantile_process,
+    span_axis,
 )
 from monotonize.grid import Axis, GriddedFunction, sample_quantile
 from monotonize.montecarlo import (
@@ -400,6 +401,35 @@ def test_loclinear_quantile_chunks_keep_work_arrays_within_the_block(monkeypatch
         _assert_exact_lp(data, ax.coords, h, tau, a[j], b[j])
 
 
+def test_kernel_quantile_chunks_keep_the_gather_within_the_block(monkeypatch):
+    # windows of about 300 points, three rows of y and five nodes: with room
+    # for four windows per gather, the chunks cross from row to row, no
+    # gather exceeds BLOCK_ELEMENTS numbers, and the fits are the bits of the
+    # one-gather fits and the reference's order statistics
+    rng = np.random.default_rng(61)
+    x = rng.uniform(0.0, 1.0, 400)
+    Y = np.sin(3.0 * x) + rng.normal(0.0, 0.3, (3, 400))
+    taus = np.array([0.2, 0.5, 0.8])
+    spec = EstimatorSpec("kernel", MEAN_LOSS, _axis(5, 0.1, 0.9), bandwidth=0.4)
+    est, _ = estimators._fits(x, Y, spec, taus)
+    _, _, lo, hi = estimators._windows(x, spec)
+    width = int(np.max(hi - lo))
+    real, shapes = estimators._window_rows, []
+
+    def spy(n, lo, hi, width):
+        shapes.append((lo.size, width))
+        return real(n, lo, hi, width)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(estimators, "_window_rows", spy)
+        patch.setattr(estimators, "BLOCK_ELEMENTS", 4 * width)
+        assert np.array_equal(estimators._fits(x, Y, spec, taus)[0], est)
+    assert width > 250 and shapes == [(4, width)] * 3 + [(3, width)]
+    for i, y in enumerate(Y):
+        want = kernel_quantile_process_reference(Dataset(x, y), spec, taus)
+        assert np.array_equal(est[i], want), i
+
+
 def test_loclinear_quantile_fits_across_a_subnormal_gap_of_x():
     # x = 0 and 5e-324 lie a subnormal apart, so slopes of y over that gap
     # overflow unless the fit scales y; each intercept must still be optimal:
@@ -521,6 +551,33 @@ def test_loclinear_quantile_scales_exactly_near_the_float_limit():
     assert np.array_equal(huge, np.ldexp(small, 1000))
 
 
+def test_span_axis_across_the_float_range():
+    # max - min overflows: the ends are halved and the nodes doubled, exactly
+    ax = span_axis([-1e308, 1e308, 0.0], 5)
+    assert ax.coords.tolist() == [-1e308, -5e307, 0.0, 5e307, 1e308]
+    assert span_axis([-1.7976931348623157e308, 1.7976931348623157e308], 2).coords.tolist() == [
+        -1.7976931348623157e308, 1.7976931348623157e308]
+    # in range the nodes are linspace's, bit for bit
+    assert np.array_equal(span_axis([0.1, 7.3, 2.0], 9).coords, np.linspace(0.1, 7.3, 9))
+
+
+@pytest.mark.parametrize("loss", [MEAN_LOSS, Loss("quantile", 0.5)], ids=["mean", "quantile"])
+@pytest.mark.parametrize("method", ["kernel", "loclinear"])
+def test_window_fits_on_x_across_the_float_range(method, loss):
+    # the window bounds node -+ h overflow and the local-linear x-moments
+    # would; with warnings as errors an overflow fails here.  Each window
+    # holds two points, so local linear passes through both
+    x, y = np.array([-1e308, 1e308, 0.0]), np.array([1.0, 2.0, 3.0])
+    spec = EstimatorSpec(method, loss, span_axis(x, 2), bandwidth=1.7e308)
+    est = fit(Dataset(x, y), spec).estimate.values
+    want = [2.0, 2.5] if (method, loss) == ("kernel", MEAN_LOSS) else [1.0, 2.0]
+    np.testing.assert_allclose(est, want, rtol=1e-15)
+    # the fit on x scaled by a power of two into range is the same, bit for bit
+    small = EstimatorSpec(method, loss, Axis(np.ldexp(spec.eval_axis.coords, -768)),
+                          bandwidth=np.ldexp(1.7e308, -768))
+    assert np.array_equal(fit(Dataset(np.ldexp(x, -768), y), small).estimate.values, est)
+
+
 @pytest.mark.parametrize("loss", [MEAN_LOSS, Loss("quantile", 0.3)], ids=["mean", "quantile"])
 @pytest.mark.parametrize(
     "method, settings",
@@ -555,23 +612,47 @@ _MEAN_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("method, settings", _MEAN_SPECS)
-def test_mean_fits_rows_are_fit_bit_for_bit(method, settings):
+# ids: a mean-loss case as plain parametrize names it, a check-loss case with -quantile
+_FITS_CASES = [
+    pytest.param(method, settings, taus, id=f"{method}-settings{i}{label}")
+    for taus, label in ((None, ""), ((0.1, 0.5, 0.9), "-quantile"))
+    for i, (method, settings) in enumerate(_MEAN_SPECS)
+]
+
+
+@pytest.mark.parametrize("method, settings, taus", _FITS_CASES)
+def test_mean_fits_rows_are_fit_bit_for_bit(method, settings, taus):
     # rows near the subnormal range and near the float limit, 2^1000 apart and
-    # more, and a zero row
+    # more, and a zero row: each row is the fit, under check loss also the
+    # fit_quantile_process, of that row alone
     rng = np.random.default_rng(47)
     x = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 58)])
     base = x * x + rng.normal(0.0, 0.2, (4, 60))
     rows = np.vstack([np.ldexp(base[0], -1000), base[1], np.ldexp(base[2], 1000),
                       1.7e308 * rng.uniform(-1.0, 1.0, 60), np.zeros(60), base[3]])
     spec = EstimatorSpec(method, MEAN_LOSS, _axis(10), **settings)
-    est, coef = estimators._mean_fits(x, rows, spec)
+    levels = None if taus is None else np.array(taus)
+    est, coef = estimators._fits(x, rows, spec, levels)
     assert (coef is None) == (method in ("kernel", "loclinear"))
+    losses = [MEAN_LOSS] if taus is None else [Loss("quantile", tau) for tau in taus]
     for i, y in enumerate(rows):
-        one = fit(Dataset(x, y), spec)
-        assert np.array_equal(est[i], one.estimate.values), i
-        if coef is not None:
-            assert np.array_equal(coef[i], one.coefficients), i
+        data = Dataset(x, y)
+        assert np.array_equal(est[i], estimators._fits(x, rows[i : i + 1], spec, levels)[0][0]), i
+        if taus is not None and np.all(np.isfinite(est[i])):
+            assert np.array_equal(est[i], fit_quantile_process(data, spec, taus).values), i
+        for j, loss in enumerate(losses):
+            at = (i,) if taus is None else (i, j)
+            if not np.all(np.isfinite(est[at])):
+                # a series quantile fit through points near the float limit
+                # can pass it between them, and fit refuses that estimate
+                assert method in ("bspline", "fourier") and taus is not None
+                with pytest.raises(NonFiniteValueError):
+                    fit(data, replace(spec, loss=loss))
+                continue
+            one = fit(data, replace(spec, loss=loss))
+            assert np.array_equal(est[at], one.estimate.values), at
+            if coef is not None:
+                assert np.array_equal(coef[at], one.coefficients), at
 
 
 @pytest.mark.parametrize("method, settings", _MEAN_SPECS)

@@ -545,23 +545,23 @@ def test_blocked_tables_equal_the_one_replication_reference(monkeypatch, table):
         assert np.array_equal(got[key], values), key
 
 
-def _spy_on_mean_fits(monkeypatch):
-    """Record (method, rows x n) of every block fit table 1 makes."""
-    real = montecarlo._mean_fits
+def _spy_on_fits(monkeypatch):
+    """Record (method, rows x n) of every chunk fit tables 1 and 2 make."""
+    real = montecarlo._fits
     calls = []
 
-    def spy(x, y, spec):
+    def spy(x, y, spec, taus=None):
         calls.append((spec.method, y.shape))
-        return real(x, y, spec)
+        return real(x, y, spec, taus)
 
-    monkeypatch.setattr(montecarlo, "_mean_fits", spy)
+    monkeypatch.setattr(montecarlo, "_fits", spy)
     return calls
 
 
 def test_table_1_fits_chunks_whose_work_arrays_stay_within_the_block_size(monkeypatch):
     # the widest estimator, bspline on DEFAULT_KNOTS, has 13 columns: chunks
     # of 65536 // (13 * 2500) = 2 replications; all five fit one block
-    calls = _spy_on_mean_fits(monkeypatch)
+    calls = _spy_on_fits(monkeypatch)
     cfg = config_from_dict({"n": 2500, "reps": 5, "seed": 3, "grid": 20})
     assert len(montecarlo._blocks(cfg, 20)) == 1
     run_experiment(cfg, table=1)
@@ -571,6 +571,23 @@ def test_table_1_fits_chunks_whose_work_arrays_stay_within_the_block_size(monkey
     for spec in cfg.estimators:
         shapes = [shape for m, shape in calls if m == spec.method]
         assert shapes == [(2, 2500), (2, 2500), (1, 2500)]
+
+
+def test_table_2_fits_chunks_whose_work_arrays_stay_within_the_block_size(monkeypatch):
+    # two levels on 60 ages: a replication's widest fit holds 13 * 2 * 60 =
+    # 1560 numbers, so a block size of three of them makes chunks of 3, 3 and
+    # 1; the report is the one-replication reference's, bit for bit
+    calls = _spy_on_fits(monkeypatch)
+    cfg = config_from_dict({"n": 60, "reps": 7, "seed": 5, "grid": 10, "taus": [0.25, 0.75]})
+    assert len(montecarlo._blocks(cfg, 20)) == 1
+    monkeypatch.setattr(montecarlo, "BLOCK_ELEMENTS", 3 * 1560)
+    got = run_experiment(cfg, table=2).per_rep
+    width = max(montecarlo._width(spec) for spec in cfg.estimators)
+    assert all(rows * 2 * n * width <= montecarlo.BLOCK_ELEMENTS for _, (rows, n) in calls)
+    for spec in cfg.estimators:
+        assert [shape for m, shape in calls if m == spec.method] == [(3, 60), (3, 60), (1, 60)]
+    for key, values in montecarlo_reference(cfg, 2).items():
+        assert np.array_equal(got[key], values), key
 
 
 def test_table_1_builds_the_series_bases_once_per_chunk(monkeypatch):
@@ -583,7 +600,7 @@ def test_table_1_builds_the_series_bases_once_per_chunk(monkeypatch):
         return real(spec, x)
 
     monkeypatch.setattr(estimators, "_basis_matrix", spy)
-    calls = _spy_on_mean_fits(monkeypatch)
+    calls = _spy_on_fits(monkeypatch)
     run_experiment(config_from_dict({"reps": 20, "seed": 11}), table=1)
     assert [shape[0] for m, shape in calls if m == "bspline"] == [9, 9, 2]
     assert methods.count("bspline") == methods.count("fourier") == 2 * 3
