@@ -6,11 +6,13 @@ either squared-error loss or the check loss of quantile regression, and each
 evaluated on an explicit grid so the result plugs straight into the
 rearrangement and isotonization operators.
 
-Every fit runs through one core, _fits, on rows of y that share x.  Every
-quantile fit minimizes the check loss exactly: the box kernel by order
+Every fit runs through one core, _fits, on rows of y that share x, and so
+does every bootstrap draw, as a row of counts: a count-weighted squared or
+check loss (rho_tau is positively homogeneous) is the loss of the resample.
+Every quantile fit minimizes the check loss exactly: the box kernel by order
 statistics of its windows, and local linear and the series methods by one
-descent over the vertices of the check loss (_descent), all quantile
-levels, and all local-linear windows, at once.
+descent over the vertices of the check loss (_descent), all rows, levels
+and local-linear windows at once.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ from .grid import Axis, GriddedFunction, _integer, _levels, _order_index, _real,
 
 METHODS = ("kernel", "loclinear", "bspline", "fourier")
 
-#: The work arrays of one block of bootstrap draws hold about this many numbers.
+#: The work arrays of one part of a batch of fits hold about this many numbers.
 BLOCK_ELEMENTS = 1 << 16
-#: A series draw whose Gram matrix has an eigenvalue ratio (smallest over
-#: largest) at or below this is refit by least squares on its rows.
+#: A count-weighted series mean fit whose Gram matrix has an eigenvalue ratio
+#: (smallest over largest) at or below this is fit by least squares instead.
 GRAM_EIG_RATIO = 1e-6
 
 
@@ -183,28 +185,32 @@ def span_axis(x, nodes: int) -> Axis:
     return Axis(scale * np.linspace(lo / scale, hi / scale, nodes))
 
 
-def _thin_windows(spec: EstimatorSpec, xs, lo, hi, w=None) -> np.ndarray:
-    """Rows x nodes: the windows too thin to fit under each row of weights.
+def _parts(total: int, size: int, block: int) -> list:
+    """range(total) in consecutive ranges of max(1, block // size) items, so
+    that a part of items of size numbers each holds about block numbers."""
+    step = max(1, block // size)
+    return [range(i, min(i + step, total)) for i in range(0, total, step)]
 
-    w is rows x n in the order of the sorted xs, None for one row of ones.
-    Counting only the points of positive weight, a kernel window needs one
-    point, a local-linear window two distinct x.
-    """
+
+def _refuse_thin_windows(spec: EstimatorSpec, xs, lo, hi, w) -> None:
+    """Raise for the first window too thin to fit under a row of the weights w
+    (rows x n, ordered as xs): of the points of positive weight, a kernel
+    window needs one, a local-linear window two distinct x."""
     # a window starts and ends at the start of a run of tied x, or at the end
     starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
     first, stop = np.searchsorted(starts, lo), np.searchsorted(starts, hi)
-    if w is None:
-        runs = (stop - first)[None]
-    else:
-        held = np.zeros((w.shape[0], starts.size + 1), dtype=np.int64)
-        np.cumsum(np.add.reduceat(w, starts, axis=1) > 0.0, axis=1, out=held[:, 1:])
-        runs = held[:, stop] - held[:, first]
-    return runs < (1 if spec.method == "kernel" else 2)
+    held = np.zeros((w.shape[0], starts.size + 1), dtype=np.int64)
+    np.cumsum(np.add.reduceat(w, starts, axis=1) > 0.0, axis=1, out=held[:, 1:])
+    thin = held[:, stop] - held[:, first] < (1 if spec.method == "kernel" else 2)
+    if np.any(thin):
+        what = "no data" if spec.method == "kernel" else "fewer than 2 distinct x"
+        node = float(spec.eval_axis.coords[np.argmax(thin) % lo.size])
+        raise EmptyWindowError(f"{what} within bandwidth {float(spec.bandwidth)} of node {node}")
 
 
-def _windows(x: np.ndarray, spec: EstimatorSpec, checked: bool = True) -> tuple:
+def _windows(x: np.ndarray, spec: EstimatorSpec) -> tuple:
     """The sort order of x, sorted x and each node's window [lo, hi) of the x
-    within bandwidth of it; checked refuses a window too thin to fit."""
+    within bandwidth of it."""
     order = np.argsort(x, kind="stable")
     xs = x[order]
     nodes, h = spec.eval_axis.coords, float(spec.bandwidth)
@@ -212,10 +218,6 @@ def _windows(x: np.ndarray, spec: EstimatorSpec, checked: bool = True) -> tuple:
         # a bound past the float range is -+inf, which decides as the exact bound
         lo = np.searchsorted(xs, nodes - h, side="left")
         hi = np.searchsorted(xs, nodes + h, side="right")
-    if checked and np.any(thin := _thin_windows(spec, xs, lo, hi)[0]):
-        what = "no data" if spec.method == "kernel" else "fewer than 2 distinct x"
-        node = float(nodes[int(np.argmax(thin))])
-        raise EmptyWindowError(f"{what} within bandwidth {h} of node {node}")
     return order, xs, lo, hi
 
 
@@ -279,19 +281,22 @@ def _bspline_design(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _basis_matrix(spec: EstimatorSpec, x: np.ndarray) -> np.ndarray:
-    """Design rows of the series basis at the points x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    lo = float(spec.eval_axis.coords[0])
-    hi = float(spec.eval_axis.coords[-1])
+    """Design rows of the series basis at the points x, with x, the ends and
+    the knots scaled exactly by 2^-g into 2^1022 so that no difference of
+    them overflows (g is 0 at ordinary magnitudes)."""
+    first, last = spec.eval_axis.coords[[0, -1]].tolist()
+    g = max(0, math.frexp(max(-first, last))[1] - 1022)
+    lo, hi = math.ldexp(first, -g), math.ldexp(last, -g)
+    x = np.ldexp(np.atleast_1d(np.asarray(x, dtype=float)), -g)
     span = hi - lo
     slack = 1e-9 * max(span, 1.0)
     if np.any(x < lo - slack) or np.any(x > hi + slack):
         raise OutOfDomainError(
-            f"evaluation points outside the basis domain [{lo}, {hi}]"
+            f"evaluation points outside the basis domain [{first}, {last}]"
         )
     xc = np.clip(x, lo, hi)
     if spec.method == "bspline":
-        t = np.concatenate([np.full(4, lo), np.asarray(spec.knots), np.full(4, hi)])
+        t = np.concatenate([np.full(4, lo), np.ldexp(spec.knots, -g), np.full(4, hi)])
         return _bspline_design(xc, t)
     if spec.method == "fourier":
         xs = (xc - lo) / span
@@ -314,28 +319,54 @@ def basis_eval(spec: EstimatorSpec, x: float) -> np.ndarray:
 # --- series -----------------------------------------------------------------
 
 
-def _series_lstsq(design: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients; a design whose smallest singular value is
-    at most 1e-6 of its largest is refused."""
-    coef, _, _, sv = np.linalg.lstsq(design, y, rcond=None)
-    k = design.shape[1]
-    if sv.size < k or not sv[-1] > 1e-6 * sv[0]:
-        raise RankDeficientDesignError(
-            f"series design of {k} columns is singular to 1e-6 of its largest singular value"
-        )
+def _series_means(design: np.ndarray, Y: np.ndarray, W) -> np.ndarray:
+    """Least-squares coefficients of the rows of Y, rows x k: under counts W
+    (rows x n) a row whose Gram matrix X'WX is clearly conditioned
+    (GRAM_EIG_RATIO) solves its normal equations; every other row, and every
+    row when W is None, is the lstsq fit of its rows scaled by sqrt(W), and
+    refused if their smallest singular value is at most 1e-6 of the largest."""
+    rows, k = Y.shape[0], design.shape[1]
+    coef, sure = np.empty((rows, k)), np.zeros(rows, dtype=bool)
+    if W is not None:
+        weighted = design.T * W[:, None, :]  # X'W, rows x k x n
+        gram, rhs = weighted @ design, (weighted @ Y[:, :, None])[:, :, 0]
+        eig = np.linalg.eigvalsh(gram)
+        sure = eig[:, 0] > GRAM_EIG_RATIO * eig[:, -1]
+        # only the sure rows: one singular system makes a batched solve raise
+        coef[sure] = np.linalg.solve(gram[sure], rhs[sure][:, :, None])[:, :, 0]
+    for i in np.flatnonzero(~sure):
+        root = np.ones(1) if W is None else np.sqrt(W[i])
+        coef[i], _, _, sv = np.linalg.lstsq(root[:, None] * design, root * Y[i], rcond=None)
+        if sv.size < k or not sv[-1] > 1e-6 * sv[0]:
+            raise RankDeficientDesignError(
+                f"series design of {k} columns is singular to 1e-6 of its largest singular value"
+            )
     return coef
 
 
-def _series_quantiles(design: np.ndarray, y: np.ndarray, taus) -> np.ndarray:
-    """Exact check-loss coefficients on design at every level of taus, levels
-    x k: one _descent per level from the least-squares start, on one design
-    that every level shares as a view."""
-    (n, k), m = design.shape, taus.size
-    start = _start_bases(design[None], (y - design @ _series_lstsq(design, y))[None])
-    inside = np.broadcast_to(True, (m, n))
-    h = _descent(np.broadcast_to(design, (m, n, k)), np.broadcast_to(y, (m, n)), inside,
-                 taus, np.tile(start, (m, 1)))
-    return np.linalg.solve(design[h], y[h][:, :, None])[:, :, 0]
+def _series_quantiles(x, design: np.ndarray, Y: np.ndarray, W, taus) -> np.ndarray:
+    """Exact check-loss coefficients of the rows of Y at every level of taus,
+    rows x levels x k.
+
+    One _descent per (row, level), from the row's least-squares start, on
+    the rows of design and Y[i] scaled by the counts W[i] (None: unit
+    weights; weight 0 is outside the problem).  A weighted design that every
+    problem shares is one view.  The final basis is solved on the unweighted
+    rows in the order of their x, so that a fit does not depend on the order
+    of its data.
+    """
+    rows, (n, k), m = Y.shape[0], design.shape, taus.size
+    coef = _series_means(design, Y, W)
+    w = np.ones((1, n)) if W is None else W
+    wd = w[:, :, None] * design
+    R = np.where(w > 0.0, Y - (design @ coef[:, :, None])[:, :, 0], np.inf)
+    start = _start_bases(np.broadcast_to(wd, (rows, n, k)), R)
+    share = lambda a: np.broadcast_to(a[:, None], (rows, m) + a.shape[1:]).reshape(-1, *a.shape[1:])
+    h = _descent(share(wd), share(w * Y), share(w > 0.0), np.tile(taus, rows),
+                 np.repeat(start, m, axis=0))
+    h = np.take_along_axis(h, np.argsort(x[h], axis=1, kind="stable"), axis=1)
+    y = Y[np.repeat(np.arange(rows), m)[:, None], h]
+    return np.linalg.solve(design[h], y[:, :, None])[:, :, 0].reshape(rows, m, k)
 
 
 # --- check-loss descent -------------------------------------------------------
@@ -475,41 +506,48 @@ def _window_rows(n: int, lo, hi, width: int) -> tuple:
     return np.minimum(lo[:, None] + offsets, n - 1), offsets < (hi - lo)[:, None]
 
 
-def _loclinear_quantiles(xs, ys, lo, hi, nodes, taus) -> tuple:
-    """Exact local-linear check-loss fits: (intercepts, slopes), levels x nodes.
+def _loclinear_quantiles(xs, Y, W, lo, hi, nodes, taus) -> tuple:
+    """Exact local-linear check-loss fits of the rows of Y under the count
+    weights W (both rows x n, ordered as the sorted xs): (intercepts,
+    slopes), rows x levels x nodes.
 
-    Each (level, node) is a _descent on the node's window, with rows (1, u),
-    u = 2^-e (x - x_first) measured from the window's first x and scaled
-    exactly so that max u lies in [1/2, 1).  Every level of a window starts
-    from the rows of least |least-squares residual|.  Windows are gathered,
-    and problems run, in chunks of BLOCK_ELEMENTS / 4 numbers per work array.
-    The line through the final basis is solved in node coordinates
-    (1, 2^-e (x - node)), scaled as u is, so that its slope stays finite
-    where a slope in x would not.
+    Each (row, level, node) is a _descent on the node's window, with rows
+    w (1, u) and outcomes w y (weight 0 is outside the problem), where
+    u = 2^-e (x - x_first) is scaled exactly so that max u lies in [1/2, 1).
+    Every level of a window starts from the rows of least |weighted
+    least-squares residual|.  Windows are gathered, and problems run, in
+    parts of BLOCK_ELEMENTS / 4 numbers per work array.  The line through the
+    final basis is solved on the unweighted rows in node coordinates
+    (1, 2^-e (x - node)), so that its slope stays finite where a slope in x
+    would not.  x and the nodes are first scaled exactly by 2^-g into 2^1022,
+    so that no difference of them overflows (g is 0 at ordinary magnitudes).
     """
-    width = int(np.max(hi - lo))
-    chunk = max(1, BLOCK_ELEMENTS // (4 * width))
-    e, h = np.empty(nodes.size, dtype=int), np.empty((taus.size, nodes.size, 2), dtype=np.intp)
-    for j in np.split(np.arange(nodes.size), range(chunk, nodes.size, chunk)):
+    g = max(0, math.frexp(max(np.abs(xs).max(), -nodes[0], nodes[-1]))[1] - 1022)
+    xs, nodes = np.ldexp(xs, -g), np.ldexp(nodes, -g)
+    rows, width = Y.shape[0], int(np.max(hi - lo))
+    e = np.frexp(xs[hi - 1] - xs[lo])[1]
+    h = np.empty((rows, taus.size, nodes.size, 2), dtype=np.intp)
+    for part in _parts(rows * nodes.size, 4 * width, BLOCK_ELEMENTS):
+        r, j = np.divmod(part, nodes.size)
         idx, inwin = _window_rows(xs.size, lo[j], hi[j], width)
-        dx = np.where(inwin, xs[idx] - xs[lo[j], None], 0.0)
-        e[j] = np.frexp(dx.max(axis=1))[1]
-        u = np.ldexp(dx, -e[j, None])
-        D, y = np.stack([1.0 * inwin, u], axis=2), np.where(inwin, ys[idx], 0.0)
-        count = (hi - lo)[j, None]
-        uc = np.where(inwin, u - u.sum(axis=1, keepdims=True) / count, 0.0)
-        yc = y - y.sum(axis=1, keepdims=True) / count
-        b = np.sum(uc * yc, axis=1, keepdims=True) / np.sum(uc * uc, axis=1, keepdims=True)
-        start = _start_bases(D, np.where(inwin, yc - b * uc, np.inf))
+        w = np.where(inwin, W[r[:, None], idx], 0.0)
+        u = np.where(inwin, np.ldexp(xs[idx] - xs[lo[j], None], -e[j, None]), 0.0)
+        y = np.where(inwin, Y[r[:, None], idx], 0.0)
+        D, wy, inside = w[:, :, None] * np.stack([np.ones(u.shape), u], axis=2), w * y, w > 0.0
+        count = w.sum(axis=1, keepdims=True)
+        uc = np.where(inwin, u - (w * u).sum(axis=1, keepdims=True) / count, 0.0)
+        yc = y - wy.sum(axis=1, keepdims=True) / count
+        b = np.sum(w * uc * yc, axis=1, keepdims=True) / np.sum(w * uc * uc, axis=1, keepdims=True)
+        start = _start_bases(D, np.where(inside, yc - b * uc, np.inf))
         level, win = np.divmod(np.arange(taus.size * j.size), j.size)
-        for part in np.split(np.arange(level.size), range(chunk, level.size, chunk)):
-            w = win[part]
-            h[level[part], j[w]] = _descent(D[w], y[w], inwin[w], taus[level[part]], start[w])
+        for sub in _parts(level.size, 4 * width, BLOCK_ELEMENTS):
+            v, at = win[sub.start : sub.stop], level[sub.start : sub.stop]
+            h[r[v], at, j[v]] = _descent(D[v], wy[v], inside[v], taus[at], start[v])
     h += lo[:, None]
-    line = np.stack([np.ones(h.shape), np.ldexp(xs[h] - nodes[:, None], -e[:, None])], axis=3)
-    coef = np.linalg.solve(line, ys[h][..., None])[..., 0]
+    line = np.stack([np.ones(h.shape), np.ldexp(xs[h] - nodes[:, None], -e[:, None])], axis=-1)
+    coef = np.linalg.solve(line, Y[np.arange(rows)[:, None, None, None], h][..., None])[..., 0]
     with np.errstate(over="ignore"):
-        return coef[..., 0], np.ldexp(coef[..., 1], -e)
+        return coef[..., 0], np.ldexp(coef[..., 1], -(e + g))
 
 
 def _y_exponent(x: np.ndarray, top, spec: EstimatorSpec):
@@ -527,65 +565,100 @@ def _y_exponent(x: np.ndarray, top, spec: EstimatorSpec):
     return np.maximum(0, shift)
 
 
-def _scaled_back(est, coef, shift) -> tuple:
-    """A fit of 2^-s y scaled back by 2^s; past the float range a value is +-inf."""
-    with np.errstate(over="ignore"):
-        return np.ldexp(est, shift), None if coef is None else np.ldexp(coef, shift)
-
-
-def _kernel_quantiles(ys, lo, hi, taus) -> np.ndarray:
-    """Box-kernel check-loss fits of the rows of ys (ordered as sorted x),
-    rows x levels x nodes: each window sorted once, padding last, then every
-    level's order statistic; windows are gathered BLOCK_ELEMENTS at a time."""
+def _kernel_quantiles(Y, W, lo, hi, taus) -> np.ndarray:
+    """Box-kernel check-loss fits of the rows of Y (one, or as many as W)
+    under the counts W, ordered as sorted x: rows of W x levels x nodes.
+    Each window of a row of Y is sorted once, padding last, and each level's
+    order statistic counted by the rows of W that go with it; windows are
+    gathered, and counted, BLOCK_ELEMENTS at a time."""
     width = int(np.max(hi - lo))
-    chunk = max(1, BLOCK_ELEMENTS // width)
-    rank = _order_index(taus[:, None], hi - lo)
-    out = np.empty((ys.shape[0], taus.size, lo.size))
-    row, node = np.divmod(np.arange(ys.shape[0] * lo.size), lo.size)
-    for part in np.split(np.arange(row.size), range(chunk, row.size, chunk)):
-        r, j = row[part], node[part]
-        idx, inwin = _window_rows(ys.shape[1], lo[j], hi[j], width)
-        win = np.sort(np.where(inwin, ys[r[:, None], idx], np.inf), axis=1)
-        out[r, :, j] = np.take_along_axis(win, rank[:, j].T, axis=1)
+    out = np.empty((W.shape[0], taus.size, lo.size))
+    for part in _parts(Y.shape[0] * lo.size, width, BLOCK_ELEMENTS):
+        r, j = np.divmod(part, lo.size)
+        idx, inwin = _window_rows(Y.shape[1], lo[j], hi[j], width)
+        win = np.where(inwin, Y[r[:, None], idx], np.inf)
+        order = np.argsort(win, axis=1)
+        win, idx, inwin = (np.take_along_axis(a, order, axis=1) for a in (win, idx, inwin))
+        # each row of Y goes with its row of W; one row of Y with every row
+        counted = [r[None]] if Y.shape[0] > 1 else [
+            np.asarray(p)[:, None] for p in _parts(W.shape[0], r.size * width, BLOCK_ELEMENTS)]
+        for rw in counted:
+            count = np.cumsum(np.where(inwin, W[rw[:, :, None], idx], 0.0), axis=2)
+            # the k-th value is the first whose count exceeds k
+            rank = _order_index(taus, count[:, :, -1:])
+            at = np.count_nonzero(count[:, :, None, :] <= rank[..., None], axis=3)
+            out[rw, :, j] = np.take_along_axis(np.broadcast_to(win, count.shape), at, axis=2)
     return out
 
 
-def _fits(x: np.ndarray, Y: np.ndarray, spec: EstimatorSpec, taus=None) -> tuple:
+def _width(spec: EstimatorSpec) -> int:
+    """Work arrays per point of a row and level of fits: 5 moments, k terms."""
+    if spec.method == "bspline":
+        return len(spec.knots) + 4
+    return 1 + int(spec.fourier_linear) + 2 * spec.n_terms if spec.method == "fourier" else 5
+
+
+def _fits(x: np.ndarray, Y: np.ndarray, spec: EstimatorSpec, taus=None, W=None) -> tuple:
     """Fits of the rows of Y on the shared x, and their series coefficients
     (None for a window method): rows x nodes and rows x k under mean loss
     (taus None), rows x levels x nodes and rows x levels x k under the check
     loss at each level of taus; the spec's own loss is ignored.
 
-    A row is fit to 2^-s y, s from _y_exponent of that row, and scaled back
+    W holds rows of count weights, broadcast against the rows of Y (None:
+    unit weights); a row of counts fits the resample it counts.  Rows are
+    fit in parts whose work arrays hold about BLOCK_ELEMENTS numbers (see
+    _width), each to 2^-s y, s from _y_exponent of the row, and scaled back
     by 2^s, both exactly.  x is windowed, or the bases built, once; only the
     solver depends on the loss.  Each row and level gets the bits of a call
-    with it alone.
+    with it alone, and a call raises as fit does if any row cannot be fit.
     """
-    top = np.abs(Y).max(axis=1)
-    shift = _y_exponent(x, top, spec)
-    if taus is not None and spec.method != "kernel":
-        # the descent divides residuals by steps down to 1e-10 of their scale:
-        # max|y| within 2^895 leaves it 2^128 of headroom
-        shift = np.maximum(shift, np.frexp(top)[1] - 895)
-    Y = np.ldexp(Y, -shift[:, None])
-    shift = shift.reshape((-1,) + (1,) * (1 if taus is None else 2))
-    nodes = spec.eval_axis.coords
+    n, nodes = x.size, spec.eval_axis.coords
+    rows = max(Y.shape[0], 1 if W is None else W.shape[0])
     if spec.method in ("kernel", "loclinear"):
         order, xs, lo, hi = _windows(x, spec)
-        Y = Y[:, order]
-        if taus is None:
-            est = _window_means(spec, xs, Y, lo, hi, np.ones(x.size))
-        elif spec.method == "kernel":
-            est = _kernel_quantiles(Y, lo, hi, taus)
+    else:
+        grid = _basis_matrix(spec, nodes)
+        held = np.ones(n, dtype=bool) if W is None else np.any(W > 0.0, axis=0)
+        basis = np.zeros((n, grid.shape[1]))
+        basis[held] = _basis_matrix(spec, x[held])
+    est, coef, exponents = [], [], _y_exponent(x, np.abs(Y).max(axis=1), spec)
+    for part in _parts(rows, _width(spec) * (1 if taus is None else taus.size) * n, BLOCK_ELEMENTS):
+        # y keeps one row where Y has one
+        cut = slice(part.start, part.stop)
+        y, shift = (Y[cut], exponents[cut]) if Y.shape[0] > 1 else (Y, exponents)
+        w = np.ones((1, n)) if W is None else W[cut] if W.shape[0] > 1 else W
+        if taus is not None and spec.method != "kernel":
+            # the descent divides residuals by steps down to 1e-10 of their
+            # scale: max|w y| within 2^895 leaves it 2^128 of headroom
+            top = np.abs(w * np.ldexp(y, -shift[:, None])).max(axis=1)
+            shift = shift + np.maximum(0, np.frexp(top)[1] - 895)
+        y = np.ldexp(y, -shift[:, None])
+        shift = shift.reshape((-1,) + (1,) * (1 if taus is None else 2))
+        c = None
+        if spec.method in ("kernel", "loclinear"):
+            y, w = y[:, order], w[:, order]
+            _refuse_thin_windows(spec, xs, lo, hi, w)
+            if taus is None:
+                fits = _window_means(spec, xs, y, lo, hi, w)
+            elif spec.method == "kernel":
+                fits = _kernel_quantiles(y, np.broadcast_to(w, (len(part), n)), lo, hi, taus)
+            else:
+                y, w = np.broadcast_arrays(y, w)
+                fits = _loclinear_quantiles(xs, y, w, lo, hi, nodes, taus)[0]
         else:
-            est = np.array([_loclinear_quantiles(xs, y, lo, hi, nodes, taus)[0] for y in Y])
-        return _scaled_back(est, None, shift)
-    design, grid = _basis_matrix(spec, x), _basis_matrix(spec, nodes)
-    solve = _series_lstsq if taus is None else lambda d, y: _series_quantiles(d, y, taus)
-    coef = np.array([solve(design, y) for y in Y])
-    # a matrix-vector product per fit, since a matrix product rounds differently
-    est = np.array([grid @ c for c in coef.reshape(-1, coef.shape[-1])])
-    return _scaled_back(est.reshape(coef.shape[:-1] + (-1,)), coef, shift)
+            y = np.broadcast_to(y, (len(part), n))
+            w = None if W is None else np.broadcast_to(w, y.shape)
+            solve = _series_means if taus is None else lambda *a: _series_quantiles(x, *a, taus)
+            c = solve(basis, y, w)
+            # a matrix-vector product per fit, since a matrix product rounds differently
+            fits = (grid @ c[..., None])[..., 0]
+        with np.errstate(over="ignore"):
+            # scaled back by 2^s; past the float range a value is +-inf
+            est.append(np.ldexp(fits, shift))
+            coef.append(None if c is None else np.ldexp(c, shift))
+    # in C order, as the rows of a new array: a sum over a row rounds by its layout
+    est = np.ascontiguousarray(np.concatenate(est))
+    return est, None if coef[0] is None else np.concatenate(coef)
 
 
 # --- public entry points ----------------------------------------------------
@@ -617,124 +690,52 @@ def _resample(seed: int, draw: int, retry: int, n: int) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
-def _counts(idx: np.ndarray, n: int) -> np.ndarray:
-    """draws x n: how often each draw (a row of idx) holds each of the n rows."""
-    offsets = n * np.arange(idx.shape[0])[:, None]
-    return np.bincount((idx + offsets).ravel(), minlength=idx.size).reshape(idx.shape) * 1.0
-
-
-def _width(spec: EstimatorSpec) -> int:
-    """Work arrays per data row of a block of mean fits: 5 moments, or k terms."""
-    if spec.method == "bspline":
-        return len(spec.knots) + 4
-    return 1 + int(spec.fourier_linear) + 2 * spec.n_terms if spec.method == "fourier" else 5
-
-
-def _draw_fitter(data: Dataset, spec: EstimatorSpec) -> tuple:
-    """(fit_draws, k): fit_draws(idx) fits a block of draws, one per row of idx.
-
-    It returns (draws x nodes estimates, failed draws).  Under mean loss a
-    draw is its count vector over the fixed data, fit to 2^-s y as fit does:
-    the window methods weight the prefix sums of one sort, and a series
-    method forms each draw's normal equations from one design.  A series
-    draw that is not clearly well conditioned, and every check-loss draw, is
-    refit on its resampled rows as fit does it.  k (see _width) sizes the
-    blocks.
-    """
-    n, nodes = data.n, spec.eval_axis.coords.size
-
-    def per_draw(idx, rows=None):
-        """Refit the draws in rows (every row of idx by default) as fit does."""
-        est, failed = np.zeros((idx.shape[0], nodes)), np.zeros(idx.shape[0], dtype=bool)
-        for i in range(idx.shape[0]) if rows is None else rows:
-            try:
-                est[i] = fit(Dataset(data.x[idx[i]], data.y[idx[i]]), spec).estimate.values
-            except (ValidationError, NumericalError):
-                failed[i] = True
-        return est, failed
-
-    if spec.loss.kind == "quantile":
-        return per_draw, 1
-    shift = _y_exponent(data.x, np.abs(data.y).max(), spec)
-    y = np.ldexp(data.y, -shift)
-    if spec.method in ("kernel", "loclinear"):
-        order, xs, lo, hi = _windows(data.x, spec, checked=False)
-        ys = y[order]
-        rank = np.empty(n, dtype=np.intp)
-        rank[order] = np.arange(n)
-
-        def window_draws(idx):
-            w = _counts(rank[idx], n)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                est = _scaled_back(_window_means(spec, xs, ys, lo, hi, w), None, shift)[0]
-            return est, np.any(_thin_windows(spec, xs, lo, hi, w), axis=1)
-
-        return window_draws, _width(spec)
-    try:
-        design = _basis_matrix(spec, data.x)
-    except OutOfDomainError:
-        # a draw that leaves out the points outside the domain can still fit
-        return per_draw, 1
-    grid = _basis_matrix(spec, spec.eval_axis.coords)
-
-    def series_draws(idx):
-        weighted = design.T * _counts(idx, n)[:, None, :]  # X'C, draws x k x n
-        gram, rhs = weighted @ design, weighted @ y
-        eig = np.linalg.eigvalsh(gram)
-        sure = eig[:, 0] > GRAM_EIG_RATIO * eig[:, -1]
-        est, failed = per_draw(idx, np.flatnonzero(~sure))
-        # only the sure draws: one singular system makes a batched solve raise
-        coef = np.linalg.solve(gram[sure], rhs[sure][:, :, None])[:, :, 0]
-        est[sure] = _scaled_back(coef @ grid.T, None, shift)[0]
-        return est, failed
-
-    return series_draws, _width(spec)
-
-
 def bootstrap(data: Dataset, spec: EstimatorSpec, b_draws: int, seed: int):
     """Pairs bootstrap of a fit: (stderr function, draws function).
 
     Draw b resamples n rows with replacement using an RNG stream derived from
     (seed, b), so results do not depend on evaluation order.  The draw is
-    the count vector of its rows over the fixed data, and the draws are
-    fitted in blocks of such vectors (see _draw_fitter), sized so that a
-    block's work arrays hold about BLOCK_ELEMENTS numbers.  A draw whose fit
-    fails is redrawn from the stream (seed, b, retry + 1) and counted; the
-    failed draws of a pass are redrawn in draw order, and more than 10%
-    failures abort.  The draws are one function, axis 1 the draw index 0..B-1
-    and axis 2 the fit's grid; stderr is their per-node standard deviation.
+    the count vector of its rows over the fixed data, fit by _fits as a row
+    of count weights, which fits its resample under either loss.  The
+    pending draws of a pass are fit in one call, bisected down to the draws
+    that fail if it raises.  A draw whose fit fails, or is not finite, is
+    redrawn from the stream (seed, b, retry + 1) and counted, in draw order;
+    more than 10% failures abort.  The draws are one function, axis 1 the
+    draw index 0..B-1 and axis 2 the fit's grid; stderr is their per-node
+    standard deviation.
     """
     b_draws = _integer("b_draws", b_draws, 0)
     if b_draws < 2:
         raise TooFewDrawsError(f"need at least 2 bootstrap draws, got {b_draws}")
     seed = _integer("seed", seed, 0)
-    n = data.n
-    fit_draws, k = _draw_fitter(data, spec)
-    block = max(1, BLOCK_ELEMENTS // (n * k))
-    values = np.empty((b_draws, spec.eval_axis.coords.size))
+    n, nodes = data.n, spec.eval_axis.coords.size
+    taus = None if spec.loss.kind == "mean" else np.array([float(spec.loss.tau)])
+
+    def fit_draws(W):
+        """(draws x nodes estimates, failed draws) of the count rows W."""
+        try:
+            est = _fits(data.x, data.y[None], spec, taus, W)[0].reshape(-1, nodes)
+        except (ValidationError, NumericalError):
+            if W.shape[0] == 1:
+                return np.zeros((1, nodes)), np.ones(1, dtype=bool)
+            halves = fit_draws(W[: W.shape[0] // 2]), fit_draws(W[W.shape[0] // 2 :])
+            return tuple(np.concatenate(pair) for pair in zip(*halves))
+        # fit refuses a non-finite estimate
+        return est, ~np.all(np.isfinite(est), axis=1)
+
+    values = np.empty((b_draws, nodes))
     failures = 0
     pending = [(b, 0) for b in range(b_draws)]
     while pending:
-        redraw = []
-        for first in range(0, len(pending), block):
-            attempts = pending[first : first + block]
-            idx = np.empty((len(attempts), n), dtype=np.int64)
-            for row, (b, retry) in zip(idx, attempts):
-                row[:] = _resample(seed, b, retry, n)
-            est, failed = fit_draws(idx)
-            # fit refuses a non-finite estimate
-            failed |= ~np.all(np.isfinite(est), axis=1)
-            for (b, retry), row, bad in zip(attempts, est, failed):
-                if bad:
-                    redraw.append((b, retry + 1))
-                else:
-                    values[b] = row
-            failures += int(np.count_nonzero(failed))
-            if failures > 0.1 * b_draws:
-                raise TooManyFailedDrawsError(
-                    f"{failures} failed draws exceed 10% of {b_draws}"
-                )
-        pending = redraw
+        idx = np.array([_resample(seed, b, retry, n) for b, retry in pending])
+        # row i counts how often attempt i holds each of the n rows
+        idx += n * np.arange(len(pending))[:, None]
+        est, failed = fit_draws(np.bincount(idx.ravel(), minlength=idx.size).reshape(-1, n) * 1.0)
+        failures += int(np.count_nonzero(failed))
+        if failures > 0.1 * b_draws:
+            raise TooManyFailedDrawsError(f"{failures} failed draws exceed 10% of {b_draws}")
+        values[[b for (b, _), bad in zip(pending, failed) if not bad]] = est[~failed]
+        pending = [(b, retry + 1) for (b, retry), bad in zip(pending, failed) if bad]
     if failures:
         warnings.warn(
             f"bootstrap redrew {failures} failed draws",

@@ -21,7 +21,7 @@ operators guarantee improvement path by path, not just on average.
 
 Determinism: replication r draws from an RNG stream derived from (seed, r)
 and bootstrap streams are derived from (seed, r, estimator).  Tables 1 and
-2 fit a chunk of replications in one call per estimator; table 3 fits one
+2 fit a block of replications in one call per estimator; table 3 fits one
 at a time.  Each estimator's fits of a block of replications are stacked
 along a leading replication axis for the repairs, measures and checks.
 The fitting, axis-by-axis, L^p, tolerance and coverage cores leave that
@@ -51,7 +51,7 @@ from .estimators import (
     Dataset,
     EstimatorSpec,
     _fits,
-    _width,
+    _parts,
     bootstrap,
     fit,
     span_axis,
@@ -321,9 +321,7 @@ def _blocks(cfg: McConfig, size: int) -> list:
     """The replications in blocks: a block's fits of every estimator and
     variants of one, on grids of at most size nodes, hold about
     BLOCK_ELEMENTS numbers."""
-    width = size * (len(cfg.estimators) + 3 + len(cfg.lambda_grid))
-    block = max(1, BLOCK_ELEMENTS // width)
-    return [range(r, min(r + block, cfg.reps)) for r in range(0, cfg.reps, block)]
+    return _parts(cfg.reps, size * (len(cfg.estimators) + 3 + len(cfg.lambda_grid)), BLOCK_ELEMENTS)
 
 
 def _variants(f: GriddedFunction, orderings, lambda_grid) -> list:
@@ -407,19 +405,12 @@ def _run_errors_table(cfg: McConfig, table: int) -> McReport:
         specs, taus, orderings = cfg.estimators, cfg.taus, _PI_2D
         truth = lambda s: true_cqf(taus[:, None], s.eval_axis.coords[None, :], cfg.beta, cfg.sigma)
         truths = [GriddedFunction([Axis(taus), s.eval_axis], truth(s)) for s in specs]
-    # a chunk of replications per fit, its work arrays within BLOCK_ELEMENTS
-    width = max(map(_width, specs)) * (1 if taus is None else taus.size) * cfg.n
-    chunk = max(1, BLOCK_ELEMENTS // width)
     labels = _variant_labels(cfg.lambda_grid)
     errors = np.empty((cfg.reps, len(specs), 1 + len(labels), len(REPORT_PS)))
     y_mean = _mean_y(cfg)
     for reps in _blocks(cfg, max(t.values.size for t in truths)):
-        fits = [[] for _ in specs]
-        for first in range(reps.start, reps.stop, chunk):
-            last = min(first + chunk, reps.stop)
-            y = np.array([_draw_y(cfg, r, y_mean) for r in range(first, last)])
-            for out, spec in zip(fits, specs):
-                out.extend(_fits(cfg.x_design, y, spec, taus)[0])
+        y = np.array([_draw_y(cfg, r, y_mean) for r in reps])
+        fits = [_fits(cfg.x_design, y, spec, taus)[0] for spec in specs]
         checks = []
         for ei, (spec, truth) in enumerate(zip(specs, truths)):
             # the replication index leads, as the draw index of bootstrap's draws does
@@ -532,11 +523,12 @@ def run_experiment(cfg: McConfig, table: int = 1) -> McReport:
     """Run one experiment and reduce it to a report table.
 
     table selects the report: 1 for mean-fit errors, 2 for quantile-process
-    errors, 3 for confidence bands.  Tables 1 and 2 fit chunks of
-    replications in one call per estimator, table 3 one at a time; repairs
-    and checks run in blocks (see _blocks), each replication with its own
-    bits.  A failed check raises ImprovementViolationError for the lowest
-    failing replication (in table 3, of the first method with one).
+    errors, 3 for confidence bands.  Replications run in blocks (see
+    _blocks): tables 1 and 2 fit a block in one call per estimator, table 3
+    one replication at a time, and repairs and checks take a block at once,
+    each replication with its own bits.  A failed check raises
+    ImprovementViolationError for the lowest failing replication (in table
+    3, of the first method with one).
     """
     table = _integer("table", table, 1)
     if table not in (1, 2, 3):

@@ -263,6 +263,25 @@ def test_cli_estimate_on_x_across_the_float_range_warns_nothing(tmp_path, capsys
         "monotonize: invalid input: fewer than 2 distinct x within bandwidth 1.0 of node -1e+308\n"
     )
     assert not out.exists()
+    # the series bases and the local-linear check loss on four points: the
+    # span, the knot gaps and x - x_first overflow unless the fit scales x
+    data = _write(tmp_path / "d4.csv", "x,y\n-1e308,1\n1e308,2\n0,3\n5e307,4\n")
+    args = ["estimate", "--data", data, "--grid", "3", "--out", str(out)]
+    for extra in (["--method", "fourier", "--nterms", "1"],
+                  ["--method", "loclinear", "--bandwidth", "1.7e308", "--loss", "quantile",
+                   "--tau", "0.5"]):
+        assert main(args + extra) == 0, extra
+        assert capsys.readouterr().err == ""
+        f = csvio.read_grid_function(str(out))
+        assert f.axes[0].coords.tolist() == [-1e308, 0.0, 1e308]
+        assert np.all(np.isfinite(f.values))
+        out.unlink()
+    assert main(args + ["--method", "bspline", "--knots", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "monotonize: numerical failure: series design of 5 columns is singular to 1e-6 "
+        "of its largest singular value\n"
+    )
+    assert not out.exists()
 
 
 def test_draws_grid_mismatch_rejected(tmp_path):

@@ -309,9 +309,11 @@ def _spy_on_chunk_rows(monkeypatch):
 def _exact_fits(data, spec, taus):
     """(intercepts, slopes) of the local-linear fits, levels x nodes."""
     order, xs, lo, hi = estimators._windows(data.x, spec)
-    return estimators._loclinear_quantiles(
-        xs, data.y[order], lo, hi, spec.eval_axis.coords, np.asarray(taus, dtype=float)
+    a, b = estimators._loclinear_quantiles(
+        xs, data.y[order][None], np.ones((1, data.n)), lo, hi, spec.eval_axis.coords,
+        np.asarray(taus, dtype=float),
     )
+    return a[0], b[0]
 
 
 def _assert_attains_lp(design, y, tau, coef):
@@ -403,9 +405,10 @@ def test_loclinear_quantile_chunks_keep_work_arrays_within_the_block(monkeypatch
 
 def test_kernel_quantile_chunks_keep_the_gather_within_the_block(monkeypatch):
     # windows of about 300 points, three rows of y and five nodes: with room
-    # for four windows per gather, the chunks cross from row to row, no
-    # gather exceeds BLOCK_ELEMENTS numbers, and the fits are the bits of the
-    # one-gather fits and the reference's order statistics
+    # for four windows per gather, _fits solves one row at a time, each in
+    # gathers of four windows and one, no gather exceeds BLOCK_ELEMENTS
+    # numbers, and the fits are the bits of the one-gather fits and the
+    # reference's order statistics
     rng = np.random.default_rng(61)
     x = rng.uniform(0.0, 1.0, 400)
     Y = np.sin(3.0 * x) + rng.normal(0.0, 0.3, (3, 400))
@@ -424,7 +427,7 @@ def test_kernel_quantile_chunks_keep_the_gather_within_the_block(monkeypatch):
         patch.setattr(estimators, "_window_rows", spy)
         patch.setattr(estimators, "BLOCK_ELEMENTS", 4 * width)
         assert np.array_equal(estimators._fits(x, Y, spec, taus)[0], est)
-    assert width > 250 and shapes == [(4, width)] * 3 + [(3, width)]
+    assert width > 250 and shapes == [(4, width), (1, width)] * 3
     for i, y in enumerate(Y):
         want = kernel_quantile_process_reference(Dataset(x, y), spec, taus)
         assert np.array_equal(est[i], want), i
@@ -578,6 +581,33 @@ def test_window_fits_on_x_across_the_float_range(method, loss):
     assert np.array_equal(fit(Dataset(np.ldexp(x, -768), y), small).estimate.values, est)
 
 
+@pytest.mark.parametrize("loss", [MEAN_LOSS, Loss("quantile", 0.5)], ids=["mean", "quantile"])
+@pytest.mark.parametrize(
+    "method, settings, want",
+    [
+        ("fourier", {"n_terms": 1}, None),
+        ("bspline", {"knots": (0.0,)}, RankDeficientDesignError),
+        ("loclinear", {"bandwidth": 1.7e308}, None),
+    ],
+)
+def test_series_and_loclinear_fits_on_x_across_the_float_range(method, settings, want, loss):
+    # max - min of x, the knot gaps and the local-linear x - x_first overflow
+    # unless the fit scales x; with warnings as errors an overflow fails
+    # here.  A fit ends in its estimate, the bits of the fit on x scaled into
+    # range by a power of two, or in the documented error
+    x, y = np.array([-1e308, 1e308, 0.0, 5e307]), np.array([1.0, 2.0, 3.0, 4.0])
+    spec = EstimatorSpec(method, loss, span_axis(x, 3), **settings)
+    if want is not None:
+        with pytest.raises(want):
+            fit(Dataset(x, y), spec)
+        return
+    est = fit(Dataset(x, y), spec).estimate.values
+    assert np.all(np.isfinite(est))
+    scaled = {k: np.ldexp(v, -768) for k, v in settings.items() if k == "bandwidth"}
+    small = replace(spec, eval_axis=Axis(np.ldexp(spec.eval_axis.coords, -768)), **scaled)
+    assert np.array_equal(fit(Dataset(np.ldexp(x, -768), y), small).estimate.values, est)
+
+
 @pytest.mark.parametrize("loss", [MEAN_LOSS, Loss("quantile", 0.3)], ids=["mean", "quantile"])
 @pytest.mark.parametrize(
     "method, settings",
@@ -655,14 +685,23 @@ def test_mean_fits_rows_are_fit_bit_for_bit(method, settings, taus):
                 assert np.array_equal(coef[at], one.coefficients), at
 
 
-@pytest.mark.parametrize("method, settings", _MEAN_SPECS)
-def test_bootstrap_scales_y_exactly_near_the_float_limit(method, settings):
-    # the window sums and the normal equations of the draws overflow unless
-    # the draws scale y first; with warnings as errors an overflow fails here
+# ids: a mean-loss case as plain parametrize names it, a check-loss case with -quantile
+_BOOTSTRAP_LIMIT_CASES = [
+    pytest.param(method, settings, loss, id=f"{method}-settings{i}{label}")
+    for loss, label in ((MEAN_LOSS, ""), (Loss("quantile", 0.3), "-quantile"))
+    for i, (method, settings) in enumerate(_MEAN_SPECS)
+]
+
+
+@pytest.mark.parametrize("method, settings, loss", _BOOTSTRAP_LIMIT_CASES)
+def test_bootstrap_scales_y_exactly_near_the_float_limit(method, settings, loss):
+    # the window sums, the normal equations and the descent of the draws
+    # overflow unless the draws scale y first (under check loss, the counts
+    # times y too); with warnings as errors an overflow fails here
     rng = np.random.default_rng(53)
     x = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 48)])
     y = 1.7e308 * rng.uniform(-0.5, 0.5, 50)
-    spec = EstimatorSpec(method, MEAN_LOSS, _axis(10), **settings)
+    spec = EstimatorSpec(method, loss, _axis(10), **settings)
     s = estimators._y_exponent(x, np.abs(y).max(), spec)
     assert s > 0
     stderr, draws = bootstrap(Dataset(x, y), spec, 20, 3)
@@ -829,7 +868,7 @@ def test_intercept_only_median_within_tolerance():
     rng = np.random.default_rng(43)
     y = rng.permutation(np.linspace(0.0, 3.0, 25) + rng.uniform(0, 0.01, 25))
     taus = np.array([0.1, 0.25, 0.5, 0.75, 0.9])
-    coef = estimators._series_quantiles(np.ones((y.size, 1)), y, taus)
+    coef = estimators._series_quantiles(np.zeros(25), np.ones((25, 1)), y[None], None, taus)[0]
     assert coef[:, 0].tolist() == [sample_quantile(y, tau) for tau in taus]
 
 
@@ -842,7 +881,7 @@ def test_series_quantile_exact_on_a_flat_optimum(n):
     rng = np.random.default_rng(71)
     taus = np.array([0.1, 0.2, 0.3, 0.5, 0.7, 0.9])
     for y in (rng.normal(size=n), rng.integers(0, 4, n).astype(float)):
-        coef = estimators._series_quantiles(np.ones((n, 1)), y, taus)
+        coef = estimators._series_quantiles(np.zeros(n), np.ones((n, 1)), y[None], None, taus)[0]
         for j, tau in enumerate(taus):
             lo = sample_quantile(y, tau)
             hi = np.sort(y)[int(round(tau * n))]
@@ -1078,8 +1117,10 @@ def test_bootstrap_matches_the_per_draw_oracle(method):
 def _failing_cases():
     """Data on which some draws fail: a kernel window, a local-linear window
     and a B-spline knot interval that only a few points reach; the
-    local-linear window holds four tied x.  Last, a point outside the
-    series domain that most draws hold."""
+    local-linear window holds four tied x.  Then a point outside the
+    series domain that most draws hold, and last the kernel case under the
+    check loss.  (The local-linear case under the check loss is
+    test_check_loss_draws_on_a_flat_optimum.)"""
     rng = np.random.default_rng(5)
     noisy = lambda x: Dataset(x, 1.0 + x + rng.normal(0.0, 0.1, x.size))
     tail = lambda lead, *points: np.r_[np.linspace(0.0, lead, 60 - len(points)), points]
@@ -1099,12 +1140,17 @@ def _failing_cases():
         noisy(tail(0.9, 0.99)),
         EstimatorSpec("fourier", MEAN_LOSS, Axis(np.linspace(0.0, 0.95, 5)), n_terms=1),
     )
+    yield (
+        noisy(tail(0.6, 0.8, 0.85, 0.9)),
+        EstimatorSpec("kernel", Loss("quantile", 0.5), Axis([0.3, 0.85]), bandwidth=0.1),
+    )
 
 
 @pytest.mark.parametrize(
     "case, outcomes",
-    [(0, {"redrawn", "abort"}), (1, {"redrawn", "abort"}), (2, {"redrawn", "abort"}), (3, {"abort"})],
-    ids=["kernel", "loclinear-tied", "bspline", "outside-domain"],
+    [(0, {"redrawn", "abort"}), (1, {"redrawn", "abort"}), (2, {"redrawn", "abort"}),
+     (3, {"abort"}), (4, {"redrawn", "abort"})],
+    ids=["kernel", "loclinear-tied", "bspline", "outside-domain", "kernel-quantile"],
 )
 def test_bootstrap_failures_and_redraws_match_the_oracle(case, outcomes):
     data, spec = list(_failing_cases())[case]
@@ -1122,3 +1168,82 @@ def test_check_loss_bootstrap_is_the_oracle_bit_for_bit(method):
     got, want = bootstrap(data, spec, 6, 8), bootstrap_oracle(data, spec, 6, 8)
     assert np.array_equal(got[0].values, want[0].values)
     assert got[1] == want[1]
+
+
+def _settled_resample(data, spec, seed, b):
+    """The rows of draw b as bootstrap settles it: its first attempt whose
+    fit does not fail."""
+    for retry in range(20):
+        idx = estimators._resample(seed, b, retry, data.n)
+        try:
+            fit(Dataset(data.x[idx], data.y[idx]), spec)
+        except EmptyWindowError:
+            continue
+        return idx
+    raise AssertionError(f"no attempt of draw {b} fits")
+
+
+def _weighted_loclinear(data, spec, idx):
+    """(intercepts, slopes) of the local-linear check-loss fit of the
+    resample idx, as a row of counts over data."""
+    order, xs, lo, hi = estimators._windows(data.x, spec)
+    w = np.bincount(idx, minlength=data.n)[order][None] * 1.0
+    a, b = estimators._loclinear_quantiles(
+        xs, data.y[order][None], w, lo, hi, spec.eval_axis.coords, np.array([spec.loss.tau]))
+    return a[0, 0], b[0, 0]
+
+
+@pytest.mark.parametrize("method", ["kernel", "loclinear", "bspline", "fourier"])
+def test_check_loss_draws_attain_the_lp_optimum_of_their_resample(method):
+    # a draw is a row of counts, and its weighted check loss is the check
+    # loss of its resample: the kernel draws are sample_quantile of the
+    # resampled windows, the others attain the LP optimum of the resample
+    rng = np.random.default_rng(41)
+    x = np.sort(rng.uniform(2.0, 20.0, 120))
+    data = Dataset(x, 70.0 + 5.0 * x + rng.normal(0.0, 4.0, x.size))
+    specs = default_estimators(Axis(np.linspace(x[0], x[-1], 12)))
+    spec = replace(next(s for s in specs if s.method == method), loss=Loss("quantile", 0.3))
+    tau, nodes = spec.loss.tau, spec.eval_axis.coords
+    _, draws = bootstrap(data, spec, 4, 8)
+    for b in range(4):
+        idx = estimators._resample(8, b, 0, data.n)
+        res = Dataset(data.x[idx], data.y[idx])
+        if method == "kernel":
+            want = [sample_quantile(res.y[_window(res.x, c, spec.bandwidth)], tau) for c in nodes]
+            assert draws.values[b].tolist() == want, b
+        elif method == "loclinear":
+            a, slope = _weighted_loclinear(data, spec, idx)
+            assert np.array_equal(a, draws.values[b]), b
+            _assert_exact_lp(res, nodes, spec.bandwidth, tau, a, slope)
+        else:
+            w = np.bincount(idx, minlength=data.n)[None] * 1.0
+            est, coef = estimators._fits(data.x, data.y[None], spec, np.array([tau]), w)
+            assert np.array_equal(est[0, 0], draws.values[b]), b
+            _assert_attains_lp(_basis_matrix(spec, res.x), res.y, tau, coef[0, 0])
+
+
+def test_check_loss_draws_on_a_flat_optimum():
+    # the tied local-linear window under the median: with few distinct x and
+    # integer counts a draw's check loss is often flat at its optimum, and
+    # the descent on count-weighted rows may end on another optimal vertex
+    # than the descent on the resampled rows.  Failures, redraws and aborts
+    # are still the oracle's, and a draw that differs attains the LP optimum
+    # of its resample at every node
+    data, spec = list(_failing_cases())[1]
+    spec = replace(spec, loss=Loss("quantile", 0.5))
+    nodes, differ = spec.eval_axis.coords, 0
+    for seed in range(6):
+        got = _bootstrap_outcome(bootstrap, data, spec, 40, seed)
+        want = _bootstrap_outcome(bootstrap_oracle, data, spec, 40, seed)
+        assert got[0] == want[0] and got[3] == want[3]
+        if got[0] == "abort":
+            continue
+        for b in np.flatnonzero(np.any(got[2] != want[2], axis=1)):
+            differ += 1
+            idx = _settled_resample(data, spec, seed, b)
+            res = Dataset(data.x[idx], data.y[idx])
+            a, slope = _weighted_loclinear(data, spec, idx)
+            assert np.array_equal(a, got[2][b]), (seed, b)
+            _assert_exact_lp(res, nodes, spec.bandwidth, spec.loss.tau, a, slope)
+    # the flat optima do occur on this data, so the LP check above runs
+    assert differ > 0

@@ -545,54 +545,77 @@ def test_blocked_tables_equal_the_one_replication_reference(monkeypatch, table):
         assert np.array_equal(got[key], values), key
 
 
-def _spy_on_fits(monkeypatch):
-    """Record (method, rows x n) of every chunk fit tables 1 and 2 make."""
-    real = montecarlo._fits
-    calls = []
+def _spy_on_solvers(monkeypatch):
+    """Record (method, rows x n) of every solver call that the _fits calls of
+    tables 1 and 2 make, one call per part of a block of replications; a
+    solver that another calls (the least-squares start of a series quantile
+    fit) is not recorded again."""
+    calls, fitting, busy = [], [], []
+    real_fits = estimators._fits
 
-    def spy(x, y, spec, taus=None):
-        calls.append((spec.method, y.shape))
-        return real(x, y, spec, taus)
+    def fits(x, Y, spec, taus=None, W=None):
+        fitting[:] = [spec.method]
+        return real_fits(x, Y, spec, taus, W)
 
-    monkeypatch.setattr(montecarlo, "_fits", spy)
+    monkeypatch.setattr(montecarlo, "_fits", fits)
+    # each solver and the position of its rows of y
+    solvers = {"_window_means": 2, "_kernel_quantiles": 0, "_loclinear_quantiles": 1,
+               "_series_means": 1, "_series_quantiles": 2}
+    for name, at in solvers.items():
+
+        def spy(*args, real=getattr(estimators, name), at=at):
+            if not busy:
+                calls.append((fitting[0], args[at].shape))
+            busy.append(name)
+            try:
+                return real(*args)
+            finally:
+                busy.pop()
+
+        monkeypatch.setattr(estimators, name, spy)
     return calls
 
 
 def test_table_1_fits_chunks_whose_work_arrays_stay_within_the_block_size(monkeypatch):
-    # the widest estimator, bspline on DEFAULT_KNOTS, has 13 columns: chunks
-    # of 65536 // (13 * 2500) = 2 replications; all five fit one block
-    calls = _spy_on_fits(monkeypatch)
+    # all five replications fit in one block, one _fits call per estimator;
+    # _fits solves them in parts of BLOCK_ELEMENTS // (_width * n): 5 rows
+    # for the window methods, 2 for bspline (13 columns) and fourier (9)
+    calls = _spy_on_solvers(monkeypatch)
     cfg = config_from_dict({"n": 2500, "reps": 5, "seed": 3, "grid": 20})
     assert len(montecarlo._blocks(cfg, 20)) == 1
     run_experiment(cfg, table=1)
-    width = max(montecarlo._width(spec) for spec in cfg.estimators)
-    assert width == 13
-    assert all(rows * n * width <= montecarlo.BLOCK_ELEMENTS for _, (rows, n) in calls)
-    for spec in cfg.estimators:
-        shapes = [shape for m, shape in calls if m == spec.method]
-        assert shapes == [(2, 2500), (2, 2500), (1, 2500)]
+    widths = {spec.method: estimators._width(spec) for spec in cfg.estimators}
+    assert widths == {"kernel": 5, "loclinear": 5, "bspline": 13, "fourier": 9}
+    assert all(rows * n * widths[m] <= estimators.BLOCK_ELEMENTS for m, (rows, n) in calls)
+    for method, parts in (("kernel", [5]), ("loclinear", [5]), ("bspline", [2, 2, 1]),
+                          ("fourier", [2, 2, 1])):
+        assert [shape for m, shape in calls if m == method] == [(rows, 2500) for rows in parts]
 
 
 def test_table_2_fits_chunks_whose_work_arrays_stay_within_the_block_size(monkeypatch):
-    # two levels on 60 ages: a replication's widest fit holds 13 * 2 * 60 =
-    # 1560 numbers, so a block size of three of them makes chunks of 3, 3 and
-    # 1; the report is the one-replication reference's, bit for bit
-    calls = _spy_on_fits(monkeypatch)
+    # two levels on 60 ages: a replication's bspline fit holds 13 * 2 * 60 =
+    # 1560 numbers, so a block size of three of them solves bspline in parts
+    # of 3, 3 and 1, fourier (9 columns) in 4 and 3, and the window methods
+    # in one part of 7; the report is the one-replication reference's, bit
+    # for bit
+    calls = _spy_on_solvers(monkeypatch)
     cfg = config_from_dict({"n": 60, "reps": 7, "seed": 5, "grid": 10, "taus": [0.25, 0.75]})
     assert len(montecarlo._blocks(cfg, 20)) == 1
-    monkeypatch.setattr(montecarlo, "BLOCK_ELEMENTS", 3 * 1560)
+    monkeypatch.setattr(estimators, "BLOCK_ELEMENTS", 3 * 1560)
     got = run_experiment(cfg, table=2).per_rep
-    width = max(montecarlo._width(spec) for spec in cfg.estimators)
-    assert all(rows * 2 * n * width <= montecarlo.BLOCK_ELEMENTS for _, (rows, n) in calls)
-    for spec in cfg.estimators:
-        assert [shape for m, shape in calls if m == spec.method] == [(3, 60), (3, 60), (1, 60)]
+    widths = {spec.method: estimators._width(spec) for spec in cfg.estimators}
+    assert all(rows * 2 * n * widths[m] <= 3 * 1560 for m, (rows, n) in calls)
+    for method, parts in (("kernel", [7]), ("loclinear", [7]), ("bspline", [3, 3, 1]),
+                          ("fourier", [4, 3])):
+        assert [shape for m, shape in calls if m == method] == [(rows, 60) for rows in parts]
     for key, values in montecarlo_reference(cfg, 2).items():
         assert np.array_equal(got[key], values), key
 
 
 def test_table_1_builds_the_series_bases_once_per_chunk(monkeypatch):
-    # 20 replications in one block, in chunks of 9, 9 and 2 (65536 // (13 * 533)):
-    # each series estimator builds its design and grid bases once per chunk
+    # 20 replications in one block and one _fits call per estimator, solved
+    # in parts of 9, 9 and 2 (65536 // (13 * 533)): each series estimator
+    # builds its design and grid bases once per _fits call, not per part
     real, methods = estimators._basis_matrix, []
 
     def spy(spec, x):
@@ -600,10 +623,10 @@ def test_table_1_builds_the_series_bases_once_per_chunk(monkeypatch):
         return real(spec, x)
 
     monkeypatch.setattr(estimators, "_basis_matrix", spy)
-    calls = _spy_on_fits(monkeypatch)
+    calls = _spy_on_solvers(monkeypatch)
     run_experiment(config_from_dict({"reps": 20, "seed": 11}), table=1)
     assert [shape[0] for m, shape in calls if m == "bspline"] == [9, 9, 2]
-    assert methods.count("bspline") == methods.count("fourier") == 2 * 3
+    assert methods.count("bspline") == methods.count("fourier") == 2
 
 
 REPORTS = Path(__file__).parent / "data"
