@@ -61,9 +61,7 @@ class Dataset:
         if x.ndim != 1 or y.ndim != 1:
             raise ShapeMismatchError("x and y must be 1-d")
         if x.size != y.size:
-            raise ShapeMismatchError(
-                f"x and y lengths differ: {x.size} vs {y.size}"
-            )
+            raise ShapeMismatchError(f"x and y lengths differ: {x.size} vs {y.size}")
         if x.size == 0:
             raise EmptyInputError("a dataset needs at least one observation")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
@@ -123,18 +121,15 @@ class EstimatorSpec:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise OutOfRangeError(
-                f"method must be one of {METHODS}, got {self.method!r}"
-            )
+            raise OutOfRangeError(f"method must be one of {METHODS}, got {self.method!r}")
         if not isinstance(self.loss, Loss):
             raise OutOfRangeError("loss must be a Loss instance")
         if not isinstance(self.eval_axis, Axis):
             object.__setattr__(self, "eval_axis", Axis(self.eval_axis))
         if self.method in ("kernel", "loclinear"):
             if self.bandwidth is None or not _real("bandwidth", self.bandwidth) > 0.0:
-                raise OutOfRangeError(
-                    f"{self.method} needs a positive bandwidth, got {self.bandwidth!r}"
-                )
+                raise OutOfRangeError(f"{self.method} needs a positive bandwidth, "
+                                      f"got {self.bandwidth!r}")
         if self.method == "bspline":
             nested = np.array(() if self.knots is None else self.knots, dtype=object)
             if nested.ndim > 1 or not nested.size:
@@ -145,16 +140,14 @@ class EstimatorSpec:
                 raise NonIncreasingAxisError("knots must be strictly increasing")
             lo, hi = self.eval_axis.coords[0], self.eval_axis.coords[-1]
             if not (lo < knots[0] and knots[-1] < hi):
-                raise OutOfDomainError(
-                    "interior knots must lie strictly inside the evaluation range"
-                )
+                raise OutOfDomainError("interior knots must lie strictly inside the "
+                                       "evaluation range")
             object.__setattr__(self, "knots", knots)
         if self.method == "fourier":
             object.__setattr__(self, "n_terms", _integer("n_terms", self.n_terms, 1))
         if not isinstance(self.fourier_linear, (bool, np.bool_)):
-            raise OutOfRangeError(
-                f"fourier_linear must be true or false, got {self.fourier_linear!r}"
-            )
+            raise OutOfRangeError("fourier_linear must be true or false, "
+                                  f"got {self.fourier_linear!r}")
 
 
 @dataclass(frozen=True)
@@ -177,9 +170,8 @@ def span_axis(x, nodes: int) -> Axis:
     nodes = _integer("grid", nodes, 2)
     lo, hi = float(np.min(x)), float(np.max(x))
     if not hi > lo:
-        raise OutOfRangeError(
-            f"an evaluation grid needs at least two distinct x values; every x is {lo!r}"
-        )
+        raise OutOfRangeError("an evaluation grid needs at least two distinct x values; "
+                              f"every x is {lo!r}")
     # where max - min overflows, halving the ends and doubling the nodes is exact
     scale = 2.0 if hi - lo == math.inf else 1.0
     return Axis(scale * np.linspace(lo / scale, hi / scale, nodes))
@@ -192,26 +184,23 @@ def _parts(total: int, size: int, block: int) -> list:
     return [range(i, min(i + step, total)) for i in range(0, total, step)]
 
 
-def _refuse_thin_windows(spec: EstimatorSpec, xs, lo, hi, w) -> None:
-    """Raise for the first window too thin to fit under a row of the weights w
-    (rows x n, ordered as xs): of the points of positive weight, a kernel
+def _thin_windows(spec: EstimatorSpec, xs, lo, hi, w) -> np.ndarray:
+    """Rows x nodes: the windows too thin to fit under each row of the weights
+    w (rows x n, ordered as xs).  Of the points of positive weight, a kernel
     window needs one, a local-linear window two distinct x."""
     # a window starts and ends at the start of a run of tied x, or at the end
     starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
     first, stop = np.searchsorted(starts, lo), np.searchsorted(starts, hi)
     held = np.zeros((w.shape[0], starts.size + 1), dtype=np.int64)
-    np.cumsum(np.add.reduceat(w, starts, axis=1) > 0.0, axis=1, out=held[:, 1:])
-    thin = held[:, stop] - held[:, first] < (1 if spec.method == "kernel" else 2)
-    if np.any(thin):
-        what = "no data" if spec.method == "kernel" else "fewer than 2 distinct x"
-        node = float(spec.eval_axis.coords[np.argmax(thin) % lo.size])
-        raise EmptyWindowError(f"{what} within bandwidth {float(spec.bandwidth)} of node {node}")
+    runs = w if starts.size == xs.size else np.add.reduceat(w, starts, axis=1)
+    np.cumsum(runs > 0.0, axis=1, out=held[:, 1:])
+    return held[:, stop] - held[:, first] < (1 if spec.method == "kernel" else 2)
 
 
 def _windows(x: np.ndarray, spec: EstimatorSpec) -> tuple:
-    """The sort order of x, sorted x and each node's window [lo, hi) of the x
-    within bandwidth of it."""
-    order = np.argsort(x, kind="stable")
+    """The sort order of x (a slice, which gathers nothing, where x is sorted),
+    sorted x and each node's window [lo, hi) of the x within bandwidth of it."""
+    order = slice(None) if np.all(x[1:] >= x[:-1]) else np.argsort(x, kind="stable")
     xs = x[order]
     nodes, h = spec.eval_axis.coords, float(spec.bandwidth)
     with np.errstate(over="ignore"):
@@ -291,9 +280,7 @@ def _basis_matrix(spec: EstimatorSpec, x: np.ndarray) -> np.ndarray:
     span = hi - lo
     slack = 1e-9 * max(span, 1.0)
     if np.any(x < lo - slack) or np.any(x > hi + slack):
-        raise OutOfDomainError(
-            f"evaluation points outside the basis domain [{first}, {last}]"
-        )
+        raise OutOfDomainError(f"evaluation points outside the basis domain [{first}, {last}]")
     xc = np.clip(x, lo, hi)
     if spec.method == "bspline":
         t = np.concatenate([np.full(4, lo), np.ldexp(spec.knots, -g), np.full(4, hi)])
@@ -608,57 +595,74 @@ def _fits(x: np.ndarray, Y: np.ndarray, spec: EstimatorSpec, taus=None, W=None) 
     unit weights); a row of counts fits the resample it counts.  Rows are
     fit in parts whose work arrays hold about BLOCK_ELEMENTS numbers (see
     _width), each to 2^-s y, s from _y_exponent of the row, and scaled back
-    by 2^s, both exactly.  x is windowed, or the bases built, once; only the
-    solver depends on the loss.  Each row and level gets the bits of a call
-    with it alone, and a call raises as fit does if any row cannot be fit.
+    by 2^s, both exactly.  Only the solver depends on the loss.  Each row
+    and level gets the bits of a call with it alone, and a call raises as
+    fit does if any row cannot be fit.
     """
+    return _fitter(x, spec, taus)(Y, W)
+
+
+def _fitter(x: np.ndarray, spec: EstimatorSpec, taus=None):
+    """(Y, W=None) -> _fits(x, Y, spec, taus, W), x windowed or bases built once."""
     n, nodes = x.size, spec.eval_axis.coords
-    rows = max(Y.shape[0], 1 if W is None else W.shape[0])
+    size = _width(spec) * (1 if taus is None else taus.size) * n
     if spec.method in ("kernel", "loclinear"):
         order, xs, lo, hi = _windows(x, spec)
     else:
         grid = _basis_matrix(spec, nodes)
-        held = np.ones(n, dtype=bool) if W is None else np.any(W > 0.0, axis=0)
-        basis = np.zeros((n, grid.shape[1]))
-        basis[held] = _basis_matrix(spec, x[held])
-    est, coef, exponents = [], [], _y_exponent(x, np.abs(Y).max(axis=1), spec)
-    for part in _parts(rows, _width(spec) * (1 if taus is None else taus.size) * n, BLOCK_ELEMENTS):
-        # y keeps one row where Y has one
-        cut = slice(part.start, part.stop)
-        y, shift = (Y[cut], exponents[cut]) if Y.shape[0] > 1 else (Y, exponents)
-        w = np.ones((1, n)) if W is None else W[cut] if W.shape[0] > 1 else W
-        if taus is not None and spec.method != "kernel":
-            # the descent divides residuals by steps down to 1e-10 of their
-            # scale: max|w y| within 2^895 leaves it 2^128 of headroom
-            top = np.abs(w * np.ldexp(y, -shift[:, None])).max(axis=1)
-            shift = shift + np.maximum(0, np.frexp(top)[1] - 895)
-        y = np.ldexp(y, -shift[:, None])
-        shift = shift.reshape((-1,) + (1,) * (1 if taus is None else 2))
-        c = None
-        if spec.method in ("kernel", "loclinear"):
-            y, w = y[:, order], w[:, order]
-            _refuse_thin_windows(spec, xs, lo, hi, w)
-            if taus is None:
-                fits = _window_means(spec, xs, y, lo, hi, w)
-            elif spec.method == "kernel":
-                fits = _kernel_quantiles(y, np.broadcast_to(w, (len(part), n)), lo, hi, taus)
+        design = _basis_matrix(spec, x) if np.all((nodes[0] <= x) & (x <= nodes[-1])) else None
+
+    def fit_rows(Y, W=None):
+        rows = max(Y.shape[0], 1 if W is None else W.shape[0])
+        est, coef, exponents = [], [], _y_exponent(x, np.abs(Y).max(axis=1), spec)
+        for part in _parts(rows, size, BLOCK_ELEMENTS):
+            # y keeps one row where Y has one
+            cut = slice(part.start, part.stop)
+            y, shift = (Y[cut], exponents[cut]) if Y.shape[0] > 1 else (Y, exponents)
+            w = np.ones((1, n)) if W is None else W[cut] if W.shape[0] > 1 else W
+            if taus is not None and spec.method != "kernel":
+                # the descent divides residuals by steps down to 1e-10 of their
+                # scale: max|w y| within 2^895 leaves it 2^128 of headroom
+                top = np.abs(w * np.ldexp(y, -shift[:, None])).max(axis=1)
+                shift = shift + np.maximum(0, np.frexp(top)[1] - 895)
+            y = np.ldexp(y, -shift[:, None])
+            shift = shift.reshape((-1,) + (1,) * (1 if taus is None else 2))
+            c = None
+            if spec.method in ("kernel", "loclinear"):
+                y, w = y[:, order], w[:, order]
+                thin = _thin_windows(spec, xs, lo, hi, w)
+                if np.any(thin):
+                    what = "no data" if spec.method == "kernel" else "fewer than 2 distinct x"
+                    raise EmptyWindowError(f"{what} within bandwidth {float(spec.bandwidth)} of "
+                                           f"node {float(nodes[np.argmax(thin) % nodes.size])}")
+                if taus is None:
+                    fits = _window_means(spec, xs, y, lo, hi, w)
+                elif spec.method == "kernel":
+                    fits = _kernel_quantiles(y, np.broadcast_to(w, (len(part), n)), lo, hi, taus)
+                else:
+                    y, w = np.broadcast_arrays(y, w)
+                    fits = _loclinear_quantiles(xs, y, w, lo, hi, nodes, taus)[0]
             else:
-                y, w = np.broadcast_arrays(y, w)
-                fits = _loclinear_quantiles(xs, y, w, lo, hi, nodes, taus)[0]
-        else:
-            y = np.broadcast_to(y, (len(part), n))
-            w = None if W is None else np.broadcast_to(w, y.shape)
-            solve = _series_means if taus is None else lambda *a: _series_quantiles(x, *a, taus)
-            c = solve(basis, y, w)
-            # a matrix-vector product per fit, since a matrix product rounds differently
-            fits = (grid @ c[..., None])[..., 0]
-        with np.errstate(over="ignore"):
-            # scaled back by 2^s; past the float range a value is +-inf
-            est.append(np.ldexp(fits, shift))
-            coef.append(None if c is None else np.ldexp(c, shift))
-    # in C order, as the rows of a new array: a sum over a row rounds by its layout
-    est = np.ascontiguousarray(np.concatenate(est))
-    return est, None if coef[0] is None else np.concatenate(coef)
+                basis = design
+                if design is None:  # x leaves the range: the basis at the points the rows hold
+                    held = np.any(w > 0.0, axis=0)
+                    basis = np.zeros((n, grid.shape[1]))
+                    basis[held] = _basis_matrix(spec, x[held])
+                y = np.broadcast_to(y, (len(part), n))
+                w = None if W is None else np.broadcast_to(w, y.shape)
+                solve = _series_means if taus is None else lambda *a: _series_quantiles(x, *a, taus)
+                c = solve(basis, y, w)
+                # a matrix-vector product per fit, since a matrix product rounds differently
+                fits = (grid @ c[..., None])[..., 0]
+            with np.errstate(over="ignore"):
+                # scaled back by 2^s; past the float range a value is +-inf
+                est.append(np.ldexp(fits, shift))
+                coef.append(None if c is None else np.ldexp(c, shift))
+        # in C order, as the rows of a new array: a sum over a row rounds by its layout
+        est = np.ascontiguousarray(np.concatenate(est))
+        return est, None if coef[0] is None else np.concatenate(coef)
+
+    return fit_rows
 
 
 # --- public entry points ----------------------------------------------------
@@ -676,8 +680,7 @@ def fit(data: Dataset, spec: EstimatorSpec) -> FitResult:
 def fit_quantile_process(data: Dataset, spec: EstimatorSpec, taus) -> GriddedFunction:
     """Stack per-tau quantile fits into a 2-d function (axis 1: tau, axis 2: x).
 
-    The spec's own loss is ignored.  Row j is fit() at level taus[j] bit for
-    bit.
+    The spec's own loss is ignored.  Row j is fit() at level taus[j] bit for bit.
     """
     taus = _levels("taus", taus)
     est, _ = _fits(data.x, data.y[None], spec, taus)
@@ -695,14 +698,13 @@ def bootstrap(data: Dataset, spec: EstimatorSpec, b_draws: int, seed: int):
 
     Draw b resamples n rows with replacement using an RNG stream derived from
     (seed, b), so results do not depend on evaluation order.  The draw is
-    the count vector of its rows over the fixed data, fit by _fits as a row
-    of count weights, which fits its resample under either loss.  The
-    pending draws of a pass are fit in one call, bisected down to the draws
-    that fail if it raises.  A draw whose fit fails, or is not finite, is
-    redrawn from the stream (seed, b, retry + 1) and counted, in draw order;
-    more than 10% failures abort.  The draws are one function, axis 1 the
-    draw index 0..B-1 and axis 2 the fit's grid; stderr is their per-node
-    standard deviation.
+    its count vector over the fixed data, a row of count weights of one
+    _fitter of the data, which fits the resample under either loss; a pass
+    fits its draws in parts of about BLOCK_ELEMENTS counts (see fit_draws).
+    A draw whose fit fails, or is not finite, is redrawn from the stream
+    (seed, b, retry + 1) and counted, in draw order; more than 10% failures
+    abort.  The draws are one function, axis 1 the draw index 0..B-1 and
+    axis 2 the fit's grid; stderr is their per-node standard deviation.
     """
     b_draws = _integer("b_draws", b_draws, 0)
     if b_draws < 2:
@@ -710,38 +712,42 @@ def bootstrap(data: Dataset, spec: EstimatorSpec, b_draws: int, seed: int):
     seed = _integer("seed", seed, 0)
     n, nodes = data.n, spec.eval_axis.coords.size
     taus = None if spec.loss.kind == "mean" else np.array([float(spec.loss.tau)])
+    fit_rows = _fitter(data.x, spec, taus)
 
     def fit_draws(W):
-        """(draws x nodes estimates, failed draws) of the count rows W."""
+        """(draws x nodes estimates, failed draws) of the count rows W.  If the
+        fit raises, a lone draw fails; else the draws with a window too thin
+        fail and the others are refit, or where there are none, the halves."""
         try:
-            est = _fits(data.x, data.y[None], spec, taus, W)[0].reshape(-1, nodes)
+            est = fit_rows(data.y[None], W)[0].reshape(-1, nodes)
         except (ValidationError, NumericalError):
-            if W.shape[0] == 1:
-                return np.zeros((1, nodes)), np.ones(1, dtype=bool)
-            halves = fit_draws(W[: W.shape[0] // 2]), fit_draws(W[W.shape[0] // 2 :])
-            return tuple(np.concatenate(pair) for pair in zip(*halves))
+            est, failed = np.zeros((W.shape[0], nodes)), np.full(W.shape[0], W.shape[0] == 1)
+            if spec.method in ("kernel", "loclinear"):
+                order, xs, lo, hi = _windows(data.x, spec)
+                failed |= np.any(_thin_windows(spec, xs, lo, hi, W[:, order]), axis=1)
+            rows = np.flatnonzero(~failed)
+            for part in [rows] if np.any(failed) else np.array_split(rows, 2):
+                if part.size:
+                    est[part], failed[part] = fit_draws(W[part])
+            return est, failed
         # fit refuses a non-finite estimate
         return est, ~np.all(np.isfinite(est), axis=1)
 
-    values = np.empty((b_draws, nodes))
-    failures = 0
-    pending = [(b, 0) for b in range(b_draws)]
+    values, failures, pending = np.empty((b_draws, nodes)), 0, [(b, 0) for b in range(b_draws)]
     while pending:
-        idx = np.array([_resample(seed, b, retry, n) for b, retry in pending])
-        # row i counts how often attempt i holds each of the n rows
-        idx += n * np.arange(len(pending))[:, None]
-        est, failed = fit_draws(np.bincount(idx.ravel(), minlength=idx.size).reshape(-1, n) * 1.0)
-        failures += int(np.count_nonzero(failed))
-        if failures > 0.1 * b_draws:
-            raise TooManyFailedDrawsError(f"{failures} failed draws exceed 10% of {b_draws}")
-        values[[b for (b, _), bad in zip(pending, failed) if not bad]] = est[~failed]
-        pending = [(b, retry + 1) for (b, retry), bad in zip(pending, failed) if bad]
+        passing, pending = pending, []
+        for part in _parts(len(passing), n, BLOCK_ELEMENTS):
+            attempts = passing[part.start : part.stop]
+            # row i counts how often attempt i holds each of the n rows
+            W = np.array([np.bincount(_resample(seed, *a, n), minlength=n) for a in attempts])
+            est, failed = fit_draws(W * 1.0)
+            failures += int(np.count_nonzero(failed))
+            if failures > 0.1 * b_draws:
+                raise TooManyFailedDrawsError(f"{failures} failed draws exceed 10% of {b_draws}")
+            values[[b for (b, _), bad in zip(attempts, failed) if not bad]] = est[~failed]
+            pending += [(b, retry + 1) for (b, retry), bad in zip(attempts, failed) if bad]
     if failures:
-        warnings.warn(
-            f"bootstrap redrew {failures} failed draws",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"bootstrap redrew {failures} failed draws", RuntimeWarning, stacklevel=2)
     draws = GriddedFunction([Axis(range(b_draws)), spec.eval_axis], values)
     # the squared deviations of 2^-s values stay finite; s is 0 below about 2^500
     s = max(0, math.frexp(np.abs(values).max())[1] + (math.frexp(b_draws)[1] - 1020) // 2)
