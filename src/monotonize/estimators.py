@@ -61,7 +61,9 @@ class Dataset:
         if x.ndim != 1 or y.ndim != 1:
             raise ShapeMismatchError("x and y must be 1-d")
         if x.size != y.size:
-            raise ShapeMismatchError(f"x and y lengths differ: {x.size} vs {y.size}")
+            raise ShapeMismatchError(
+                f"x and y lengths differ: {x.size} vs {y.size}"
+            )
         if x.size == 0:
             raise EmptyInputError("a dataset needs at least one observation")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
@@ -121,15 +123,18 @@ class EstimatorSpec:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise OutOfRangeError(f"method must be one of {METHODS}, got {self.method!r}")
+            raise OutOfRangeError(
+                f"method must be one of {METHODS}, got {self.method!r}"
+            )
         if not isinstance(self.loss, Loss):
             raise OutOfRangeError("loss must be a Loss instance")
         if not isinstance(self.eval_axis, Axis):
             object.__setattr__(self, "eval_axis", Axis(self.eval_axis))
         if self.method in ("kernel", "loclinear"):
             if self.bandwidth is None or not _real("bandwidth", self.bandwidth) > 0.0:
-                raise OutOfRangeError(f"{self.method} needs a positive bandwidth, "
-                                      f"got {self.bandwidth!r}")
+                raise OutOfRangeError(
+                    f"{self.method} needs a positive bandwidth, got {self.bandwidth!r}"
+                )
         if self.method == "bspline":
             nested = np.array(() if self.knots is None else self.knots, dtype=object)
             if nested.ndim > 1 or not nested.size:
@@ -140,14 +145,16 @@ class EstimatorSpec:
                 raise NonIncreasingAxisError("knots must be strictly increasing")
             lo, hi = self.eval_axis.coords[0], self.eval_axis.coords[-1]
             if not (lo < knots[0] and knots[-1] < hi):
-                raise OutOfDomainError("interior knots must lie strictly inside the "
-                                       "evaluation range")
+                raise OutOfDomainError(
+                    "interior knots must lie strictly inside the evaluation range"
+                )
             object.__setattr__(self, "knots", knots)
         if self.method == "fourier":
             object.__setattr__(self, "n_terms", _integer("n_terms", self.n_terms, 1))
         if not isinstance(self.fourier_linear, (bool, np.bool_)):
-            raise OutOfRangeError("fourier_linear must be true or false, "
-                                  f"got {self.fourier_linear!r}")
+            raise OutOfRangeError(
+                f"fourier_linear must be true or false, got {self.fourier_linear!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -170,8 +177,9 @@ def span_axis(x, nodes: int) -> Axis:
     nodes = _integer("grid", nodes, 2)
     lo, hi = float(np.min(x)), float(np.max(x))
     if not hi > lo:
-        raise OutOfRangeError("an evaluation grid needs at least two distinct x values; "
-                              f"every x is {lo!r}")
+        raise OutOfRangeError(
+            f"an evaluation grid needs at least two distinct x values; every x is {lo!r}"
+        )
     # where max - min overflows, halving the ends and doubling the nodes is exact
     scale = 2.0 if hi - lo == math.inf else 1.0
     return Axis(scale * np.linspace(lo / scale, hi / scale, nodes))
@@ -280,7 +288,9 @@ def _basis_matrix(spec: EstimatorSpec, x: np.ndarray) -> np.ndarray:
     span = hi - lo
     slack = 1e-9 * max(span, 1.0)
     if np.any(x < lo - slack) or np.any(x > hi + slack):
-        raise OutOfDomainError(f"evaluation points outside the basis domain [{first}, {last}]")
+        raise OutOfDomainError(
+            f"evaluation points outside the basis domain [{first}, {last}]"
+        )
     xc = np.clip(x, lo, hi)
     if spec.method == "bspline":
         t = np.concatenate([np.full(4, lo), np.ldexp(spec.knots, -g), np.full(4, hi)])
@@ -680,7 +690,8 @@ def fit(data: Dataset, spec: EstimatorSpec) -> FitResult:
 def fit_quantile_process(data: Dataset, spec: EstimatorSpec, taus) -> GriddedFunction:
     """Stack per-tau quantile fits into a 2-d function (axis 1: tau, axis 2: x).
 
-    The spec's own loss is ignored.  Row j is fit() at level taus[j] bit for bit.
+    The spec's own loss is ignored.  Row j is fit() at level taus[j] bit for
+    bit.
     """
     taus = _levels("taus", taus)
     est, _ = _fits(data.x, data.y[None], spec, taus)

@@ -1158,6 +1158,61 @@ def test_bootstrap_failures_and_redraws_match_the_oracle(case, outcomes):
     assert outcomes <= seen
 
 
+def _spy_on_draw_fits(monkeypatch):
+    """Record the rows x n of the count weights of every call of the fitter
+    that bootstrap prepares."""
+    calls, real = [], estimators._fitter
+
+    def fitter(*args):
+        fit_rows = real(*args)
+
+        def spy(Y, W=None):
+            calls.append(W.shape)
+            return fit_rows(Y, W)
+
+        return spy
+
+    monkeypatch.setattr(estimators, "_fitter", fitter)
+    return calls
+
+
+@pytest.mark.parametrize("case", [0, 2, 3], ids=["kernel", "bspline", "outside-domain"])
+def test_bootstrap_fits_parts_of_at_most_one_block_of_counts(monkeypatch, case):
+    # a pass holds the counts of one part of its draws at a time, and the
+    # parts, failures and redraws change no bit
+    data, spec = list(_failing_cases())[case]
+    for seed in range(3):
+        want = _bootstrap_outcome(bootstrap, data, spec, 40, seed)
+        with monkeypatch.context() as m:
+            calls = _spy_on_draw_fits(m)
+            m.setattr(estimators, "BLOCK_ELEMENTS", 7 * data.n)
+            got = _bootstrap_outcome(bootstrap, data, spec, 40, seed)
+        assert max(rows for rows, _ in calls) <= 7 and len(calls) >= 6
+        assert got[0] == want[0] and got[3] == want[3]
+        for a, b in zip(got[1:3], want[1:3]):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", [0, 1, 4], ids=["kernel", "loclinear-tied", "kernel-quantile"])
+def test_bootstrap_fails_thin_window_draws_from_one_mask(monkeypatch, case):
+    # a part whose fit raises for thin windows is fit once more, without
+    # its thin draws, rather than bisected
+    data, spec = list(_failing_cases())[case]
+    calls = _spy_on_draw_fits(monkeypatch)
+    redrawn = 0
+    for seed in range(6):
+        calls.clear()
+        outcome, _, _, caught = _bootstrap_outcome(bootstrap, data, spec, 40, seed)
+        if outcome == "abort" or not caught:
+            continue
+        failed = int(caught[0].split()[2])
+        redrawn += 1
+        # each pass is one part: at most two calls, and a pass per failure at most
+        assert len(calls) <= 2 * (1 + failed), (seed, calls)
+        assert calls[0][0] == 40 and calls[1][0] < 40
+    assert redrawn
+
+
 @pytest.mark.parametrize("method", ["kernel", "loclinear", "bspline", "fourier"])
 def test_check_loss_bootstrap_is_the_oracle_bit_for_bit(method):
     rng = np.random.default_rng(41)
