@@ -21,9 +21,10 @@ operators guarantee improvement path by path, not just on average.
 
 Determinism: replication r draws from an RNG stream derived from (seed, r)
 and bootstrap streams are derived from (seed, r, estimator).  Tables 1 and
-2 fit a block of replications in one call per estimator; table 3 fits one
-at a time.  Each estimator's fits of a block of replications are stacked
-along a leading replication axis for the repairs, measures and checks.
+2 fit a block of replications in one call per estimator, and table 3 every
+replication in one call per estimator, then bootstraps one replication and
+estimator at a time.  Each estimator's fits of a block of replications are
+stacked along a leading replication axis for the repairs, measures and checks.
 The fitting, axis-by-axis, L^p, tolerance and coverage cores leave that
 axis alone and give each replication the bits of its own computation, so
 a report depends only on the config, and a violation names the lowest
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import reduce
 
 import numpy as np
 
@@ -53,7 +55,6 @@ from .estimators import (
     _fits,
     _parts,
     bootstrap,
-    fit,
     span_axis,
 )
 from .grid import INF, Axis, GriddedFunction, _integer, _levels, _lp_rows, _real, _reals
@@ -136,17 +137,56 @@ def true_cef(x, beta=BENCHMARK_BETA):
     return float(out) if np.isscalar(x) else out
 
 
+# Cephes ndtri's rational functions (Moshier 1989) as (P, Q), highest power first, each Q
+# led by its implicit 1: in (u - 1/2)^2 on the centre, then in 1/x for x < 8 and x >= 8.
+_NDTRI_E2 = 0.13533528323661269189  # e^-2
+_NDTRI_PQ = (
+    ((-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+      1.39312609387279679503e1, -1.23916583867381258016e0),
+     (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+      -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+      1.59056225126211695515e1, -1.18331621121330003142e0)),
+    ((4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+      4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+      -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4),
+     (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+      1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+      -3.80806407691578277194e-2, -9.33259480895457427372e-4)),
+    ((3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+      1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+      3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9),
+     (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+      2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+      2.89247864745380683936e-6, 6.79019408009981274425e-9)),
+)
+
+
+def _ndtri(u: float) -> float:
+    """The standard normal u-quantile for 0 < u < 1: Cephes ndtri in its own
+    order of operations (Horner, math.log, math.sqrt), which makes it
+    scipy.special.ndtri bit for bit."""
+    def ratio(t, pq):
+        p, q = (reduce(lambda acc, c: acc * t + c, coefs) for coefs in pq)
+        return t * p / q
+
+    flip = u > 1.0 - _NDTRI_E2
+    y = 1.0 - u if flip else u
+    if y > _NDTRI_E2:
+        y -= 0.5
+        return (y + y * ratio(y * y, _NDTRI_PQ[0])) * 2.50662827463100050242
+    x = math.sqrt(-2.0 * math.log(y))
+    x = x - math.log(x) / x - ratio(1.0 / x, _NDTRI_PQ[1 if x < 8.0 else 2])
+    return x if flip else -x
+
+
 def true_cqf(u, x, beta=BENCHMARK_BETA, sigma=DEFAULT_SIGMA):
     """True conditional u-quantile at age x under gaussian noise; +-inf past the float range."""
     u = np.asarray(u, dtype=float)
     if not (np.all(u > 0.0) and np.all(u < 1.0)):
         raise OutOfRangeError("quantile levels must lie in (0, 1)")
-    # imported here so that only this function loads scipy; ndtri is
-    # scipy.stats.norm.ppf bit for bit
-    from scipy.special import ndtri
-
+    quantiles = np.reshape([_ndtri(t) for t in u.ravel().tolist()], u.shape)
     with np.errstate(over="ignore"):
-        out = true_cef(x, beta) + float(sigma) * ndtri(u)
+        out = true_cef(x, beta) + float(sigma) * quantiles
     return float(out) if np.isscalar(x) and u.ndim == 0 else out
 
 
@@ -450,16 +490,15 @@ def _run_bands_table(cfg: McConfig) -> McReport:
 
     # the critical value of a method pools the max-t statistics of every
     # replication, so all fits and bootstrap stderrs come first
-    fits = []
+    y_mean = _mean_y(cfg)
+    y = np.array([_draw_y(cfg, r, y_mean) for r in range(cfg.reps)])
+    centers = [_fits(cfg.x_design, y, spec)[0] for spec in specs]
+    stderrs = [np.empty_like(c) for c in centers]
     for r in range(cfg.reps):
-        data = simulate_rep(cfg, r)
-        fits.append([])
+        data = Dataset(cfg.x_design, y[r])
         for ei, spec in enumerate(specs):
-            fhat = fit(data, spec).estimate
-            stderr, _ = bootstrap(
-                data, spec, cfg.bootstrap_B, _bootstrap_seed(cfg, r, ei)
-            )
-            fits[r].append((fhat, stderr))
+            seed = _bootstrap_seed(cfg, r, ei)
+            stderrs[ei][r] = bootstrap(data, spec, cfg.bootstrap_B, seed)[0].values
 
     coverage = np.empty((cfg.reps, len(specs), 1 + len(labels)), dtype=bool)
     lengths = np.empty((cfg.reps, len(specs), 1 + len(labels), len(REPORT_PS)))
@@ -467,16 +506,17 @@ def _run_bands_table(cfg: McConfig) -> McReport:
     for ei, (spec, truth) in enumerate(zip(specs, truths)):
         stats = []
         for r in range(cfg.reps):
+            fhat, stderr = (truth.with_values(v[ei][r]) for v in (centers, stderrs))
             try:
-                stats.append(max_t(truth, *fits[r][ei]))
+                stats.append(max_t(truth, fhat, stderr))
             except AllNodesDegenerateError as exc:
                 raise AllNodesDegenerateError(f"replication {r}: {exc}") from None
         critical = order_statistic_quantile(stats, cfg.alpha)
         criticals.append(critical)
         for reps in _blocks(cfg, truth.values.size):
             center, stderr = (
-                GriddedFunction([Axis(reps), *truth.axes], [fits[r][ei][k].values for r in reps])
-                for k in (0, 1)
+                GriddedFunction([Axis(reps), *truth.axes], v[ei][reps.start : reps.stop])
+                for v in (centers, stderrs)
             )
             band = assemble_band(center, stderr, critical)
             # each end-point through the same operator, as bands.monotonize_band does
@@ -525,7 +565,8 @@ def run_experiment(cfg: McConfig, table: int = 1) -> McReport:
     table selects the report: 1 for mean-fit errors, 2 for quantile-process
     errors, 3 for confidence bands.  Replications run in blocks (see
     _blocks): tables 1 and 2 fit a block in one call per estimator, table 3
-    one replication at a time, and repairs and checks take a block at once,
+    all replications in one call per estimator and then bootstraps one
+    replication at a time, and repairs and checks take a block at once,
     each replication with its own bits.  A failed check raises
     ImprovementViolationError for the lowest failing replication (in table
     3, of the first method with one).

@@ -164,8 +164,9 @@ def eta_p(k_interval, epsilon: float, p: float, resolution: int = 21) -> float:
 
     Minimizes |v - t'|^p + |v' - t|^p - |v - t|^p - |v' - t'|^p over lattice
     points of k_interval^4 subject to v' >= v + epsilon and t' >= t + epsilon.
-    The minimum is positive and lower-bounds the L^p^p improvement that each
-    unit of measure of an epsilon-separated violation must yield.
+    The minimum lower-bounds the L^p^p improvement that each unit of measure
+    of an epsilon-separated violation must yield: it is positive for p > 1,
+    the paper's strict-improvement case, and 0 at p = 1.
 
     k_interval is the value interval K, typically taken to be the observed
     [min, max] of the functions involved.  resolution is the number of

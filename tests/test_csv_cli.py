@@ -869,10 +869,10 @@ def test_cli_simulate_improvement_violation_is_one_numerical_failure_line(
 def test_cli_simulate_degenerate_band_stderr_is_one_numerical_failure_line(
     tmp_path, capsys, monkeypatch
 ):
-    from monotonize import montecarlo
+    from monotonize import estimators, montecarlo
 
     def zero_stderr(data, spec, n_draws, seed):
-        fhat = montecarlo.fit(data, spec).estimate
+        fhat = estimators.fit(data, spec).estimate
         return fhat.with_values(np.zeros(fhat.shape)), [fhat, fhat]
 
     monkeypatch.setattr(montecarlo, "bootstrap", zero_stderr)

@@ -5,11 +5,11 @@ isotonic) and numpy; the names of bands, estimators and montecarlo resolve
 on first access to the same objects as in their modules.  `python -m
 monotonize` with rearrange, isotonize or band loads neither estimators nor
 montecarlo, and estimate loads montecarlo only for a --taus process.
-scipy, concurrent.futures and numpy.ma stay off the runtime import path: the
-repairs, estimate and band commands import numpy only, and not its numpy.ma;
-true_cqf, which table 2 of simulate needs, is the one place that loads
-scipy.special.  simulate runs its replications serially and loads no
-concurrent.futures.
+scipy, concurrent.futures and numpy.ma stay off the runtime import path:
+every command imports numpy only, and the repairs, estimate and band not its
+numpy.ma; table 2 of simulate, whose true quantile surface needs the normal
+quantile function, loads no scipy and runs where scipy cannot be imported.
+simulate runs its replications serially and loads no concurrent.futures.
 Each check runs in a fresh interpreter, since this test process has
 imported scipy for its oracles and every module of the package.
 """
@@ -54,17 +54,19 @@ for loss in (["--loss", "mean"], ["--loss", "quantile", "--tau", "0.3"]):
     assert _modules_after(code, tmp_path) == set()
 
 
-def test_simulate_table_2_loads_scipy_special_only(tmp_path):
+def test_simulate_table_2_loads_no_scipy(tmp_path):
     config = {"reps": 1, "grid": 8, "taus": [0.25, 0.5, 0.75],
               "estimators": [{"method": "kernel", "bandwidth": 3.0}]}
     (tmp_path / "c.json").write_text(json.dumps(config), encoding="utf-8")
     code = """
 from monotonize.cli import main
-assert main(["simulate", "--config", "c.json", "--table", "2", "--out", "t.csv"]) == 0
+assert main(["simulate", "--config", "c.json", "--table", "2", "--out", {out!r}]) == 0
 """
-    loaded = _modules_after(code, tmp_path)
-    assert "scipy.special" in loaded
-    assert not any(m.startswith(("scipy.stats", "scipy.interpolate")) for m in loaded)
+    assert _modules_after(code.format(out="t.csv"), tmp_path) == set()
+    # a None entry in sys.modules makes every import of scipy raise ImportError
+    blocked = 'import sys\nsys.modules["scipy"] = None\n' + code.format(out="u.csv")
+    _modules_after(blocked, tmp_path, "monotonize")
+    assert (tmp_path / "u.csv").read_bytes() == (tmp_path / "t.csv").read_bytes()
 
 
 def test_import_and_simulate_table_1_load_no_concurrent_futures(tmp_path):

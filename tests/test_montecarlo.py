@@ -1,9 +1,11 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from monotonize import estimators, montecarlo
@@ -101,6 +103,25 @@ def test_true_cqf_values_and_monotonicity():
     for u in (0.0, 1.0, -0.2):
         with pytest.raises(OutOfRangeError):
             true_cqf(u, 7.0)
+
+
+def test_ndtri_port_equals_scipy_ndtri_bit_for_bit():
+    k = np.arange(1.0, 301.0)
+    # each side of the centre/tail switches at e^-2 and 1 - e^-2 and of the
+    # tail switch at x = 8, where u = e^-32
+    switches = [math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0)]
+    u = np.concatenate([
+        full_tau_net(),
+        desk_tau_net(),
+        np.random.default_rng(2009).random(200_000),
+        10.0 ** -k,
+        1.0 - 10.0 ** -k[:16],
+        [5e-324],
+        [np.nextafter(s, toward) for s in switches for toward in (0.0, 1.0)],
+    ])
+    assert np.all((u > 0.0) & (u < 1.0))
+    port = np.array([montecarlo._ndtri(t) for t in u.tolist()])
+    assert np.array_equal(port.view(np.int64), ndtri(u).view(np.int64))
 
 
 def test_default_estimators_cover_all_methods():
@@ -518,7 +539,7 @@ def test_a_crossing_variant_band_aborts_the_run(monkeypatch):
 def test_bands_table_zero_stderr_names_the_replication(monkeypatch):
     # a bootstrap whose stderr is zero at every node leaves no max-t statistic
     def zero_stderr(data, spec, n_draws, seed):
-        fhat = montecarlo.fit(data, spec).estimate
+        fhat = estimators.fit(data, spec).estimate
         return fhat.with_values(np.zeros(fhat.shape)), [fhat, fhat]
 
     monkeypatch.setattr(montecarlo, "bootstrap", zero_stderr)
