@@ -345,22 +345,21 @@ def _series_quantiles(x, design: np.ndarray, Y: np.ndarray, W, taus) -> np.ndarr
     """Exact check-loss coefficients of the rows of Y at every level of taus,
     rows x levels x k.
 
-    One _descent per (row, level), from the row's least-squares start, on
-    the rows of design and Y[i] scaled by the counts W[i] (None: unit
-    weights; weight 0 is outside the problem).  A weighted design that every
-    problem shares is one view.  The final basis is solved on the unweighted
-    rows in the order of their x, so that a fit does not depend on the order
-    of its data.
+    One _descent per (row, level) on the rows of design and Y[i] scaled by
+    the counts W[i] (None: unit weights; weight 0 is outside the problem),
+    each from its _start_bases on the row's least-squares residuals.  A
+    weighted design that every problem shares is one view.  The final basis
+    is solved on the unweighted rows in the order of their x, so that a fit
+    does not depend on the order of its data.
     """
     rows, (n, k), m = Y.shape[0], design.shape, taus.size
     coef = _series_means(design, Y, W)
     w = np.ones((1, n)) if W is None else W
     wd = w[:, :, None] * design
     R = np.where(w > 0.0, Y - (design @ coef[:, :, None])[:, :, 0], np.inf)
-    start = _start_bases(np.broadcast_to(wd, (rows, n, k)), R)
+    start = _start_bases(np.broadcast_to(wd, (rows, n, k)), R, w, taus)
     share = lambda a: np.broadcast_to(a[:, None], (rows, m) + a.shape[1:]).reshape(-1, *a.shape[1:])
-    h = _descent(share(wd), share(w * Y), share(w > 0.0), np.tile(taus, rows),
-                 np.repeat(start, m, axis=0))
+    h = _descent(share(wd), share(w * Y), share(w > 0.0), np.tile(taus, rows), start.reshape(-1, k))
     h = np.take_along_axis(h, np.argsort(x[h], axis=1, kind="stable"), axis=1)
     y = Y[np.repeat(np.arange(rows), m)[:, None], h]
     return np.linalg.solve(design[h], y[:, :, None])[:, :, 0].reshape(rows, m, k)
@@ -369,28 +368,51 @@ def _series_quantiles(x, design: np.ndarray, Y: np.ndarray, W, taus) -> np.ndarr
 # --- check-loss descent -------------------------------------------------------
 
 
-def _start_bases(D: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Per problem (D: problems x rows x k), the k rows of least |R| whose rows
-    of D are independent, by greedy Gram-Schmidt in that order: a row joins
-    when more than 1e-6 of its norm lies outside the rows taken, and the row
-    taken is orthogonalized a second time.  Zero rows never join."""
-    m, n, k = D.shape
-    order = np.argsort(np.abs(R), axis=1, kind="stable")
-    rows, index = np.arange(m), np.arange(n)
-    cand = np.take_along_axis(D, order[:, :, None], axis=1)
-    scale = 1e-6 * np.linalg.norm(cand, axis=2)
-    q, basis, after = np.zeros((m, 0, k)), np.empty((m, k), dtype=np.intp), np.zeros((m, 1))
-    for j in range(k):
-        v = cand - cand @ q.transpose(0, 2, 1) @ q
-        v -= v @ q.transpose(0, 2, 1) @ q
-        norm = np.linalg.norm(v, axis=2)
-        ok = (norm > scale) & (index >= after)
-        if not np.all(np.any(ok, axis=1)):
+def _start_bases(D: np.ndarray, R: np.ndarray, w=None, taus=(0.5,)) -> np.ndarray:
+    """Per group g (D: groups x rows x k, R: groups x rows, +inf outside)
+    and level tau, the k rows of least |R - q| with independent rows of D,
+    groups x levels x k; q is the ceil(tau sum w)-th order statistic of R[g]
+    counted by w (None: ones).  Greedy Gram-Schmidt in the order of
+    (|R - q|, R, row): a row joins when more than 1e-6 of its norm lies
+    outside the rows taken, and is orthogonalized twice; zero rows never
+    join.  It runs on the 4k + 1 rows around q in one sort of R[g], twice as
+    many again where those nearer q than any row left out are too few, and
+    never returns to a row it skipped: the basis is that of all rows."""
+    g, n, k = D.shape
+    order = np.argsort(R, axis=1, kind="stable")
+    # sorted R between two +inf, which stand for the rows past either end
+    sr = np.pad(np.take_along_axis(R, order, axis=1), ((0, 0), (1, 1)), constant_values=np.inf)
+    counts = np.broadcast_to(np.isfinite(R) if w is None else w, R.shape)
+    held = np.cumsum(np.take_along_axis(counts, order, axis=1), axis=1)
+    # q's place: the first count past q's 0-based rank
+    rank = _order_index(np.asarray(taus, dtype=float), held[:, -1:])
+    at = np.count_nonzero(held[:, None, :] <= rank[..., None], axis=2)
+    grp, at = np.arange(at.size) // at.shape[1], at.ravel()
+    basis, todo, reach = np.empty((at.size, k), dtype=np.intp), np.arange(at.size), 2 * k
+    while todo.size:
+        pos = np.clip(at[todo, None] + np.arange(-reach, reach + 3), 0, n + 1)
+        near = np.abs(sr[grp[todo, None], pos] - sr[grp[todo], at[todo] + 1, None])
+        # a candidate counts only if it lies nearer q than every row left out
+        by = np.argsort(near[:, 1:-1], axis=1, kind="stable")
+        valid = np.take_along_axis(near[:, 1:-1], by, 1) < np.minimum(near[:, :1], near[:, -1:])
+        idx = order[grp[todo, None], np.take_along_axis(np.clip(pos[:, 1:-1] - 1, 0, n - 1), by, 1)]
+        cand, p = D[grp[todo, None], idx], np.arange(todo.size)
+        scale, after = 1e-6 * np.linalg.norm(cand, axis=2), np.zeros((todo.size, 1))
+        q, short = np.zeros((todo.size, 0, k)), np.zeros(todo.size, dtype=bool)
+        for j in range(k):
+            v = cand - cand @ q.transpose(0, 2, 1) @ q
+            v -= v @ q.transpose(0, 2, 1) @ q
+            norm = np.linalg.norm(v, axis=2)
+            ok = (norm > scale) & (np.arange(idx.shape[1]) >= after) & valid
+            none, first = ~np.any(ok, axis=1), np.argmax(ok, axis=1)
+            # a problem short of rows takes a zero direction until it widens
+            u = v[p, first] / np.where(none, np.inf, norm[p, first])[:, None]
+            q, short = np.concatenate([q, u[:, None]], axis=1), short | none
+            basis[todo, j], after = idx[p, first], first[:, None] + 1
+        if np.any(short & (near[:, 0] == np.inf) & (near[:, -1] == np.inf)):
             raise RankDeficientDesignError(f"design has no {k} well-separated rows")
-        first = np.argmax(ok, axis=1)
-        q = np.concatenate([q, (v[rows, first] / norm[rows, first, None])[:, None]], axis=1)
-        basis[:, j], after = order[rows, first], first[:, None] + 1
-    return basis
+        todo, reach = todo[short], 2 * reach
+    return basis.reshape(g, -1, k)
 
 
 def _pivot_cap(n: int, k: int) -> int:
@@ -414,82 +436,99 @@ def _descent(D: np.ndarray, y: np.ndarray, inside: np.ndarray, taus, start) -> n
     adds |x_i'd| to the slope (|x_i'd| <= 1e-10 max|x| max|d| is parallel).
     In order of (t_i, row), rows pass until the slope turns non-negative, and
     the row where it turns enters; that order and the kept sides keep
-    degenerate vertices from cycling.  X_h^-1 follows by rank-one updates.
-    A row outside a problem has psi = 0 and t = inf, and counts in neither n
-    nor the sums and maxima over x.  Every operation works problem by
-    problem, so each gets the bits of a call with that problem alone.  A D
-    that every problem shares (a stride-0 view) is never copied.
+    degenerate vertices from cycling.  X_h^-1 follows by rank-one updates
+    and r by steps, and both drift from an ill-conditioned basis, so a vertex
+    retires only once it passes on X_h^-1 and r computed afresh from its
+    basis, in a batch of the vertices that passed in one round; one that
+    fails descends on, and one whose fresh check loss is not below its last
+    retires as it is (fresh sides of zero residuals can fail an optimal
+    vertex).  n k pivots in all is a numerical failure.  A row outside has
+    psi = 0 and t = inf, and counts in neither n nor the sums and maxima
+    over x.  Every operation works problem by problem, so each gets the bits
+    of a call with that problem alone.  A D that every problem shares (a
+    stride-0 view) is never copied.
     """
     m, n, k = D.shape
-    rows, index = np.arange(m), np.arange(n)
+    index, cap, pivots = np.arange(n), _pivot_cap(n, k), 0
     # problems that share D share inside too, and their sums are taken once
     lead = slice(0, 1) if D.strides[0] == 0 else slice(None)
     mag = np.where(inside[lead, :, None], np.abs(D[lead]), 0.0)
     size, top = np.broadcast_to(mag.sum(axis=1), (m, k)), np.broadcast_to(mag.max(axis=(1, 2)), m)
     slack = -np.count_nonzero(inside, axis=1) * np.finfo(float).eps
-    basis = D[rows[:, None], start]
-    inv = np.linalg.inv(basis)
-    r = y - (D @ np.linalg.solve(basis, y[rows[:, None], start][:, :, None]))[:, :, 0]
-    side = np.where(r >= 0.0, 1.0, -1.0)
-    out = np.empty((m, k), dtype=np.intp)
-    act, h = rows, start.copy()
-    for _ in range(_pivot_cap(n, k)):
-        tau, rows = taus[act, None], np.arange(act.size)
-        r[rows[:, None], h] = 0.0
-        psi = np.where(inside, (tau - 0.5) + 0.5 * side, 0.0)
-        psi[rows[:, None], h] = 0.0
-        xi = (psi[:, None, :] @ D @ inv)[:, 0]
-        entries = np.hstack([(1.0 - tau) - xi, tau + xi])
-        neg = entries < slack[:, None] * np.tile((size[:, None, :] @ np.abs(inv))[:, 0], 2)
-        go = np.any(neg, axis=1)
-        if not np.all(go):
-            out[act[~go]] = h[~go]
-            D = D[: np.count_nonzero(go)] if D.strides[0] == 0 else D[go]
-            act, h, inv, r, side, inside, size, top, slack, entries, neg = (
-                v[go] for v in (act, h, inv, r, side, inside, size, top, slack, entries, neg)
-            )
-            if not act.size:
-                break
-            rows = np.arange(act.size)
-        c = np.argmin(np.where(neg, entries, np.inf), axis=1)
-        j = c % k
-        col = inv[rows, :, j]
-        d = np.where(c < k, 1.0, -1.0)[:, None] * col
-        a = (D @ d[:, :, None])[:, :, 0]
-        # sa > 0 where a residual moves toward its other side; r rounded across
-        # its side crosses at t = 0, and a row that does not cross has weight 0
-        sa, thr = side * a, 1e-10 * top[:, None] * np.abs(d).max(axis=1, keepdims=True)
-        sa[rows[:, None], h] = 0.0
-        cross = (sa > thr) & inside
-        t = np.where(inside, np.maximum(side * r, 0.0) / np.maximum(sa, thr), np.inf)
-        w = sa * cross
-        order = np.argsort(t, axis=1) + (n * rows)[:, None]
-        cum = np.cumsum(np.take(w, order), axis=1)
-        target = np.minimum(-entries[rows, c], cum[:, -1])
-        if not np.all(target > 0.0):
-            raise NumericalError("a check-loss descent direction crosses no row")
-        step = np.take(t, order[rows, np.count_nonzero(cum < target[:, None], axis=1)])
-        tied, passed = cross & (t == step[:, None]), cross & (t < step[:, None])
-        enter = np.argmax(tied, axis=1)
-        many = np.flatnonzero(np.count_nonzero(tied, axis=1) > 1)
-        if many.size:
-            # rows tied at the step pass in row order until the slope turns
-            sums = np.sum(w[many] * passed[many], axis=1)[:, None] - target[many, None]
-            reach = tied[many] & (sums + np.cumsum(w[many] * tied[many], axis=1) >= 0.0)
-            last = n - 1 - np.argmax(tied[many, ::-1], axis=1)
-            enter[many] = np.where(np.any(reach, axis=1), np.argmax(reach, axis=1), last)
-            passed[many] |= tied[many] & (index < enter[many, None])
-        np.negative(side, out=side, where=passed)
-        side[rows, h[rows, j]] = np.where(c < k, -1.0, 1.0)
-        r -= step[:, None] * a
-        r[tied] = 0.0
-        h[rows, j] = enter
-        row = (D[rows, enter][:, None, :] @ inv)[:, 0]
-        row[rows, j] -= 1.0
-        inv -= (col / (row[rows, j] + 1.0)[:, None])[:, :, None] * row[:, None, :]
-    else:
-        cap = _pivot_cap(n, k)
-        raise NumericalError(f"check-loss descent: {act.size} levels unsolved after {cap} pivots")
+    # a view that every problem shares is cut and joined, never gathered
+    cut = lambda vs, keep: [v[: keep.sum()] if v.strides[0] == 0 else v[keep] for v in vs]
+    join = lambda parts: (np.concatenate(parts) if parts[0].strides[0] else np.broadcast_to(
+        parts[0][:1], (sum(map(len, parts)),) + parts[0].shape[1:]))
+    out, loss = start.copy(), np.full(m, np.inf)
+    data = [np.arange(m), D, y, inside, size, top, slack]
+    while data:
+        # a round: X_h^-1 and r afresh from the bases in out
+        act, D, y, inside, size, top, slack = data
+        rows, h, fresh, stale, data = np.arange(act.size), out[act], True, [], None
+        inv = np.linalg.inv(D[rows[:, None], h])
+        r = y - (D @ (inv @ y[rows[:, None], h][:, :, None]))[:, :, 0]
+        side = np.where(r >= 0.0, 1.0, -1.0)
+        now = np.sum(r * (taus[act, None] - (r < 0.0)), axis=1)  # r is 0 outside
+        stuck, loss[act] = now >= loss[act], now
+        while act.size:
+            tau, rows = taus[act, None], np.arange(act.size)
+            r[rows[:, None], h] = 0.0
+            psi = np.where(inside, (tau - 0.5) + 0.5 * side, 0.0)
+            psi[rows[:, None], h] = 0.0
+            xi = (psi[:, None, :] @ D @ inv)[:, 0]
+            del psi  # before the step's work arrays of the same size
+            entries = np.hstack([(1.0 - tau) - xi, tau + xi])
+            neg = entries < slack[:, None] * np.tile((size[:, None, :] @ np.abs(inv))[:, 0], 2)
+            go = np.any(neg, axis=1) & ~(fresh & stuck)
+            if not np.all(go):
+                out[act[~go]] = h[~go]
+                stale += [] if fresh else [cut((act, D, y, inside, size, top, slack), ~go)]
+                act, D, y, inside, size, top, slack, h, inv, r, side, entries, neg, stuck = cut(
+                    (act, D, y, inside, size, top, slack, h, inv, r, side, entries, neg, stuck), go)
+                if not act.size:
+                    break
+                rows = np.arange(act.size)
+            if pivots == cap:
+                raise NumericalError(
+                    f"check-loss descent: {act.size} levels unsolved after {cap} pivots")
+            fresh, pivots = False, pivots + 1
+            c = np.argmin(np.where(neg, entries, np.inf), axis=1)
+            j = c % k
+            col = inv[rows, :, j]
+            d = np.where(c < k, 1.0, -1.0)[:, None] * col
+            a = (D @ d[:, :, None])[:, :, 0]
+            # sa > 0 where a residual moves toward its other side; r rounded across
+            # its side crosses at t = 0, and a row that does not cross has weight 0
+            sa, thr = side * a, 1e-10 * top[:, None] * np.abs(d).max(axis=1, keepdims=True)
+            sa[rows[:, None], h] = 0.0
+            cross = (sa > thr) & inside
+            t = np.where(inside, np.maximum(side * r, 0.0) / np.maximum(sa, thr), np.inf)
+            w = sa * cross
+            order = np.argsort(t, axis=1) + (n * rows)[:, None]
+            cum = np.cumsum(np.take(w, order), axis=1)
+            target = np.minimum(-entries[rows, c], cum[:, -1])
+            if not np.all(target > 0.0):
+                raise NumericalError("a check-loss descent direction crosses no row")
+            step = np.take(t, order[rows, np.count_nonzero(cum < target[:, None], axis=1)])
+            tied, passed = cross & (t == step[:, None]), cross & (t < step[:, None])
+            enter = np.argmax(tied, axis=1)
+            many = np.flatnonzero(np.count_nonzero(tied, axis=1) > 1)
+            if many.size:
+                # rows tied at the step pass in row order until the slope turns
+                sums = np.sum(w[many] * passed[many], axis=1)[:, None] - target[many, None]
+                reach = tied[many] & (sums + np.cumsum(w[many] * tied[many], axis=1) >= 0.0)
+                last = n - 1 - np.argmax(tied[many, ::-1], axis=1)
+                enter[many] = np.where(np.any(reach, axis=1), np.argmax(reach, axis=1), last)
+                passed[many] |= tied[many] & (index < enter[many, None])
+            np.negative(side, out=side, where=passed)
+            side[rows, h[rows, j]] = np.where(c < k, -1.0, 1.0)
+            r -= step[:, None] * a
+            r[tied] = 0.0
+            h[rows, j] = enter
+            row = (D[rows, enter][:, None, :] @ inv)[:, 0]
+            row[rows, j] -= 1.0
+            inv -= (col / (row[rows, j] + 1.0)[:, None])[:, :, None] * row[:, None, :]
+        data = stale and [join(parts) for parts in zip(*stale)]
     return np.sort(out, axis=1)
 
 
@@ -510,10 +549,10 @@ def _loclinear_quantiles(xs, Y, W, lo, hi, nodes, taus) -> tuple:
 
     Each (row, level, node) is a _descent on the node's window, with rows
     w (1, u) and outcomes w y (weight 0 is outside the problem), where
-    u = 2^-e (x - x_first) is scaled exactly so that max u lies in [1/2, 1).
-    Every level of a window starts from the rows of least |weighted
-    least-squares residual|.  Windows are gathered, and problems run, in
-    parts of BLOCK_ELEMENTS / 4 numbers per work array.  The line through the
+    u = 2^-e (x - x_first) is scaled exactly so that max u lies in [1/2, 1),
+    from its _start_bases on the window's weighted least-squares residuals.
+    Windows are gathered, and problems started and run, in parts of
+    BLOCK_ELEMENTS / 4 numbers per work array.  The line through the
     final basis is solved on the unweighted rows in node coordinates
     (1, 2^-e (x - node)), so that its slope stays finite where a slope in x
     would not.  x and the nodes are first scaled exactly by 2^-g into 2^1022,
@@ -535,11 +574,13 @@ def _loclinear_quantiles(xs, Y, W, lo, hi, nodes, taus) -> tuple:
         uc = np.where(inwin, u - (w * u).sum(axis=1, keepdims=True) / count, 0.0)
         yc = y - wy.sum(axis=1, keepdims=True) / count
         b = np.sum(w * uc * yc, axis=1, keepdims=True) / np.sum(w * uc * uc, axis=1, keepdims=True)
-        start = _start_bases(D, np.where(inside, yc - b * uc, np.inf))
-        level, win = np.divmod(np.arange(taus.size * j.size), j.size)
-        for sub in _parts(level.size, 4 * width, BLOCK_ELEMENTS):
+        win, level = np.divmod(np.arange(j.size * taus.size), taus.size)
+        for sub in _parts(win.size, 4 * width, BLOCK_ELEMENTS):
             v, at = win[sub.start : sub.stop], level[sub.start : sub.stop]
-            h[r[v], at, j[v]] = _descent(D[v], wy[v], inside[v], taus[at], start[v])
+            s = slice(v[0], v[-1] + 1)
+            R = np.where(inside[s], yc[s] - b[s] * uc[s], np.inf)
+            start = _start_bases(D[s], R, w[s], taus)[v - v[0], at]
+            h[r[v], at, j[v]] = _descent(D[v], wy[v], inside[v], taus[at], start)
     h += lo[:, None]
     line = np.stack([np.ones(h.shape), np.ldexp(xs[h] - nodes[:, None], -e[:, None])], axis=-1)
     coef = np.linalg.solve(line, Y[np.arange(rows)[:, None, None, None], h][..., None])[..., 0]

@@ -16,9 +16,11 @@ csvio._read_rows, which hands what it can to numpy's C reader, must also
 raise its errors word for word.
 window_mean_reference is the unweighted kernel and local-linear mean fit,
 kernel_quantile_process_reference takes one sample_quantile per level and
-window, and bootstrap_oracle refits every draw on its resampled rows, one
-draw at a time, and stacks the draws at the end; the weighted, blocked
-bootstrap must match it to rounding.  montecarlo_reference computes the
+window, start_bases_reference runs the greedy start of the check-loss
+descent over every row of a problem, one row at a time, and
+bootstrap_oracle refits every draw on its resampled rows, one draw at a
+time, and stacks the draws at the end; the weighted, blocked bootstrap
+must match it to rounding.  montecarlo_reference computes the
 simulation tables one replication at a time from the public operators; the
 blocked harness must match it bit for bit.
 """
@@ -38,6 +40,7 @@ from monotonize.errors import (
     ImprovementViolationError,
     NumericalError,
     OutOfRangeError,
+    RankDeficientDesignError,
     TooFewDrawsError,
     TooManyFailedDrawsError,
     ValidationError,
@@ -247,6 +250,37 @@ def kernel_quantile_process_reference(data: Dataset, spec: EstimatorSpec, taus) 
     h = spec.bandwidth
     windows = [data.y[(data.x >= c - h) & (data.x <= c + h)] for c in spec.eval_axis.coords]
     return np.array([[sample_quantile(w, t) for w in windows] for t in taus])
+
+
+def start_bases_reference(D, R, w, taus) -> np.ndarray:
+    """_start_bases over all rows: groups x levels x k row indices.
+
+    For group g and level tau, q is the ceil(tau m)-th of the m values of
+    R[g] that w counts, each repeated by its count, and the rows pass one at
+    a time in the order of (|R - q|, R, row), every row of the group a
+    candidate: a row joins when more than 1e-6 of its norm lies outside the
+    rows taken, orthogonalized twice, until k have joined.
+    """
+    g, n, k = D.shape
+    counts = np.broadcast_to(np.isfinite(R) if w is None else w, R.shape).astype(int)
+    out = np.empty((g, len(taus), k), dtype=np.intp)
+    for i in range(g):
+        values = np.sort(np.repeat(R[i], counts[i]))
+        for j, tau in enumerate(taus):
+            q = values[int(np.ceil(tau * values.size - 1e-9)) - 1]
+            taken, rows = np.zeros((0, k)), []
+            for row in np.lexsort((np.arange(n), R[i], np.abs(R[i] - q))):
+                if len(rows) == k or not np.isfinite(R[i, row]):
+                    break
+                x = D[i, row]
+                v = x - x @ taken.T @ taken
+                v -= v @ taken.T @ taken
+                if np.linalg.norm(v) > 1e-6 * np.linalg.norm(x):
+                    taken, rows = np.vstack([taken, v / np.linalg.norm(v)]), rows + [row]
+            if len(rows) < k:
+                raise RankDeficientDesignError(f"design has no {k} well-separated rows")
+            out[i, j] = rows
+    return out
 
 
 def bootstrap_oracle(data: Dataset, spec: EstimatorSpec, b_draws: int, seed: int):

@@ -48,6 +48,7 @@ from monotonize.montecarlo import (
 from oracles import (
     bootstrap_oracle,
     kernel_quantile_process_reference,
+    start_bases_reference,
     window_mean_reference,
 )
 
@@ -902,6 +903,104 @@ def test_series_quantile_process_on_table_2_data_is_exact():
             row = fit(data, replace(spec, loss=Loss("quantile", tau))).estimate.values
             assert np.array_equal(process[j], row), (spec.method, tau)
         _assert_series_fits_exact(data, spec, taus[[0, 9, 18]])
+
+
+def _start_cases():
+    """(D, R, w, taus, short): series and local-linear rows with residuals R
+    (+inf outside) and counts w, and whether the 4k + 1 rows nearest the
+    median hold fewer than k independent rows, so that the start widens."""
+    rng = np.random.default_rng(83)
+    taus = (0.05, 0.3, 0.5, 0.9)
+    x = rng.uniform(0.0, 1.0, 200)
+    bspline = _basis_matrix(EstimatorSpec("bspline", MEAN_LOSS, _axis(), knots=(0.3, 0.6)), x)
+    fourier = _basis_matrix(EstimatorSpec("fourier", MEAN_LOSS, _axis(), n_terms=4), x)
+    for design in (bspline, fourier):
+        w = np.array([np.bincount(rng.integers(0, 200, 200), minlength=200) for _ in range(3)])
+        R = np.where(w > 0, rng.normal(size=(3, 200)), np.inf)
+        yield np.broadcast_to(design, (3,) + design.shape), R, w * 1.0, taus, False
+        yield design[None], rng.normal(size=(1, 200)), None, taus, False
+    # local-linear windows: rows (w, w u)
+    u = rng.uniform(0.0, 1.0, (5, 40))
+    w = rng.integers(0, 3, (5, 40)) * 1.0
+    R = np.where(w > 0, rng.normal(size=(5, 40)), np.inf)
+    yield w[:, :, None] * np.stack([np.ones_like(u), u], axis=2), R, w, taus, False
+    # 60 rows near q at the levels 0.4 to 0.6, 70 far on either side; the
+    # near rows at two tied x, or left of the first knot, where the last two
+    # B-spline columns vanish
+    R = np.concatenate([1e-3 * rng.normal(size=60), 1.0 + rng.uniform(size=70),
+                        -1.0 - rng.uniform(size=70)])
+    spec = EstimatorSpec("bspline", MEAN_LOSS, _axis(), knots=(0.3, 0.6))
+    for near in (np.repeat([0.2, 0.7], 30), rng.uniform(0.0, 0.25, 60)):
+        design = _basis_matrix(spec, np.concatenate([near, rng.uniform(0.0, 1.0, 140)]))
+        yield design[None], R[None], None, (0.4, 0.5, 0.6), True
+
+
+def test_start_bases_on_a_prefix_are_the_all_row_bases():
+    for D, R, w, taus, short in _start_cases():
+        got = estimators._start_bases(D, R, w, np.array(taus))
+        assert np.array_equal(got, start_bases_reference(D, R, w, taus))
+        if short:
+            k = D.shape[2]
+            first = np.argsort(np.abs(R[0] - np.sort(R[0])[99]))[: 4 * k + 1]
+            assert np.linalg.matrix_rank(D[0, first]) < k
+
+
+def test_every_desk_level_attains_the_lp_optimum_under_heteroscedastic_noise():
+    # noise whose scale grows with x moves each level's start away from the
+    # least-squares fit by a different amount: every level of fit and of two
+    # count-weighted draws attains the LP optimum of its rows
+    rng = np.random.default_rng(89)
+    x = rng.uniform(0.1, 0.9, 150)
+    data = Dataset(x, 1.0 + 2.0 * x + (0.1 + 2.0 * x) * rng.normal(size=150))
+    taus, ax = desk_tau_net(), _axis(7, 0.1, 0.9)
+    W = np.array([np.bincount(estimators._resample(5, b, 0, 150), minlength=150) for b in (0, 1)])
+    y = np.broadcast_to(data.y, W.shape)
+    for spec in (EstimatorSpec("loclinear", MEAN_LOSS, ax, bandwidth=0.2),
+                 EstimatorSpec("bspline", MEAN_LOSS, ax, knots=(0.4, 0.65)),
+                 EstimatorSpec("fourier", MEAN_LOSS, ax, n_terms=2)):
+        if spec.method == "loclinear":
+            a, b = _exact_fits(data, spec, taus)
+            assert np.array_equal(fit_quantile_process(data, spec, taus).values, a)
+            order, xs, lo, hi = estimators._windows(x, spec)
+            wa, wb = estimators._loclinear_quantiles(
+                xs, y[:, order], W[:, order] * 1.0, lo, hi, ax.coords, taus)
+            for j, tau in enumerate(taus):
+                _assert_exact_lp(data, ax.coords, spec.bandwidth, tau, a[j], b[j])
+                for d in range(2):
+                    res = Dataset(x.repeat(W[d]), data.y.repeat(W[d]))
+                    _assert_exact_lp(res, ax.coords, spec.bandwidth, tau, wa[d, j], wb[d, j])
+            continue
+        _, coef = estimators._fits(x, data.y[None], spec, taus)
+        _, drawn = estimators._fits(x, data.y[None], spec, taus, W * 1.0)
+        for j, tau in enumerate(taus):
+            _assert_attains_lp(_basis_matrix(spec, x), data.y, tau, coef[0, j])
+            for d in range(2):
+                design = _basis_matrix(spec, x.repeat(W[d]))
+                _assert_attains_lp(design, data.y.repeat(W[d]), tau, drawn[d, j])
+
+
+# seed-11 replication, level and draw (bootstrap seed 3) of count-weighted
+# bspline draws whose descent stopped above the optimum before every
+# retirement was checked on a fresh basis: the first four from least-squares
+# starts, the others from starts at the level's residual quantile
+_DRIFTING_DRAWS = [
+    (0, 0.5, 9), (1, 0.5, 57), (2, 0.3, 84), (2, 0.5, 84), (0, 0.5, 11), (0, 0.5, 89)
+]
+
+
+def test_bspline_draws_that_drifted_attain_the_lp_optimum():
+    cfg = McConfig(reps=3, seed=11)
+    spec = next(s for s in cfg.estimators if s.method == "bspline")
+    for rep, tau, b in _DRIFTING_DRAWS:
+        data = simulate_rep(cfg, rep)
+        idx = estimators._resample(3, b, 0, data.n)
+        w = np.bincount(idx, minlength=data.n)[None] * 1.0
+        _, coef = estimators._fits(data.x, data.y[None], spec, np.array([tau]), w)
+        res = Dataset(data.x[idx], data.y[idx])
+        design = _basis_matrix(spec, res.x)
+        _assert_attains_lp(design, res.y, tau, coef[0, 0])
+        one = fit(res, replace(spec, loss=Loss("quantile", tau)))
+        _assert_attains_lp(design, res.y, tau, one.coefficients)
 
 
 def test_quantile_process_accepts_a_fit_stalled_at_its_optimum():
