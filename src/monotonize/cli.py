@@ -9,7 +9,8 @@ Subcommands:
     simulate    run a simulation experiment from a JSON config
 
 Exit status: 0 on success, 1 for invalid input or usage, 2 for numerical
-failure.  Diagnostics go to stderr as a single line.
+failure.  Diagnostics go to stderr as a single line, and so does each
+warning a command raises.
 
 Beyond csvio and the repair core, each command imports the modules it runs
 when it runs, so a fresh process loads, and compiles, only what it needs.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from . import csvio
 from .errors import NumericalError, OutOfRangeError, ValidationError
@@ -269,6 +271,14 @@ def _cmd_simulate(args) -> int:
 
 
 def main(argv=None) -> int:
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: print(
+            f"monotonize: warning: {message}", file=sys.stderr)
+        return _run(argv)
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -34,7 +34,6 @@ from .errors import (
     ShapeMismatchError,
     TooFewDrawsError,
     TooManyFailedDrawsError,
-    ValidationError,
     NumericalError,
 )
 from .grid import Axis, GriddedFunction, _integer, _levels, _order_index, _real, _reals
@@ -46,6 +45,8 @@ BLOCK_ELEMENTS = 1 << 16
 #: A count-weighted series mean fit whose Gram matrix has an eigenvalue ratio
 #: (smallest over largest) at or below this is fit by least squares instead.
 GRAM_EIG_RATIO = 1e-6
+#: What a problem of a fit can fail on, by code (0: nothing); see _failure.
+THIN, OUTSIDE, RANK, START, CROSS, CAP = range(1, 7)
 
 
 @dataclass(frozen=True)
@@ -278,20 +279,17 @@ def _bspline_design(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _basis_matrix(spec: EstimatorSpec, x: np.ndarray) -> np.ndarray:
-    """Design rows of the series basis at the points x, with x, the ends and
-    the knots scaled exactly by 2^-g into 2^1022 so that no difference of
-    them overflows (g is 0 at ordinary magnitudes)."""
+    """Design rows of the series basis at the points x, with NaN in the row of
+    a point outside the domain, and with x, the ends and the knots scaled
+    exactly by 2^-g into 2^1022 so that no difference of them overflows (g is
+    0 at ordinary magnitudes)."""
     first, last = spec.eval_axis.coords[[0, -1]].tolist()
     g = max(0, math.frexp(max(-first, last))[1] - 1022)
     lo, hi = math.ldexp(first, -g), math.ldexp(last, -g)
     x = np.ldexp(np.atleast_1d(np.asarray(x, dtype=float)), -g)
     span = hi - lo
     slack = 1e-9 * max(span, 1.0)
-    if np.any(x < lo - slack) or np.any(x > hi + slack):
-        raise OutOfDomainError(
-            f"evaluation points outside the basis domain [{first}, {last}]"
-        )
-    xc = np.clip(x, lo, hi)
+    xc = np.where((x < lo - slack) | (x > hi + slack), np.nan, np.clip(x, lo, hi))
     if spec.method == "bspline":
         t = np.concatenate([np.full(4, lo), np.ldexp(spec.knots, -g), np.full(4, hi)])
         return _bspline_design(xc, t)
@@ -310,7 +308,10 @@ def _basis_matrix(spec: EstimatorSpec, x: np.ndarray) -> np.ndarray:
 
 def basis_eval(spec: EstimatorSpec, x: float) -> np.ndarray:
     """The series basis vector at a single point."""
-    return _basis_matrix(spec, np.array([float(x)]))[0]
+    row = _basis_matrix(spec, np.array([float(x)]))[0]
+    if np.any(np.isnan(row)):
+        raise _failure(None, spec, np.array([OUTSIDE]))
+    return row
 
 
 # --- series -----------------------------------------------------------------
@@ -321,7 +322,7 @@ def _series_means(design: np.ndarray, Y: np.ndarray, W) -> np.ndarray:
     (rows x n) a row whose Gram matrix X'WX is clearly conditioned
     (GRAM_EIG_RATIO) solves its normal equations; every other row, and every
     row when W is None, is the lstsq fit of its rows scaled by sqrt(W), and
-    refused if their smallest singular value is at most 1e-6 of the largest."""
+    NaN if their smallest singular value is at most 1e-6 of the largest."""
     rows, k = Y.shape[0], design.shape[1]
     coef, sure = np.empty((rows, k)), np.zeros(rows, dtype=bool)
     if W is not None:
@@ -335,15 +336,14 @@ def _series_means(design: np.ndarray, Y: np.ndarray, W) -> np.ndarray:
         root = np.ones(1) if W is None else np.sqrt(W[i])
         coef[i], _, _, sv = np.linalg.lstsq(root[:, None] * design, root * Y[i], rcond=None)
         if sv.size < k or not sv[-1] > 1e-6 * sv[0]:
-            raise RankDeficientDesignError(
-                f"series design of {k} columns is singular to 1e-6 of its largest singular value"
-            )
+            coef[i] = np.nan
     return coef
 
 
-def _series_quantiles(x, design: np.ndarray, Y: np.ndarray, W, taus) -> np.ndarray:
+def _series_quantiles(x, design: np.ndarray, Y: np.ndarray, W, taus, status=None) -> np.ndarray:
     """Exact check-loss coefficients of the rows of Y at every level of taus,
-    rows x levels x k.
+    rows x levels x k, NaN where a problem fails, whose failure code then
+    goes to status (rows x levels) where given.
 
     One _descent per (row, level) on the rows of design and Y[i] scaled by
     the counts W[i] (None: unit weights; weight 0 is outside the problem),
@@ -356,13 +356,18 @@ def _series_quantiles(x, design: np.ndarray, Y: np.ndarray, W, taus) -> np.ndarr
     coef = _series_means(design, Y, W)
     w = np.ones((1, n)) if W is None else W
     wd = w[:, :, None] * design
-    R = np.where(w > 0.0, Y - (design @ coef[:, :, None])[:, :, 0], np.inf)
+    R = np.where(w > 0.0, Y - (design @ np.nan_to_num(coef)[:, :, None])[:, :, 0], np.inf)
     start = _start_bases(np.broadcast_to(wd, (rows, n, k)), R, w, taus)
+    start[np.isnan(coef[:, 0])] = -RANK
     share = lambda a: np.broadcast_to(a[:, None], (rows, m) + a.shape[1:]).reshape(-1, *a.shape[1:])
     h = _descent(share(wd), share(w * Y), share(w > 0.0), np.tile(taus, rows), start.reshape(-1, k))
-    h = np.take_along_axis(h, np.argsort(x[h], axis=1, kind="stable"), axis=1)
-    y = Y[np.repeat(np.arange(rows), m)[:, None], h]
-    return np.linalg.solve(design[h], y[:, :, None])[:, :, 0].reshape(rows, m, k)
+    np.maximum(0, -h[:, 0].reshape(rows, m), out=status)
+    ok = h[:, 0] >= 0
+    h = np.take_along_axis(h[ok], np.argsort(x[h[ok]], axis=1, kind="stable"), axis=1)
+    y = Y[np.repeat(np.arange(rows), m)[ok][:, None], h]
+    out = np.full((rows * m, k), np.nan)
+    out[ok] = np.linalg.solve(design[h], y[:, :, None])[:, :, 0]
+    return out.reshape(rows, m, k)
 
 
 # --- check-loss descent -------------------------------------------------------
@@ -377,7 +382,8 @@ def _start_bases(D: np.ndarray, R: np.ndarray, w=None, taus=(0.5,)) -> np.ndarra
     outside the rows taken, and is orthogonalized twice; zero rows never
     join.  It runs on the 4k + 1 rows around q in one sort of R[g], twice as
     many again where those nearer q than any row left out are too few, and
-    never returns to a row it skipped: the basis is that of all rows."""
+    never returns to a row it skipped: the basis is that of all rows.  A
+    problem without k such rows reads -START."""
     g, n, k = D.shape
     order = np.argsort(R, axis=1, kind="stable")
     # sorted R between two +inf, which stand for the rows past either end
@@ -409,9 +415,9 @@ def _start_bases(D: np.ndarray, R: np.ndarray, w=None, taus=(0.5,)) -> np.ndarra
             u = v[p, first] / np.where(none, np.inf, norm[p, first])[:, None]
             q, short = np.concatenate([q, u[:, None]], axis=1), short | none
             basis[todo, j], after = idx[p, first], first[:, None] + 1
-        if np.any(short & (near[:, 0] == np.inf) & (near[:, -1] == np.inf)):
-            raise RankDeficientDesignError(f"design has no {k} well-separated rows")
-        todo, reach = todo[short], 2 * reach
+        lost = short & (near[:, 0] == np.inf) & (near[:, -1] == np.inf)
+        basis[todo[lost]] = -START
+        todo, reach = todo[short & ~lost], 2 * reach
     return basis.reshape(g, -1, k)
 
 
@@ -442,14 +448,16 @@ def _descent(D: np.ndarray, y: np.ndarray, inside: np.ndarray, taus, start) -> n
     basis, in a batch of the vertices that passed in one round; one that
     fails descends on, and one whose fresh check loss is not below its last
     retires as it is (fresh sides of zero residuals can fail an optimal
-    vertex).  n k pivots in all is a numerical failure.  A row outside has
-    psi = 0 and t = inf, and counts in neither n nor the sums and maxima
-    over x.  Every operation works problem by problem, so each gets the bits
-    of a call with that problem alone.  A D that every problem shares (a
-    stride-0 view) is never copied.
+    vertex).  A problem fails, and its basis reads -code, at n k pivots of
+    its own (CAP) or where its direction crosses no row (CROSS); one whose
+    start reads -code is not run.  A row outside has psi = 0 and t = inf,
+    and counts in neither n nor the sums and maxima over x.  Every operation
+    works problem by problem, so each gets the bits of a call with that
+    problem alone.  A D that every problem shares (a stride-0 view) is never
+    copied.
     """
     m, n, k = D.shape
-    index, cap, pivots = np.arange(n), _pivot_cap(n, k), 0
+    index, cap, pivots = np.arange(n), _pivot_cap(n, k), np.zeros(m, dtype=int)
     # problems that share D share inside too, and their sums are taken once
     lead = slice(0, 1) if D.strides[0] == 0 else slice(None)
     mag = np.where(inside[lead, :, None], np.abs(D[lead]), 0.0)
@@ -460,7 +468,7 @@ def _descent(D: np.ndarray, y: np.ndarray, inside: np.ndarray, taus, start) -> n
     join = lambda parts: (np.concatenate(parts) if parts[0].strides[0] else np.broadcast_to(
         parts[0][:1], (sum(map(len, parts)),) + parts[0].shape[1:]))
     out, loss = start.copy(), np.full(m, np.inf)
-    data = [np.arange(m), D, y, inside, size, top, slack]
+    data = cut([np.arange(m), D, y, inside, size, top, slack], start[:, 0] >= 0)
     while data:
         # a round: X_h^-1 and r afresh from the bases in out
         act, D, y, inside, size, top, slack = data
@@ -480,18 +488,19 @@ def _descent(D: np.ndarray, y: np.ndarray, inside: np.ndarray, taus, start) -> n
             entries = np.hstack([(1.0 - tau) - xi, tau + xi])
             neg = entries < slack[:, None] * np.tile((size[:, None, :] @ np.abs(inv))[:, 0], 2)
             go = np.any(neg, axis=1) & ~(fresh & stuck)
+            # a problem fails at the cap, or after a direction that crossed no row
+            out[act[go & (pivots[act] >= cap)]] = -CAP
+            ok = out[act, 0] >= 0
+            done, go = ~go & ok, go & ok
             if not np.all(go):
-                out[act[~go]] = h[~go]
-                stale += [] if fresh else [cut((act, D, y, inside, size, top, slack), ~go)]
+                out[act[done]] = h[done]
+                stale += [] if fresh else [cut((act, D, y, inside, size, top, slack), done)]
                 act, D, y, inside, size, top, slack, h, inv, r, side, entries, neg, stuck = cut(
                     (act, D, y, inside, size, top, slack, h, inv, r, side, entries, neg, stuck), go)
                 if not act.size:
                     break
                 rows = np.arange(act.size)
-            if pivots == cap:
-                raise NumericalError(
-                    f"check-loss descent: {act.size} levels unsolved after {cap} pivots")
-            fresh, pivots = False, pivots + 1
+            fresh, pivots[act] = False, pivots[act] + 1
             c = np.argmin(np.where(neg, entries, np.inf), axis=1)
             j = c % k
             col = inv[rows, :, j]
@@ -507,11 +516,13 @@ def _descent(D: np.ndarray, y: np.ndarray, inside: np.ndarray, taus, start) -> n
             order = np.argsort(t, axis=1) + (n * rows)[:, None]
             cum = np.cumsum(np.take(w, order), axis=1)
             target = np.minimum(-entries[rows, c], cum[:, -1])
-            if not np.all(target > 0.0):
-                raise NumericalError("a check-loss descent direction crosses no row")
+            # a direction that crosses no row fails its problem, which stays put
+            lost = ~(target > 0.0)
+            out[act[lost]], cross[lost] = -CROSS, False
             step = np.take(t, order[rows, np.count_nonzero(cum < target[:, None], axis=1)])
+            step[lost] = 0.0
             tied, passed = cross & (t == step[:, None]), cross & (t < step[:, None])
-            enter = np.argmax(tied, axis=1)
+            enter = np.where(lost, h[rows, j], np.argmax(tied, axis=1))
             many = np.flatnonzero(np.count_nonzero(tied, axis=1) > 1)
             if many.size:
                 # rows tied at the step pass in row order until the slope turns
@@ -542,10 +553,11 @@ def _window_rows(n: int, lo, hi, width: int) -> tuple:
     return np.minimum(lo[:, None] + offsets, n - 1), offsets < (hi - lo)[:, None]
 
 
-def _loclinear_quantiles(xs, Y, W, lo, hi, nodes, taus) -> tuple:
+def _loclinear_quantiles(xs, Y, W, lo, hi, nodes, taus, status=None) -> tuple:
     """Exact local-linear check-loss fits of the rows of Y under the count
     weights W (both rows x n, ordered as the sorted xs): (intercepts,
-    slopes), rows x levels x nodes.
+    slopes), rows x levels x nodes, NaN where a problem fails, whose failure
+    code then goes to status (rows x levels x nodes) where given.
 
     Each (row, level, node) is a _descent on the node's window, with rows
     w (1, u) and outcomes w y (weight 0 is outside the problem), where
@@ -581,9 +593,13 @@ def _loclinear_quantiles(xs, Y, W, lo, hi, nodes, taus) -> tuple:
             R = np.where(inside[s], yc[s] - b[s] * uc[s], np.inf)
             start = _start_bases(D[s], R, w[s], taus)[v - v[0], at]
             h[r[v], at, j[v]] = _descent(D[v], wy[v], inside[v], taus[at], start)
-    h += lo[:, None]
-    line = np.stack([np.ones(h.shape), np.ldexp(xs[h] - nodes[:, None], -e[:, None])], axis=-1)
-    coef = np.linalg.solve(line, Y[np.arange(rows)[:, None, None, None], h][..., None])[..., 0]
+    np.maximum(0, -h[..., 0], out=status)
+    ok = h[..., 0] >= 0
+    r, _, j = np.nonzero(ok)
+    h = h[ok] + lo[j, None]
+    line = np.stack([np.ones(h.shape), np.ldexp(xs[h] - nodes[j, None], -e[j, None])], axis=-1)
+    coef = np.full(ok.shape + (2,), np.nan)
+    coef[ok] = np.linalg.solve(line, Y[r[:, None], h][..., None])[..., 0]
     with np.errstate(over="ignore"):
         return coef[..., 0], np.ldexp(coef[..., 1], -(e + g))
 
@@ -647,26 +663,70 @@ def _fits(x: np.ndarray, Y: np.ndarray, spec: EstimatorSpec, taus=None, W=None) 
     fit in parts whose work arrays hold about BLOCK_ELEMENTS numbers (see
     _width), each to 2^-s y, s from _y_exponent of the row, and scaled back
     by 2^s, both exactly.  Only the solver depends on the loss.  Each row
-    and level gets the bits of a call with it alone, and a call raises as
-    fit does if any row cannot be fit.
+    and level gets the bits of a call with it alone, and a call raises the
+    error of its lowest row that cannot be fit, as a call with it alone does.
     """
-    return _fitter(x, spec, taus)(Y, W)
+    est, coef, status = _fitter(x, spec, taus)(Y, W)
+    failed = np.flatnonzero(np.any(status, axis=(1, 2)))
+    if failed.size:
+        raise _failure(x, spec, status[failed[0]])
+    return est, coef
+
+
+def _failure(x, spec: EstimatorSpec, status: np.ndarray) -> Exception:
+    """The error of a row of fits on x whose problems (levels x nodes) fail
+    with the codes in status: that of its least code."""
+    code = status[status > 0].min()
+    k = 2 if spec.method == "loclinear" else _width(spec)
+    if code == THIN:
+        what = "no data" if spec.method == "kernel" else "fewer than 2 distinct x"
+        node = float(spec.eval_axis.coords[np.argmax(status[0] == THIN)])
+        return EmptyWindowError(f"{what} within bandwidth {float(spec.bandwidth)} of node {node}")
+    if code == CAP:
+        # a local-linear descent runs on the windows, padded to the widest
+        lo, hi = _windows(x, spec)[2:] if spec.method == "loclinear" else (0, x.size)
+        capped, cap = np.count_nonzero(status == CAP), _pivot_cap(int(np.max(hi - lo)), k)
+        return NumericalError(f"check-loss descent: {capped} levels unsolved after {cap} pivots")
+    ends = spec.eval_axis.coords[[0, -1]].tolist()
+    return {
+        OUTSIDE: OutOfDomainError(f"evaluation points outside the basis domain {ends}"),
+        RANK: RankDeficientDesignError(
+            f"series design of {k} columns is singular to 1e-6 of its largest singular value"),
+        START: RankDeficientDesignError(f"design has no {k} well-separated rows"),
+        CROSS: NumericalError("a check-loss descent direction crosses no row"),
+    }[code]
 
 
 def _fitter(x: np.ndarray, spec: EstimatorSpec, taus=None):
-    """(Y, W=None) -> _fits(x, Y, spec, taus, W), x windowed or bases built once."""
-    n, nodes = x.size, spec.eval_axis.coords
-    size = _width(spec) * (1 if taus is None else taus.size) * n
-    if spec.method in ("kernel", "loclinear"):
+    """(Y, W=None) -> the fits of _fits(x, Y, spec, taus, W) and the failure
+    code of each problem, rows x levels (1 under mean loss) x nodes, with x
+    windowed or bases built once.  A failed problem reads NaN; a row that
+    fails on its data (THIN, OUTSIDE) goes to no solver."""
+    n, nodes, window = x.size, spec.eval_axis.coords, spec.method in ("kernel", "loclinear")
+    levels = 1 if taus is None else taus.size
+    size = _width(spec) * levels * n
+    if window:
         order, xs, lo, hi = _windows(x, spec)
     else:
-        grid = _basis_matrix(spec, nodes)
-        design = _basis_matrix(spec, x) if np.all((nodes[0] <= x) & (x <= nodes[-1])) else None
+        grid, design = _basis_matrix(spec, nodes), _basis_matrix(spec, x)
+        outside = np.any(np.isnan(design), axis=1)
+        design[outside] = 0.0
 
     def fit_rows(Y, W=None):
-        rows = max(Y.shape[0], 1 if W is None else W.shape[0])
-        est, coef, exponents = [], [], _y_exponent(x, np.abs(Y).max(axis=1), spec)
-        for part in _parts(rows, size, BLOCK_ELEMENTS):
+        held = np.ones((1, n)) if W is None else W
+        status = np.zeros((max(Y.shape[0], held.shape[0]), levels, nodes.size), dtype=int)
+        if window:
+            status[:, 0] = THIN * _thin_windows(spec, xs, lo, hi, held[:, order])
+        else:
+            status[:, 0, 0] = OUTSIDE * np.any(held[:, outside] > 0.0, axis=1)
+        # the other rows go to the solver, which reports their problems in solved
+        fit = np.flatnonzero(~np.any(status, axis=(1, 2)))
+        solved = np.zeros((fit.size,) + status.shape[1:], dtype=int)
+        Y, W = (a if a is None or a.shape[0] == 1 else a[fit] for a in (Y, W))
+        est = np.full(status.shape, np.nan)
+        coef = None if window else np.full(status.shape[:2] + grid.shape[1:], np.nan)
+        exponents = _y_exponent(x, np.abs(Y).max(axis=1), spec)
+        for part in _parts(fit.size, size, BLOCK_ELEMENTS):
             # y keeps one row where Y has one
             cut = slice(part.start, part.stop)
             y, shift = (Y[cut], exponents[cut]) if Y.shape[0] > 1 else (Y, exponents)
@@ -677,41 +737,35 @@ def _fitter(x: np.ndarray, spec: EstimatorSpec, taus=None):
                 top = np.abs(w * np.ldexp(y, -shift[:, None])).max(axis=1)
                 shift = shift + np.maximum(0, np.frexp(top)[1] - 895)
             y = np.ldexp(y, -shift[:, None])
-            shift = shift.reshape((-1,) + (1,) * (1 if taus is None else 2))
-            c = None
-            if spec.method in ("kernel", "loclinear"):
+            rows, shift, c = fit[cut], shift[:, None, None], None
+            if window:
                 y, w = y[:, order], w[:, order]
-                thin = _thin_windows(spec, xs, lo, hi, w)
-                if np.any(thin):
-                    what = "no data" if spec.method == "kernel" else "fewer than 2 distinct x"
-                    raise EmptyWindowError(f"{what} within bandwidth {float(spec.bandwidth)} of "
-                                           f"node {float(nodes[np.argmax(thin) % nodes.size])}")
                 if taus is None:
-                    fits = _window_means(spec, xs, y, lo, hi, w)
+                    fits = _window_means(spec, xs, y, lo, hi, w)[:, None]
                 elif spec.method == "kernel":
                     fits = _kernel_quantiles(y, np.broadcast_to(w, (len(part), n)), lo, hi, taus)
                 else:
                     y, w = np.broadcast_arrays(y, w)
-                    fits = _loclinear_quantiles(xs, y, w, lo, hi, nodes, taus)[0]
+                    fits, _ = _loclinear_quantiles(xs, y, w, lo, hi, nodes, taus, solved[cut])
             else:
-                basis = design
-                if design is None:  # x leaves the range: the basis at the points the rows hold
-                    held = np.any(w > 0.0, axis=0)
-                    basis = np.zeros((n, grid.shape[1]))
-                    basis[held] = _basis_matrix(spec, x[held])
                 y = np.broadcast_to(y, (len(part), n))
                 w = None if W is None else np.broadcast_to(w, y.shape)
-                solve = _series_means if taus is None else lambda *a: _series_quantiles(x, *a, taus)
-                c = solve(basis, y, w)
+                if taus is None:
+                    c = _series_means(design, y, w)[:, None]
+                    solved[cut, 0, 0] = RANK * np.isnan(c[:, 0, 0])
+                else:
+                    c = _series_quantiles(x, design, y, w, taus, solved[cut, :, 0])
                 # a matrix-vector product per fit, since a matrix product rounds differently
                 fits = (grid @ c[..., None])[..., 0]
             with np.errstate(over="ignore"):
                 # scaled back by 2^s; past the float range a value is +-inf
-                est.append(np.ldexp(fits, shift))
-                coef.append(None if c is None else np.ldexp(c, shift))
-        # in C order, as the rows of a new array: a sum over a row rounds by its layout
-        est = np.ascontiguousarray(np.concatenate(est))
-        return est, None if coef[0] is None else np.concatenate(coef)
+                est[rows] = np.ldexp(fits, shift)
+                if c is not None:
+                    coef[rows] = np.ldexp(c, shift)
+        status[fit] = solved
+        if taus is None:
+            return est[:, 0], None if coef is None else coef[:, 0], status
+        return est, coef, status
 
     return fit_rows
 
@@ -750,49 +804,35 @@ def bootstrap(data: Dataset, spec: EstimatorSpec, b_draws: int, seed: int):
 
     Draw b resamples n rows with replacement using an RNG stream derived from
     (seed, b), so results do not depend on evaluation order.  The draw is
-    its count vector over the fixed data, a row of count weights of one
-    _fitter of the data, which fits the resample under either loss; a pass
-    fits its draws in parts of about BLOCK_ELEMENTS counts (see fit_draws).
-    A draw whose fit fails, or is not finite, is redrawn from the stream
-    (seed, b, retry + 1) and counted, in draw order; more than 10% failures
-    abort.  The draws are one function, axis 1 the draw index 0..B-1 and
-    axis 2 the fit's grid; stderr is their per-node standard deviation.
+    its count vector over the data sorted once by x, a row of count weights
+    of one _fitter of the sorted data, which fits the resample under either
+    loss; a pass fits its draws in parts of about BLOCK_ELEMENTS counts, one
+    _fitter call each.  A draw that fails in its part, or whose fit is not
+    finite, is redrawn from the stream (seed, b, retry + 1) and counted, in
+    draw order; more than 10% failures abort.  The draws are one function,
+    axis 1 the draw index 0..B-1 and axis 2 the fit's grid; stderr is their
+    per-node standard deviation.
     """
     b_draws = _integer("b_draws", b_draws, 0)
     if b_draws < 2:
         raise TooFewDrawsError(f"need at least 2 bootstrap draws, got {b_draws}")
     seed = _integer("seed", seed, 0)
-    n, nodes = data.n, spec.eval_axis.coords.size
+    n, nodes, x = data.n, spec.eval_axis.coords.size, data.x
     taus = None if spec.loss.kind == "mean" else np.array([float(spec.loss.tau)])
-    fit_rows = _fitter(data.x, spec, taus)
-
-    def fit_draws(W):
-        """(draws x nodes estimates, failed draws) of the count rows W.  If the
-        fit raises, a lone draw fails; else the draws with a window too thin
-        fail and the others are refit, or where there are none, the halves."""
-        try:
-            est = fit_rows(data.y[None], W)[0].reshape(-1, nodes)
-        except (ValidationError, NumericalError):
-            est, failed = np.zeros((W.shape[0], nodes)), np.full(W.shape[0], W.shape[0] == 1)
-            if spec.method in ("kernel", "loclinear"):
-                order, xs, lo, hi = _windows(data.x, spec)
-                failed |= np.any(_thin_windows(spec, xs, lo, hi, W[:, order]), axis=1)
-            rows = np.flatnonzero(~failed)
-            for part in [rows] if np.any(failed) else np.array_split(rows, 2):
-                if part.size:
-                    est[part], failed[part] = fit_draws(W[part])
-            return est, failed
-        # fit refuses a non-finite estimate
-        return est, ~np.all(np.isfinite(est), axis=1)
-
+    # a slice, which gathers nothing, where x is sorted, as in _windows
+    order = slice(None) if np.all(x[1:] >= x[:-1]) else np.argsort(x, kind="stable")
+    fit_rows, y = _fitter(x[order], spec, taus), data.y[order][None]
     values, failures, pending = np.empty((b_draws, nodes)), 0, [(b, 0) for b in range(b_draws)]
     while pending:
         passing, pending = pending, []
         for part in _parts(len(passing), n, BLOCK_ELEMENTS):
             attempts = passing[part.start : part.stop]
-            # row i counts how often attempt i holds each of the n rows
+            # row i counts how often attempt i holds each of the n sorted rows
             W = np.array([np.bincount(_resample(seed, *a, n), minlength=n) for a in attempts])
-            est, failed = fit_draws(W * 1.0)
+            est, _, status = fit_rows(y, W[:, order] * 1.0)
+            est = est.reshape(-1, nodes)
+            # fit refuses a non-finite estimate
+            failed = np.any(status, axis=(1, 2)) | ~np.all(np.isfinite(est), axis=1)
             failures += int(np.count_nonzero(failed))
             if failures > 0.1 * b_draws:
                 raise TooManyFailedDrawsError(f"{failures} failed draws exceed 10% of {b_draws}")

@@ -557,6 +557,25 @@ def test_cli_estimate_bootstrap_outputs(tmp_path, capsys):
     assert np.all(band.lower.values <= band.upper.values)
 
 
+def test_cli_bootstrap_redraws_warn_in_one_stderr_line(tmp_path, capsys):
+    # the kernel window at node 0.85 holds three points, which some draws
+    # leave out: their redraws are one warning line, as every diagnostic is
+    # one line, and more than 10% failed draws are a numerical failure
+    x = np.r_[np.linspace(0.0, 0.6, 57), 0.8, 0.85, 0.9]
+    data, out = tmp_path / "d.csv", tmp_path / "e.csv"
+    csvio.write_dataset(Dataset(x, 1.0 + x), data)
+    args = ["estimate", "--data", str(data), "--method", "kernel", "--bandwidth", "0.1",
+            "--grid", "5", "--bootstrap", "40", "--out", str(out), "--seed"]
+    assert main(args + ["0"]) == 0
+    assert capsys.readouterr() == (
+        f"wrote {out}\n", "monotonize: warning: bootstrap redrew 3 failed draws\n")
+    out.unlink()
+    assert main(args + ["2"]) == 2
+    assert capsys.readouterr() == (
+        "", "monotonize: numerical failure: 6 failed draws exceed 10% of 40\n")
+    assert not out.exists()
+
+
 def test_cli_estimate_bootstrap_outputs_need_flag(tmp_path, capsys):
     data = _dataset_csv(tmp_path)
     rc = main(
