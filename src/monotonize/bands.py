@@ -67,7 +67,7 @@ def assemble_band(center: GriddedFunction, stderr: GriddedFunction, critical: fl
     check_same_grid(center, stderr)
     if np.any(stderr.values < 0.0):
         raise NegativeStderrError("standard errors must be non-negative")
-    if not float(critical) >= 0.0:
+    if not _real("the critical value", critical) >= 0.0:
         raise OutOfRangeError("the critical value must be non-negative")
     # an end-point past the float maximum rounds to +-inf, which Band refuses
     with np.errstate(over="ignore"):

@@ -206,17 +206,19 @@ def _thin_windows(spec: EstimatorSpec, xs, lo, hi, w) -> np.ndarray:
     return held[:, stop] - held[:, first] < (1 if spec.method == "kernel" else 2)
 
 
-def _windows(x: np.ndarray, spec: EstimatorSpec) -> tuple:
-    """The sort order of x (a slice, which gathers nothing, where x is sorted),
-    sorted x and each node's window [lo, hi) of the x within bandwidth of it."""
-    order = slice(None) if np.all(x[1:] >= x[:-1]) else np.argsort(x, kind="stable")
-    xs = x[order]
+def _order(x: np.ndarray):
+    """The stable sort order of x, a slice (which gathers nothing) where x is sorted."""
+    return slice(None) if np.all(x[1:] >= x[:-1]) else np.argsort(x, kind="stable")
+
+
+def _windows(xs: np.ndarray, spec: EstimatorSpec) -> tuple:
+    """Each node's window [lo, hi) of the sorted xs within bandwidth of it."""
     nodes, h = spec.eval_axis.coords, float(spec.bandwidth)
     with np.errstate(over="ignore"):
         # a bound past the float range is -+inf, which decides as the exact bound
         lo = np.searchsorted(xs, nodes - h, side="left")
         hi = np.searchsorted(xs, nodes + h, side="right")
-    return order, xs, lo, hi
+    return lo, hi
 
 
 def _window_means(spec: EstimatorSpec, xs, ys, lo, hi, w) -> np.ndarray:
@@ -308,7 +310,7 @@ def _basis_matrix(spec: EstimatorSpec, x: np.ndarray) -> np.ndarray:
 
 def basis_eval(spec: EstimatorSpec, x: float) -> np.ndarray:
     """The series basis vector at a single point."""
-    row = _basis_matrix(spec, np.array([float(x)]))[0]
+    row = _basis_matrix(spec, np.array([_real("x", x)]))[0]
     if np.any(np.isnan(row)):
         raise _failure(None, spec, np.array([OUTSIDE]))
     return row
@@ -340,17 +342,17 @@ def _series_means(design: np.ndarray, Y: np.ndarray, W) -> np.ndarray:
     return coef
 
 
-def _series_quantiles(x, design: np.ndarray, Y: np.ndarray, W, taus, status=None) -> np.ndarray:
+def _series_quantiles(design: np.ndarray, Y: np.ndarray, W, taus) -> tuple:
     """Exact check-loss coefficients of the rows of Y at every level of taus,
-    rows x levels x k, NaN where a problem fails, whose failure code then
-    goes to status (rows x levels) where given.
+    rows x levels x k, NaN where a problem fails, and the failure code of
+    each problem, rows x levels (0: solved).
 
     One _descent per (row, level) on the rows of design and Y[i] scaled by
     the counts W[i] (None: unit weights; weight 0 is outside the problem),
     each from its _start_bases on the row's least-squares residuals.  A
     weighted design that every problem shares is one view.  The final basis
-    is solved on the unweighted rows in the order of their x, so that a fit
-    does not depend on the order of its data.
+    is solved on the unweighted rows in their order, which is that of x in
+    a fit, so that a fit does not depend on the order of its data.
     """
     rows, (n, k), m = Y.shape[0], design.shape, taus.size
     coef = _series_means(design, Y, W)
@@ -361,13 +363,11 @@ def _series_quantiles(x, design: np.ndarray, Y: np.ndarray, W, taus, status=None
     start[np.isnan(coef[:, 0])] = -RANK
     share = lambda a: np.broadcast_to(a[:, None], (rows, m) + a.shape[1:]).reshape(-1, *a.shape[1:])
     h = _descent(share(wd), share(w * Y), share(w > 0.0), np.tile(taus, rows), start.reshape(-1, k))
-    np.maximum(0, -h[:, 0].reshape(rows, m), out=status)
     ok = h[:, 0] >= 0
-    h = np.take_along_axis(h[ok], np.argsort(x[h[ok]], axis=1, kind="stable"), axis=1)
-    y = Y[np.repeat(np.arange(rows), m)[ok][:, None], h]
+    y = Y[np.repeat(np.arange(rows), m)[ok][:, None], h[ok]]
     out = np.full((rows * m, k), np.nan)
-    out[ok] = np.linalg.solve(design[h], y[:, :, None])[:, :, 0]
-    return out.reshape(rows, m, k)
+    out[ok] = np.linalg.solve(design[h[ok]], y[:, :, None])[:, :, 0]
+    return out.reshape(rows, m, k), np.maximum(0, -h[:, 0]).reshape(rows, m)
 
 
 # --- check-loss descent -------------------------------------------------------
@@ -553,30 +553,32 @@ def _window_rows(n: int, lo, hi, width: int) -> tuple:
     return np.minimum(lo[:, None] + offsets, n - 1), offsets < (hi - lo)[:, None]
 
 
-def _loclinear_quantiles(xs, Y, W, lo, hi, nodes, taus, status=None) -> tuple:
+def _loclinear_quantiles(xs, Y, W, lo, hi, nodes, taus) -> tuple:
     """Exact local-linear check-loss fits of the rows of Y under the count
     weights W (both rows x n, ordered as the sorted xs): (intercepts,
-    slopes), rows x levels x nodes, NaN where a problem fails, whose failure
-    code then goes to status (rows x levels x nodes) where given.
+    slopes, failure codes), rows x levels x nodes, NaN where a problem
+    fails (code 0: solved).
 
     Each (row, level, node) is a _descent on the node's window, with rows
     w (1, u) and outcomes w y (weight 0 is outside the problem), where
     u = 2^-e (x - x_first) is scaled exactly so that max u lies in [1/2, 1),
     from its _start_bases on the window's weighted least-squares residuals.
-    Windows are gathered, and problems started and run, in parts of
-    BLOCK_ELEMENTS / 4 numbers per work array.  The line through the
-    final basis is solved on the unweighted rows in node coordinates
-    (1, 2^-e (x - node)), so that its slope stays finite where a slope in x
-    would not.  x and the nodes are first scaled exactly by 2^-g into 2^1022,
-    so that no difference of them overflows (g is 0 at ordinary magnitudes).
+    The problems run window-major, (row, node, level), in parts of
+    BLOCK_ELEMENTS / 4 numbers per work array, each part gathering only its
+    own windows.  The line through the final basis is solved on the
+    unweighted rows in node coordinates (1, 2^-e (x - node)), so that its
+    slope stays finite where a slope in x would not.  x and the nodes are
+    first scaled exactly by 2^-g into 2^1022, so that no difference of them
+    overflows (g is 0 at ordinary magnitudes).
     """
     g = max(0, math.frexp(max(np.abs(xs).max(), -nodes[0], nodes[-1]))[1] - 1022)
     xs, nodes = np.ldexp(xs, -g), np.ldexp(nodes, -g)
-    rows, width = Y.shape[0], int(np.max(hi - lo))
+    rows, width, m = Y.shape[0], int(np.max(hi - lo)), taus.size
     e = np.frexp(xs[hi - 1] - xs[lo])[1]
-    h = np.empty((rows, taus.size, nodes.size, 2), dtype=np.intp)
-    for part in _parts(rows * nodes.size, 4 * width, BLOCK_ELEMENTS):
-        r, j = np.divmod(part, nodes.size)
+    h = np.empty((rows * nodes.size * m, 2), dtype=np.intp)
+    for part in _parts(h.shape[0], 4 * width, BLOCK_ELEMENTS):
+        win, at = np.divmod(np.arange(part.start, part.stop), m)
+        r, j = np.divmod(np.arange(win[0], win[-1] + 1), nodes.size)
         idx, inwin = _window_rows(xs.size, lo[j], hi[j], width)
         w = np.where(inwin, W[r[:, None], idx], 0.0)
         u = np.where(inwin, np.ldexp(xs[idx] - xs[lo[j], None], -e[j, None]), 0.0)
@@ -586,22 +588,18 @@ def _loclinear_quantiles(xs, Y, W, lo, hi, nodes, taus, status=None) -> tuple:
         uc = np.where(inwin, u - (w * u).sum(axis=1, keepdims=True) / count, 0.0)
         yc = y - wy.sum(axis=1, keepdims=True) / count
         b = np.sum(w * uc * yc, axis=1, keepdims=True) / np.sum(w * uc * uc, axis=1, keepdims=True)
-        win, level = np.divmod(np.arange(j.size * taus.size), taus.size)
-        for sub in _parts(win.size, 4 * width, BLOCK_ELEMENTS):
-            v, at = win[sub.start : sub.stop], level[sub.start : sub.stop]
-            s = slice(v[0], v[-1] + 1)
-            R = np.where(inside[s], yc[s] - b[s] * uc[s], np.inf)
-            start = _start_bases(D[s], R, w[s], taus)[v - v[0], at]
-            h[r[v], at, j[v]] = _descent(D[v], wy[v], inside[v], taus[at], start)
-    np.maximum(0, -h[..., 0], out=status)
+        v = win - win[0]
+        start = _start_bases(D, np.where(inside, yc - b * uc, np.inf), w, taus)[v, at]
+        h[part.start : part.stop] = _descent(D[v], wy[v], inside[v], taus[at], start)
+    h = h.reshape(rows, nodes.size, m, 2).transpose(0, 2, 1, 3)
     ok = h[..., 0] >= 0
     r, _, j = np.nonzero(ok)
-    h = h[ok] + lo[j, None]
-    line = np.stack([np.ones(h.shape), np.ldexp(xs[h] - nodes[j, None], -e[j, None])], axis=-1)
+    at = h[ok] + lo[j, None]
+    line = np.stack([np.ones(at.shape), np.ldexp(xs[at] - nodes[j, None], -e[j, None])], axis=-1)
     coef = np.full(ok.shape + (2,), np.nan)
-    coef[ok] = np.linalg.solve(line, Y[r[:, None], h][..., None])[..., 0]
+    coef[ok] = np.linalg.solve(line, Y[r[:, None], at][..., None])[..., 0]
     with np.errstate(over="ignore"):
-        return coef[..., 0], np.ldexp(coef[..., 1], -(e + g))
+        return coef[..., 0], np.ldexp(coef[..., 1], -(e + g)), np.maximum(0, -h[..., 0])
 
 
 def _y_exponent(x: np.ndarray, top, spec: EstimatorSpec):
@@ -684,7 +682,7 @@ def _failure(x, spec: EstimatorSpec, status: np.ndarray) -> Exception:
         return EmptyWindowError(f"{what} within bandwidth {float(spec.bandwidth)} of node {node}")
     if code == CAP:
         # a local-linear descent runs on the windows, padded to the widest
-        lo, hi = _windows(x, spec)[2:] if spec.method == "loclinear" else (0, x.size)
+        lo, hi = _windows(np.sort(x), spec) if spec.method == "loclinear" else (0, x.size)
         capped, cap = np.count_nonzero(status == CAP), _pivot_cap(int(np.max(hi - lo)), k)
         return NumericalError(f"check-loss descent: {capped} levels unsolved after {cap} pivots")
     ends = spec.eval_axis.coords[[0, -1]].tolist()
@@ -699,33 +697,36 @@ def _failure(x, spec: EstimatorSpec, status: np.ndarray) -> Exception:
 
 def _fitter(x: np.ndarray, spec: EstimatorSpec, taus=None):
     """(Y, W=None) -> the fits of _fits(x, Y, spec, taus, W) and the failure
-    code of each problem, rows x levels (1 under mean loss) x nodes, with x
-    windowed or bases built once.  A failed problem reads NaN; a row that
-    fails on its data (THIN, OUTSIDE) goes to no solver."""
-    n, nodes, window = x.size, spec.eval_axis.coords, spec.method in ("kernel", "loclinear")
-    levels = 1 if taus is None else taus.size
+    code of each problem, rows x levels (1 under mean loss) x nodes.  x is
+    sorted once (_order), and windowed or its bases built once, on sorted x;
+    each call gathers Y and W into that order once, so that a fit does not
+    depend on the order of data rows with distinct x.  A failed problem
+    reads NaN; a row that fails on its data (THIN, OUTSIDE) goes to no
+    solver, and the solvers return the codes of the rest."""
+    order, nodes, window = _order(x), spec.eval_axis.coords, spec.method in ("kernel", "loclinear")
+    xs, n, levels = x[order], x.size, 1 if taus is None else taus.size
     size = _width(spec) * levels * n
     if window:
-        order, xs, lo, hi = _windows(x, spec)
+        lo, hi = _windows(xs, spec)
     else:
-        grid, design = _basis_matrix(spec, nodes), _basis_matrix(spec, x)
+        grid, design = _basis_matrix(spec, nodes), _basis_matrix(spec, xs)
         outside = np.any(np.isnan(design), axis=1)
         design[outside] = 0.0
 
     def fit_rows(Y, W=None):
-        held = np.ones((1, n)) if W is None else W
+        held = np.ones((1, n)) if W is None else W[:, order]
         status = np.zeros((max(Y.shape[0], held.shape[0]), levels, nodes.size), dtype=int)
         if window:
-            status[:, 0] = THIN * _thin_windows(spec, xs, lo, hi, held[:, order])
+            status[:, 0] = THIN * _thin_windows(spec, xs, lo, hi, held)
         else:
             status[:, 0, 0] = OUTSIDE * np.any(held[:, outside] > 0.0, axis=1)
-        # the other rows go to the solver, which reports their problems in solved
+        # the other rows go to the solver
         fit = np.flatnonzero(~np.any(status, axis=(1, 2)))
-        solved = np.zeros((fit.size,) + status.shape[1:], dtype=int)
+        Y, W = Y[:, order], None if W is None else held
         Y, W = (a if a is None or a.shape[0] == 1 else a[fit] for a in (Y, W))
         est = np.full(status.shape, np.nan)
         coef = None if window else np.full(status.shape[:2] + grid.shape[1:], np.nan)
-        exponents = _y_exponent(x, np.abs(Y).max(axis=1), spec)
+        exponents = _y_exponent(xs, np.abs(Y).max(axis=1), spec)
         for part in _parts(fit.size, size, BLOCK_ELEMENTS):
             # y keeps one row where Y has one
             cut = slice(part.start, part.stop)
@@ -739,22 +740,21 @@ def _fitter(x: np.ndarray, spec: EstimatorSpec, taus=None):
             y = np.ldexp(y, -shift[:, None])
             rows, shift, c = fit[cut], shift[:, None, None], None
             if window:
-                y, w = y[:, order], w[:, order]
                 if taus is None:
                     fits = _window_means(spec, xs, y, lo, hi, w)[:, None]
                 elif spec.method == "kernel":
                     fits = _kernel_quantiles(y, np.broadcast_to(w, (len(part), n)), lo, hi, taus)
                 else:
                     y, w = np.broadcast_arrays(y, w)
-                    fits, _ = _loclinear_quantiles(xs, y, w, lo, hi, nodes, taus, solved[cut])
+                    fits, _, status[rows] = _loclinear_quantiles(xs, y, w, lo, hi, nodes, taus)
             else:
                 y = np.broadcast_to(y, (len(part), n))
                 w = None if W is None else np.broadcast_to(w, y.shape)
                 if taus is None:
                     c = _series_means(design, y, w)[:, None]
-                    solved[cut, 0, 0] = RANK * np.isnan(c[:, 0, 0])
+                    status[rows, 0, 0] = RANK * np.isnan(c[:, 0, 0])
                 else:
-                    c = _series_quantiles(x, design, y, w, taus, solved[cut, :, 0])
+                    c, status[rows, :, 0] = _series_quantiles(design, y, w, taus)
                 # a matrix-vector product per fit, since a matrix product rounds differently
                 fits = (grid @ c[..., None])[..., 0]
             with np.errstate(over="ignore"):
@@ -762,7 +762,6 @@ def _fitter(x: np.ndarray, spec: EstimatorSpec, taus=None):
                 est[rows] = np.ldexp(fits, shift)
                 if c is not None:
                     coef[rows] = np.ldexp(c, shift)
-        status[fit] = solved
         if taus is None:
             return est[:, 0], None if coef is None else coef[:, 0], status
         return est, coef, status
@@ -804,24 +803,23 @@ def bootstrap(data: Dataset, spec: EstimatorSpec, b_draws: int, seed: int):
 
     Draw b resamples n rows with replacement using an RNG stream derived from
     (seed, b), so results do not depend on evaluation order.  The draw is
-    its count vector over the data sorted once by x, a row of count weights
-    of one _fitter of the sorted data, which fits the resample under either
-    loss; a pass fits its draws in parts of about BLOCK_ELEMENTS counts, one
-    _fitter call each.  A draw that fails in its part, or whose fit is not
-    finite, is redrawn from the stream (seed, b, retry + 1) and counted, in
-    draw order; more than 10% failures abort.  The draws are one function,
-    axis 1 the draw index 0..B-1 and axis 2 the fit's grid; stderr is their
-    per-node standard deviation.
+    its count vector over the data sorted once by x (_order), a row of count
+    weights of one _fitter of the sorted data, which fits the resample under
+    either loss; a pass fits its draws in parts of about BLOCK_ELEMENTS
+    counts, one _fitter call each, and gathers only the counts.  A draw
+    whose fit is not finite, as every failed problem's is, is redrawn from
+    the stream (seed, b, retry + 1) and counted, in draw order; more than
+    10% failures abort.  The draws are one function, axis 1 the draw index
+    0..B-1 and axis 2 the fit's grid; stderr is their per-node standard
+    deviation.
     """
     b_draws = _integer("b_draws", b_draws, 0)
     if b_draws < 2:
         raise TooFewDrawsError(f"need at least 2 bootstrap draws, got {b_draws}")
     seed = _integer("seed", seed, 0)
-    n, nodes, x = data.n, spec.eval_axis.coords.size, data.x
+    n, nodes, order = data.n, spec.eval_axis.coords.size, _order(data.x)
     taus = None if spec.loss.kind == "mean" else np.array([float(spec.loss.tau)])
-    # a slice, which gathers nothing, where x is sorted, as in _windows
-    order = slice(None) if np.all(x[1:] >= x[:-1]) else np.argsort(x, kind="stable")
-    fit_rows, y = _fitter(x[order], spec, taus), data.y[order][None]
+    fit_rows, y = _fitter(data.x[order], spec, taus), data.y[order][None]
     values, failures, pending = np.empty((b_draws, nodes)), 0, [(b, 0) for b in range(b_draws)]
     while pending:
         passing, pending = pending, []
@@ -829,10 +827,9 @@ def bootstrap(data: Dataset, spec: EstimatorSpec, b_draws: int, seed: int):
             attempts = passing[part.start : part.stop]
             # row i counts how often attempt i holds each of the n sorted rows
             W = np.array([np.bincount(_resample(seed, *a, n), minlength=n) for a in attempts])
-            est, _, status = fit_rows(y, W[:, order] * 1.0)
-            est = est.reshape(-1, nodes)
-            # fit refuses a non-finite estimate
-            failed = np.any(status, axis=(1, 2)) | ~np.all(np.isfinite(est), axis=1)
+            est = fit_rows(y, W[:, order] * 1.0)[0].reshape(-1, nodes)
+            # a failed problem reads NaN, and fit refuses a non-finite estimate
+            failed = ~np.all(np.isfinite(est), axis=1)
             failures += int(np.count_nonzero(failed))
             if failures > 0.1 * b_draws:
                 raise TooManyFailedDrawsError(f"{failures} failed draws exceed 10% of {b_draws}")

@@ -206,7 +206,7 @@ def _scaled(coords: np.ndarray) -> np.ndarray:
 
 def check_p(p: float) -> float:
     """Validate an L^p index: a real >= 1, or INF."""
-    p = float(p)
+    p = _real("p", p)
     if math.isnan(p) or p < 1.0:
         raise OutOfRangeError(f"p must be >= 1 or inf, got {p!r}")
     return p

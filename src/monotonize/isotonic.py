@@ -28,7 +28,7 @@ from .errors import (
     OutOfRangeError,
     ShapeMismatchError,
 )
-from .grid import GriddedFunction, _headroom, check_same_grid
+from .grid import GriddedFunction, _headroom, _real, check_same_grid
 from .rearrange import _average, _axis_pass, _compose, rearrange_average
 
 
@@ -127,7 +127,7 @@ def isotonize_average(f: GriddedFunction, orderings=None) -> GriddedFunction:
 def blend(a: GriddedFunction, b: GriddedFunction, lam: float) -> GriddedFunction:
     """Convex combination lam * a + (1 - lam) * b on a shared grid."""
     check_same_grid(a, b)
-    lam = float(lam)
+    lam = _real("lambda", lam)
     if not 0.0 <= lam <= 1.0:
         raise LambdaOutOfRangeError(f"lambda must lie in [0, 1], got {lam!r}")
     return a.with_values(lam * a.values + (1.0 - lam) * b.values)
@@ -145,8 +145,8 @@ def monotonize(
     averaged rearrangement (weight lam) with the averaged isotonization, and
     at lam = 1 or 0 computes only the one it keeps.
     """
-    if method == "blend" and float(lam) in (0.0, 1.0):
-        method = "rearrange" if float(lam) == 1.0 else "isotonize"
+    if method == "blend" and _real("lambda", lam) in (0.0, 1.0):
+        method = "rearrange" if lam == 1.0 else "isotonize"
     if method == "rearrange":
         return rearrange_average(f, orderings)
     if method == "isotonize":

@@ -35,7 +35,7 @@ from .errors import (
     NonFiniteValueError,
     OutOfRangeError,
 )
-from .grid import GriddedFunction, _headroom, check_p
+from .grid import GriddedFunction, _headroom, _integer, _real, check_p
 
 #: Largest dimension for which the default ordering set (all d! orderings)
 #: is generated implicitly; beyond it the caller must pass orderings.
@@ -174,18 +174,16 @@ def eta_p(k_interval, epsilon: float, p: float, resolution: int = 21) -> float:
     the lattice refines, and is hit exactly whenever epsilon is a multiple of
     the lattice step.
     """
-    lo, hi = (float(k_interval[0]), float(k_interval[1]))
+    lo, hi = _real("k_interval", k_interval[0]), _real("k_interval", k_interval[1])
     if not (hi > lo):
         raise OutOfRangeError("the interval K must have positive length")
-    epsilon = float(epsilon)
+    epsilon = _real("epsilon", epsilon)
     if not epsilon > 0.0:
         raise OutOfRangeError("epsilon must be positive")
     p = check_p(p)
     if np.isinf(p):
         raise OutOfRangeError("eta_p needs a finite p")
-    resolution = int(resolution)
-    if resolution < 2:
-        raise OutOfRangeError("resolution must be at least 2")
+    resolution = _integer("resolution", resolution, 2)
     if hi - lo < epsilon:
         raise InfeasibleConstraintError(
             f"no pair in [{lo}, {hi}] is separated by {epsilon}"

@@ -310,8 +310,10 @@ def _spy_on_chunk_rows(monkeypatch):
 
 def _exact_fits(data, spec, taus):
     """(intercepts, slopes) of the local-linear fits, levels x nodes."""
-    order, xs, lo, hi = estimators._windows(data.x, spec)
-    a, b = estimators._loclinear_quantiles(
+    order = np.argsort(data.x, kind="stable")
+    xs = data.x[order]
+    lo, hi = estimators._windows(xs, spec)
+    a, b, _ = estimators._loclinear_quantiles(
         xs, data.y[order][None], np.ones((1, data.n)), lo, hi, spec.eval_axis.coords,
         np.asarray(taus, dtype=float),
     )
@@ -417,7 +419,7 @@ def test_kernel_quantile_chunks_keep_the_gather_within_the_block(monkeypatch):
     taus = np.array([0.2, 0.5, 0.8])
     spec = EstimatorSpec("kernel", MEAN_LOSS, _axis(5, 0.1, 0.9), bandwidth=0.4)
     est, _ = estimators._fits(x, Y, spec, taus)
-    _, _, lo, hi = estimators._windows(x, spec)
+    lo, hi = estimators._windows(np.sort(x), spec)
     width = int(np.max(hi - lo))
     real, shapes = estimators._window_rows, []
 
@@ -870,7 +872,7 @@ def test_intercept_only_median_within_tolerance():
     rng = np.random.default_rng(43)
     y = rng.permutation(np.linspace(0.0, 3.0, 25) + rng.uniform(0, 0.01, 25))
     taus = np.array([0.1, 0.25, 0.5, 0.75, 0.9])
-    coef = estimators._series_quantiles(np.zeros(25), np.ones((25, 1)), y[None], None, taus)[0]
+    coef = estimators._series_quantiles(np.ones((25, 1)), y[None], None, taus)[0][0]
     assert coef[:, 0].tolist() == [sample_quantile(y, tau) for tau in taus]
 
 
@@ -883,7 +885,7 @@ def test_series_quantile_exact_on_a_flat_optimum(n):
     rng = np.random.default_rng(71)
     taus = np.array([0.1, 0.2, 0.3, 0.5, 0.7, 0.9])
     for y in (rng.normal(size=n), rng.integers(0, 4, n).astype(float)):
-        coef = estimators._series_quantiles(np.zeros(n), np.ones((n, 1)), y[None], None, taus)[0]
+        coef = estimators._series_quantiles(np.ones((n, 1)), y[None], None, taus)[0][0]
         for j, tau in enumerate(taus):
             lo = sample_quantile(y, tau)
             hi = np.sort(y)[int(round(tau * n))]
@@ -962,8 +964,10 @@ def test_every_desk_level_attains_the_lp_optimum_under_heteroscedastic_noise():
         if spec.method == "loclinear":
             a, b = _exact_fits(data, spec, taus)
             assert np.array_equal(fit_quantile_process(data, spec, taus).values, a)
-            order, xs, lo, hi = estimators._windows(x, spec)
-            wa, wb = estimators._loclinear_quantiles(
+            order = np.argsort(x, kind="stable")
+            xs = x[order]
+            lo, hi = estimators._windows(xs, spec)
+            wa, wb, _ = estimators._loclinear_quantiles(
                 xs, y[:, order], W[:, order] * 1.0, lo, hi, ax.coords, taus)
             for j, tau in enumerate(taus):
                 _assert_exact_lp(data, ax.coords, spec.bandwidth, tau, a[j], b[j])
@@ -1385,6 +1389,9 @@ def test_fits_of_stacked_rows_report_each_failure_of_its_own(monkeypatch):
         monkeypatch.setattr(estimators, "_pivot_cap", lambda n, k: cap)
         est, coef, status = estimators._fitter(x, spec, levels)(y, counts)
         failed = np.any(status, axis=(1, 2))
+        # bootstrap tells a failed draw by its estimate alone
+        finite = np.all(np.isfinite(est.reshape(len(counts), -1)), axis=1)
+        assert np.array_equal(failed, ~finite), spec.method
         for i in range(len(counts)):
             alone = estimators._fitter(x, spec, levels)(y, counts[i : i + 1])
             assert np.array_equal(alone[2][0], status[i]), (spec.method, i)
@@ -1399,6 +1406,32 @@ def test_fits_of_stacked_rows_report_each_failure_of_its_own(monkeypatch):
         with pytest.raises(error) as single:
             estimators._fits(x, y, spec, levels, counts[lowest : lowest + 1])
         assert str(stacked.value) == str(single.value) and text in str(stacked.value)
+
+
+def test_the_row_order_of_distinct_x_does_not_change_a_fit():
+    # a fit sorts its data once and solves on the sorted rows, so a shuffled
+    # copy of data with distinct x gets the bits of the sorted data under
+    # every method and loss, and so does a quantile process
+    rng = np.random.default_rng(113)
+    x = np.sort(rng.uniform(0.0, 1.0, 300))
+    y = 1.0 + np.sin(4.0 * x) + rng.normal(0.0, 0.3, x.size)
+    perm = rng.permutation(x.size)
+    ordered, shuffled = Dataset(x, y), Dataset(x[perm], y[perm])
+    ax = Axis(np.linspace(x[0], x[-1], 9))
+    specs = [EstimatorSpec("kernel", MEAN_LOSS, ax, bandwidth=0.1),
+             EstimatorSpec("loclinear", MEAN_LOSS, ax, bandwidth=0.15),
+             EstimatorSpec("bspline", MEAN_LOSS, ax, knots=(0.3, 0.6)),
+             EstimatorSpec("fourier", MEAN_LOSS, ax, n_terms=2)]
+    for spec in specs:
+        for loss in (MEAN_LOSS, Loss("quantile", 0.3)):
+            want, got = fit(ordered, replace(spec, loss=loss)), fit(shuffled, replace(spec, loss=loss))
+            assert np.array_equal(got.estimate.values, want.estimate.values), (spec.method, loss)
+            assert (got.coefficients is None) == (want.coefficients is None)
+            if want.coefficients is not None:
+                assert np.array_equal(got.coefficients, want.coefficients), (spec.method, loss)
+        taus = [0.25, 0.5, 0.75]
+        want, got = fit_quantile_process(ordered, spec, taus), fit_quantile_process(shuffled, spec, taus)
+        assert np.array_equal(got.values, want.values), spec.method
 
 
 def _settled_resample(data, spec, seed, b):
@@ -1417,9 +1450,11 @@ def _settled_resample(data, spec, seed, b):
 def _weighted_loclinear(data, spec, idx):
     """(intercepts, slopes) of the local-linear check-loss fit of the
     resample idx, as a row of counts over data."""
-    order, xs, lo, hi = estimators._windows(data.x, spec)
+    order = np.argsort(data.x, kind="stable")
+    xs = data.x[order]
+    lo, hi = estimators._windows(xs, spec)
     w = np.bincount(idx, minlength=data.n)[order][None] * 1.0
-    a, b = estimators._loclinear_quantiles(
+    a, b, _ = estimators._loclinear_quantiles(
         xs, data.y[order][None], w, lo, hi, spec.eval_axis.coords, np.array([spec.loss.tau]))
     return a[0, 0], b[0, 0]
 

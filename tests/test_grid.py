@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from monotonize.bands import assemble_band
 from monotonize.errors import (
     GridMismatchError,
     NonFiniteValueError,
@@ -11,6 +12,7 @@ from monotonize.errors import (
     OutOfRangeError,
     ShapeMismatchError,
 )
+from monotonize.estimators import MEAN_LOSS, EstimatorSpec, basis_eval
 from monotonize.grid import (
     INF,
     Axis,
@@ -25,6 +27,8 @@ from monotonize.grid import (
     VALUE_RTOL,
     value_tol,
 )
+from monotonize.isotonic import blend, monotonize
+from monotonize.rearrange import eta_p
 
 
 def test_axis_rejects_non_increasing_coords():
@@ -285,3 +289,36 @@ def test_distinct_is_np_unique_bit_for_bit():
         got, want = _distinct(a), np.unique(a)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+_F = GriddedFunction([Axis([0.0, 1.0, 2.0])], [0.0, 2.0, 1.0])
+_SERIES = EstimatorSpec("fourier", MEAN_LOSS, Axis([0.0, 0.5, 1.0]), n_terms=1)
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        pytest.param(lambda v: eta_p((0, 1), 0.5, 2, resolution=v), 2.9, id="eta_p-resolution-2.9"),
+        pytest.param(lambda v: eta_p((0, 1), v, 2), "0.5", id="eta_p-epsilon-str"),
+        pytest.param(lambda v: lp_distance(_F, _F, v), True, id="lp_distance-True"),
+        pytest.param(lambda v: lp_distance(_F, _F, v), "2", id="lp_distance-str"),
+        pytest.param(lambda v: lp_distance(_F, _F, v), None, id="lp_distance-None"),
+        pytest.param(check_p, True, id="check_p-True"),
+        pytest.param(check_p, "2", id="check_p-str"),
+        pytest.param(check_p, None, id="check_p-None"),
+        pytest.param(lambda v: blend(_F, _F, v), True, id="blend-True"),
+        pytest.param(lambda v: blend(_F, _F, v), "0.5", id="blend-str"),
+        pytest.param(lambda v: monotonize(_F, "blend", lam=v), True, id="monotonize-True"),
+        pytest.param(lambda v: monotonize(_F, "blend", lam=v), "0.5", id="monotonize-str"),
+        pytest.param(lambda v: basis_eval(_SERIES, v), True, id="basis_eval-True"),
+        pytest.param(lambda v: basis_eval(_SERIES, v), "0.5", id="basis_eval-str"),
+        pytest.param(lambda v: basis_eval(_SERIES, v), None, id="basis_eval-None"),
+        pytest.param(lambda v: basis_eval(_SERIES, v), [0.5], id="basis_eval-list"),
+        pytest.param(lambda v: assemble_band(_F, _F, v), "2", id="assemble_band-str"),
+    ],
+)
+def test_public_scalars_follow_the_number_rule(call, value):
+    # a bool, a string, None or a list is never a number, and a count such
+    # as eta_p's resolution is a whole number
+    with pytest.raises(OutOfRangeError):
+        call(value)

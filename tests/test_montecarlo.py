@@ -581,7 +581,7 @@ def _spy_on_solvers(monkeypatch):
     monkeypatch.setattr(montecarlo, "_fits", fits)
     # each solver and the position of its rows of y
     solvers = {"_window_means": 2, "_kernel_quantiles": 0, "_loclinear_quantiles": 1,
-               "_series_means": 1, "_series_quantiles": 2}
+               "_series_means": 1, "_series_quantiles": 1}
     for name, at in solvers.items():
 
         def spy(*args, real=getattr(estimators, name), at=at):
